@@ -104,7 +104,7 @@ def solution_key(solution: Optional[CQPSolution]) -> Optional[Tuple]:
 
 def run_stream(pspace, stream: List[CQPProblem],
                cache: Optional[FrontierCache], parallelism: int = 1,
-               backend: str = "thread",
+               backend: str = "serial",
                ) -> Tuple[float, List[Optional[Tuple]]]:
     solve = lambda problem: adapters.solve(  # noqa: E731
         pspace, problem, "c_boundaries", frontier_cache=cache
@@ -163,7 +163,7 @@ def main() -> int:
             warm_s, warm_keys = run_stream(pspace, stream, cache=warm_cache)
             par_s, par_keys = run_stream(
                 pspace, stream, cache=parallel_cache, parallelism=PARALLELISM,
-                backend="process" if fork_available() else "thread",
+                backend="process" if fork_available() else "serial",
             )
             assert warm_keys == cold_keys, "warm diverged on %s/%d" % (axis, seed)
             assert par_keys == cold_keys, "parallel diverged on %s/%d" % (axis, seed)
@@ -201,7 +201,7 @@ def main() -> int:
             "n_smin_steps": n_smin,
             "repeats": repeats,
             "parallelism": PARALLELISM,
-            "parallel_backend": "process" if fork_available() else "thread",
+            "parallel_backend": "process" if fork_available() else "serial",
             "quick": args.quick,
         },
         "modes": modes,

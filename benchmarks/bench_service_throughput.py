@@ -5,12 +5,9 @@ profiles x 10 queries population at K=30, streamed with repetition
 (every pair asked R times, the service-trace regime the batched path
 is built for):
 
-* **seed_per_request** — the pre-optimization baseline: tuple
-  evaluation kernel, 0-capacity parameter cache, one ``request()`` per
-  stream element;
-* **per_request_cold / per_request_warm** — the request loop with the
-  mask kernel + cross-request parameter cache (first pass primes the
-  cache, second pass reuses it);
+* **per_request_cold / per_request_warm** — one ``request()`` per
+  stream element, with the cross-request parameter cache (first pass
+  primes the cache, second pass reuses it);
 * **batched_cold / batched_warm** — ``request_many`` over the whole
   stream: one solve and one execution per (user, query) group;
 * **batched_multicore** — the same batch on a service with
@@ -38,8 +35,11 @@ Run as a script::
 
 Appends one trajectory point to ``BENCH_service_throughput.json`` at
 the repo root (``--no-write`` to skip) and prints a table. The driver
-asserts two ratios: batched warm >= 3x seed per-request, and
+asserts two ratios: batched warm >= 3x the cold per-request loop, and
 columnar+shared >= 2x the row engine on the execution-heavy set.
+(Earlier trajectory points measured the first ratio against a
+``seed_per_request`` mode — tuple evaluation kernel plus row engine —
+which no longer exists.)
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from pathlib import Path
 from typing import Dict, List
 
 from repro.core.algorithms.scheduler import fork_available
-from repro.core.param_cache import ParameterCache
 from repro.core.personalizer import Personalizer
 from repro.core.problem import CQPProblem
 from repro.core.service import BatchRequest, PersonalizationService
@@ -87,16 +86,10 @@ def build_stream(users: List[str], queries, repeats: int) -> List[BatchRequest]:
 
 
 def make_service(
-    database, profiles, seed_mode: bool,
-    parallelism: int = 1, backend: str = "auto",
+    database, profiles, parallelism: int = 1, backend: str = "auto",
 ) -> PersonalizationService:
     service = PersonalizationService(
-        database,
-        param_cache=ParameterCache(capacity=0) if seed_mode else None,
-        mask_kernel=not seed_mode,
-        engine="row" if seed_mode else "columnar",
-        parallelism=parallelism,
-        backend=backend,
+        database, parallelism=parallelism, backend=backend
     )
     for index, profile in enumerate(profiles):
         service.register("user-%02d" % index, profile)
@@ -207,17 +200,13 @@ def main() -> int:
 
     results: Dict[str, Dict] = {}
 
-    seed_service = make_service(database, profiles, seed_mode=True)
-    results["seed_per_request"] = run_loop(seed_service, stream)
-    print("seed_per_request:    %s" % results["seed_per_request"])
-
-    loop_service = make_service(database, profiles, seed_mode=False)
+    loop_service = make_service(database, profiles)
     results["per_request_cold"] = run_loop(loop_service, stream)
     print("per_request_cold:    %s" % results["per_request_cold"])
     results["per_request_warm"] = run_loop(loop_service, stream)
     print("per_request_warm:    %s" % results["per_request_warm"])
 
-    batch_service = make_service(database, profiles, seed_mode=False)
+    batch_service = make_service(database, profiles)
     results["batched_cold"] = run_batched(batch_service, stream)
     print("batched_cold:        %s" % results["batched_cold"])
     results["batched_warm"] = run_batched(batch_service, stream)
@@ -231,8 +220,7 @@ def main() -> int:
         # parent's shm-backed column caches zero-copy instead of
         # rebuilding them per process.
         multicore_service = make_service(
-            database, profiles, seed_mode=False,
-            parallelism=4, backend="process",
+            database, profiles, parallelism=4, backend="process"
         )
         with export_columns(database) as export:
             shared_tables = attach_columns(database, export.handle)
@@ -272,10 +260,10 @@ def main() -> int:
     print("exec_heavy:          %s" % exec_heavy)
 
     speedup = (
-        results["seed_per_request"]["total_s"] / results["batched_warm"]["total_s"]
+        results["per_request_cold"]["total_s"] / results["batched_warm"]["total_s"]
     )
     exec_speedup = exec_heavy["speedup_columnar_shared_vs_row"]
-    print("\nbatched warm vs seed per-request: %.2fx (floor %.1fx)"
+    print("\nbatched warm vs per-request cold: %.2fx (floor %.1fx)"
           % (speedup, SPEEDUP_FLOOR))
     print("columnar+shared vs row engine:    %.2fx (floor %.1fx)"
           % (exec_speedup, EXEC_SPEEDUP_FLOOR))
@@ -297,7 +285,7 @@ def main() -> int:
         "modes": results,
         "param_cache": cache,
         "exec_heavy": exec_heavy,
-        "speedup_batched_warm_vs_seed": round(speedup, 2),
+        "speedup_batched_warm_vs_per_request": round(speedup, 2),
         "batched_multicore_vs_warm": results.get("batched_multicore", {}).get(
             "vs_warm"
         ),

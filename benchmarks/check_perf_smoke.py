@@ -208,7 +208,7 @@ def test_columnar_shared_beats_row_engine():
 
     database, profile, _ = _workload()
     problem = CQPProblem.problem2(cmax=400.0)
-    personalizer = Personalizer(database, engine="row")
+    personalizer = Personalizer(database)
     targets = [
         personalizer.personalize(query, profile, problem, k_limit=K).personalized_query
         for query in generate_queries(count=3, seed=0)
@@ -341,7 +341,7 @@ def test_columnar_cold_beats_row_by_4x():
 
     database, profile, _ = _workload()
     problem = CQPProblem.problem2(cmax=400.0)
-    personalizer = Personalizer(database, engine="row")
+    personalizer = Personalizer(database)
     targets = [
         personalizer.personalize(query, profile, problem, k_limit=K).personalized_query
         for query in generate_queries(count=6, seed=0)

@@ -60,7 +60,6 @@ def stacked_supported(space: SearchSpace) -> bool:
     """True when the stacked kernel can serve this space's frontiers."""
     return (
         space.budget_aligned
-        and space.mask_kernel
         and space.name in ("cost", "size")
         and 1 <= space.k <= MAX_STACKED_K
     )

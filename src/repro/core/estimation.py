@@ -115,7 +115,8 @@ class StateEvaluator:
       and (in the cached subclass) single-int cache keys with no
       per-call ``tuple(sorted(...))``.
 
-    ``tests/core/test_mask_kernel.py`` property-tests their agreement.
+    The tuple kernel is also the reference the mask kernel is
+    property-tested against (the evaluator tests under ``tests/core``).
     """
 
     def __init__(

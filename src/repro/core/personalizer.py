@@ -7,6 +7,12 @@
 3. *Personalized Query Construction* — rewrite Q with the chosen
    preferences;
 4. optionally *Query Execution* — run the result on the database engine.
+
+Each stage has one fast path: the bitmask evaluation kernel for the
+search and the columnar engine for execution. Their references — the
+tuple evaluation kernel and the row-at-a-time
+:class:`~repro.sql.executor.Executor` — are plain code the tests and
+the differential lattice compare against, not options here.
 """
 
 from __future__ import annotations
@@ -72,8 +78,6 @@ class Personalizer:
         algebra: DoiAlgebra = PRODUCT_ALGEBRA,
         default_algorithm: str = "c_maxbounds",
         param_cache: Optional[ParameterCache] = None,
-        mask_kernel: bool = True,
-        engine: str = "columnar",
         frontier_cache: Optional[FrontierCache] = None,
     ) -> None:
         """``param_cache`` memoizes per-path pricing across requests; one
@@ -82,11 +86,9 @@ class Personalizer:
         disable). ``frontier_cache`` does the same one layer up: shared
         per-state parameter evaluations plus warm-started boundary
         sweeps across constraint values (same defaulting convention).
-        ``mask_kernel=False`` falls back to the tuple
-        evaluation kernel (identical results, slower — benchmarks).
-        ``engine="row"`` restores the row-at-a-time executor instead of
-        the columnar kernel (identical rows and cost receipts — the
-        execution-engine ablation)."""
+        Queries always execute on the columnar engine; the row
+        :class:`~repro.sql.executor.Executor` stays the reference that
+        tests and the differential lattice compare it against."""
         if not database.analyzed:
             database.analyze()
         self.database = database
@@ -96,9 +98,7 @@ class Personalizer:
         self.frontier_cache = (
             frontier_cache if frontier_cache is not None else FrontierCache()
         )
-        self.mask_kernel = mask_kernel
-        self.engine = engine
-        self.executor = Executor(database, engine=engine)
+        self.executor = Executor(database, engine="columnar")
 
     def invalidate_caches(self) -> None:
         """Drop cross-request pricing state (call after mutating the
@@ -151,7 +151,6 @@ class Personalizer:
                 pspace,
                 problem,
                 algorithm,
-                mask_kernel=self.mask_kernel,
                 frontier_cache=self.frontier_cache,
             )
             if pspace.k > 0
@@ -249,7 +248,6 @@ class Personalizer:
                 pspace,
                 problems,
                 algorithms=resolved,
-                mask_kernel=self.mask_kernel,
                 frontier_cache=self.frontier_cache,
             )
         else:
@@ -289,8 +287,7 @@ class Personalizer:
 
         ``frame_cache`` (a :class:`repro.sql.columnar.FrameCache`)
         extends the columnar engine's base-frame sharing beyond this one
-        statement — the batched service path passes one per batch. The
-        row engine ignores it.
+        statement — the batched service path passes one per batch.
         """
         return self.executor.execute(outcome.personalized_query, frame_cache=frame_cache)
 

@@ -14,6 +14,14 @@ as the search context at the time of the request."
   policy maps it to the right Table 1 problem;
 * the full pipeline per request (extract → search → rewrite → execute),
   returning rows plus the solution metadata.
+
+Two entry points, one path each: :meth:`~PersonalizationService.request`
+answers one request group at a time through
+:meth:`Personalizer.personalize`, and
+:meth:`~PersonalizationService.request_many` always clusters
+same-extraction groups into :meth:`Personalizer.personalize_many`
+calls (structural batching). Both return bit-identical answers, and
+execution always runs on the columnar engine.
 """
 
 from __future__ import annotations
@@ -21,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.algorithms.scheduler import SolveScheduler
+from repro.core.algorithms.scheduler import SolveScheduler, check_backend
 from repro.core.context import SearchContext, problem_for_context
 from repro.core.frontier_cache import FrontierCache
 from repro.core.param_cache import ParameterCache
@@ -131,26 +139,21 @@ class PersonalizationService:
         learning_config: Optional[LearningConfig] = None,
         learning_weight: float = 0.3,
         param_cache: Optional[ParameterCache] = None,
-        mask_kernel: bool = True,
-        engine: str = "columnar",
         frontier_cache: Optional[FrontierCache] = None,
         parallelism: int = 1,
         fault_injector=None,
         solve_retries: int = 1,
         backend: str = "auto",
-        structural_batching: bool = True,
         snapshot=None,
     ) -> None:
         """``relearn_every``: after that many requests a user's profile is
         re-blended with one learned from their query log (0 = never).
         ``learning_config`` defaults to a fresh :class:`LearningConfig`
         per service (never a shared instance). ``param_cache`` /
-        ``mask_kernel`` / ``engine`` / ``frontier_cache`` are forwarded
-        to the :class:`Personalizer` (``engine="row"`` restores the
-        row-at-a-time execution path). ``parallelism`` is the default
-        fan-out for :meth:`request_many`'s independent per-group solves;
-        1 (the default) keeps every request on the calling thread,
-        bit-identical to the serial path.
+        ``frontier_cache`` are forwarded to the :class:`Personalizer`.
+        ``parallelism`` is the default fan-out for :meth:`request_many`'s
+        independent per-group solves; 1 (the default) keeps every
+        request on the calling thread, bit-identical to the serial path.
 
         ``fault_injector`` (the :class:`repro.testing.faults.FaultInjector`
         protocol) arms the resilience drills: the service's caches get
@@ -162,13 +165,9 @@ class PersonalizationService:
         :class:`~repro.core.algorithms.scheduler.SolveScheduler`).
 
         ``backend`` picks the scheduler's pool flavor for the fan-out
-        (``"auto"``/``"serial"``/``"thread"``/``"process"`` — see the
-        scheduler module; auto degrades to serial whenever a pool
-        cannot pay). ``structural_batching`` clusters same-extraction
-        request groups into one :meth:`Personalizer.personalize_many`
-        call each, so extraction runs once per cluster and the solves
-        share the stacked frontier kernel; responses stay bit-identical
-        to the group-at-a-time path.
+        (one of :data:`~repro.core.algorithms.scheduler.BACKENDS`:
+        ``"auto"``/``"serial"``/``"process"`` — see the scheduler
+        module); an unknown name fails here, not at the first batch.
 
         ``snapshot`` boots the service warm from a compiled workload: a
         :class:`~repro.storage.snapshot.CompiledWorkload` or the path
@@ -187,17 +186,15 @@ class PersonalizationService:
             raise ValueError("parallelism must be >= 1")
         if solve_retries < 0:
             raise ValueError("solve_retries must be >= 0")
+        check_backend(backend)
         self.parallelism = parallelism
         self.solve_retries = solve_retries
         self.backend = backend
-        self.structural_batching = structural_batching
         self.fault_injector = fault_injector
         self.personalizer = Personalizer(
             database,
             algebra=algebra,
             param_cache=param_cache,
-            mask_kernel=mask_kernel,
-            engine=engine,
             frontier_cache=frontier_cache,
         )
         self.relearn_every = relearn_every
@@ -493,39 +490,23 @@ class PersonalizationService:
         # same user, query, k_limit, and the constraint fields the
         # extractor prunes on (cmax/smin) — into supergroups; each
         # supergroup is one scheduler task running personalize_many
-        # (extract once, stacked solves). With batching off, every
-        # supergroup is a singleton running the legacy per-group
-        # personalize. Either way a task returns the outcome list of its
-        # member groups, so payloads never depend on the clustering.
-        if self.structural_batching:
-            clusters: Dict[Tuple, List[int]] = {}
-            for index, members in enumerate(member_lists):
-                user, query, problem, _, k_limit = specs[members[0]]
-                cluster_key = (
-                    user,
-                    to_sql(query),
-                    k_limit,
-                    problem.constraints.cmax,
-                    problem.constraints.smin,
-                )
-                clusters.setdefault(cluster_key, []).append(index)
-            super_lists = list(clusters.values())
-        else:
-            super_lists = [[index] for index in range(len(member_lists))]
+        # (extract once, stacked solves) and returning the outcome list
+        # of its member groups.
+        clusters: Dict[Tuple, List[int]] = {}
+        for index, members in enumerate(member_lists):
+            user, query, problem, _, k_limit = specs[members[0]]
+            cluster_key = (
+                user,
+                to_sql(query),
+                k_limit,
+                problem.constraints.cmax,
+                problem.constraints.smin,
+            )
+            clusters.setdefault(cluster_key, []).append(index)
+        super_lists = list(clusters.values())
 
         def personalize_super(group_indices: Sequence[int]) -> List[PersonalizationOutcome]:
             user, query, _, _, k_limit = specs[member_lists[group_indices[0]][0]]
-            if not self.structural_batching and len(group_indices) == 1:
-                _, _, problem, algorithm, _ = specs[member_lists[group_indices[0]][0]]
-                return [
-                    self.personalizer.personalize(
-                        query,
-                        self._state(user).profile,
-                        problem,
-                        algorithm=algorithm,
-                        k_limit=k_limit,
-                    )
-                ]
             problems = [specs[member_lists[i][0]][2] for i in group_indices]
             algorithms = [specs[member_lists[i][0]][3] for i in group_indices]
             return self.personalizer.personalize_many(

@@ -39,7 +39,9 @@ class SearchSpace:
     rank states to P-index *bitmasks* via a precomputed per-rank bit
     table and evaluate those — no tuple allocation, and single-int cache
     keys downstream. The algorithms keep calling the tuple-state API
-    either way; only the evaluation plumbing changes.
+    either way; only the evaluation plumbing changes. :class:`SpaceBundle`
+    always supplies the mask twins; tuple-only spaces remain as the
+    hand-built reference (see :mod:`repro.workloads.scenarios`).
     """
 
     def __init__(
@@ -83,11 +85,6 @@ class SearchSpace:
     @property
     def k(self) -> int:
         return len(self.vector)
-
-    @property
-    def mask_kernel(self) -> bool:
-        """True when evaluation runs on the bitmask kernel."""
-        return self._budget_mask is not None
 
     # -- state interpretation ---------------------------------------------------
 
@@ -204,14 +201,12 @@ class SpaceBundle:
         pspace: PreferenceSpace,
         problem: CQPProblem,
         cached: bool = True,
-        mask_kernel: bool = True,
         frontier_cache=None,
     ) -> None:
         from repro.core.estimation import CachedStateEvaluator
 
         self.pspace = pspace
         self.problem = problem
-        self.mask_kernel = mask_kernel
         # A FrontierCache supplies the shared evaluator (per-state
         # parameters carried across solves) and the frontier memos the
         # budget-aligned spaces warm-start from. Only meaningful with
@@ -319,7 +314,6 @@ class SpaceBundle:
         cmax = self.problem.constraints.cmax
         if cmax is None:
             raise SearchError("cost space needs a cost upper bound (Problems 2-3)")
-        masked = self.mask_kernel
         space = SearchSpace(
             vector=self.pspace.vector_c,
             evaluator=self.evaluator,
@@ -330,10 +324,10 @@ class SpaceBundle:
             budget_aligned=True,
             extra=self._size_extra(),
             name="cost",
-            budget_mask=self.evaluator.cost_mask if masked else None,
-            objective_mask=self.evaluator.doi_mask if masked else None,
-            extra_mask=self._size_extra_mask() if masked else None,
-            budget_mask_many=self.evaluator.cost_mask_many if masked else None,
+            budget_mask=self.evaluator.cost_mask,
+            objective_mask=self.evaluator.doi_mask,
+            extra_mask=self._size_extra_mask(),
+            budget_mask_many=self.evaluator.cost_mask_many,
         )
         space.frontier = self._frontier_memo(space)
         return space
@@ -346,30 +340,24 @@ class SpaceBundle:
         :meth:`size_space` — the Section 6 direction flip.
         """
         constraints = self.problem.constraints
-        masked = self.mask_kernel
-        budget_mask: Optional[Callable[[Mask], float]] = None
-        extra_mask: Optional[Callable[[Mask], bool]] = None
         if constraints.cmax is not None:
             budget = self.evaluator.cost
             limit: float = constraints.cmax
             extra = self._size_extra()
-            if masked:
-                budget_mask = self.evaluator.cost_mask
-                extra_mask = self._size_extra_mask()
+            budget_mask = self.evaluator.cost_mask
+            extra_mask = self._size_extra_mask()
         elif constraints.smin is not None:
             evaluator = self.evaluator
 
             def budget(indices: Sequence[int]) -> float:
                 return -evaluator.size_independent(indices)
 
+            def budget_mask(mask: Mask) -> float:
+                return -evaluator.size_independent_mask(mask)
+
             limit = -constraints.smin
             extra = self._smin_only_extra()
-            if masked:
-
-                def budget_mask(mask: Mask) -> float:
-                    return -evaluator.size_independent_mask(mask)
-
-                extra_mask = self._smin_only_extra_mask()
+            extra_mask = self._smin_only_extra_mask()
         else:
             raise SearchError("doi space needs a cost or size constraint")
         return SearchSpace(
@@ -383,7 +371,7 @@ class SpaceBundle:
             extra=extra,
             name="doi",
             budget_mask=budget_mask,
-            objective_mask=self.evaluator.doi_mask if masked else None,
+            objective_mask=self.evaluator.doi_mask,
             extra_mask=extra_mask,
         )
 
@@ -408,7 +396,6 @@ class SpaceBundle:
             raise SearchError("size space needs a size lower bound (Problem 1)")
         evaluator = self.evaluator
         smin = constraints.smin
-        masked = self.mask_kernel
 
         def budget(indices: Sequence[int]) -> float:
             # The independence product keeps Vertical moves monotone
@@ -432,10 +419,10 @@ class SpaceBundle:
             budget_aligned=True,
             extra=self._smin_only_extra(),
             name="size",
-            budget_mask=budget_mask if masked else None,
-            objective_mask=self.evaluator.doi_mask if masked else None,
-            extra_mask=self._smin_only_extra_mask() if masked else None,
-            budget_mask_many=budget_mask_many if masked else None,
+            budget_mask=budget_mask,
+            objective_mask=self.evaluator.doi_mask,
+            extra_mask=self._smin_only_extra_mask(),
+            budget_mask_many=budget_mask_many,
         )
         space.frontier = self._frontier_memo(space)
         return space

@@ -225,7 +225,7 @@ class Workbench:
         serial grids.) ``backend`` picks the pool flavor: the
         ``"process"`` backend ships each pair as a picklable
         :class:`~repro.core.algorithms.scheduler.SolvePlan` to forked
-        workers (escaping the GIL); the other flavors run
+        workers (escaping the GIL); the serial backend runs
         :meth:`solve_one` directly.
         """
         from repro.core.algorithms.scheduler import SolvePlan, SolveScheduler

@@ -23,6 +23,7 @@ import argparse
 import time
 from typing import Dict, List, Optional, Sequence
 
+from repro.core.algorithms.scheduler import BACKENDS
 from repro.storage.snapshot import (
     CompiledWorkload,
     load_snapshot,
@@ -54,7 +55,7 @@ def build_workload_parser() -> argparse.ArgumentParser:
         help="doi-problem search algorithm the serving side will run",
     )
     compile_cmd.add_argument("--parallelism", type=int, default=1)
-    compile_cmd.add_argument("--backend", default="auto")
+    compile_cmd.add_argument("--backend", default="auto", choices=BACKENDS)
     compile_cmd.add_argument(
         "--quick", action="store_true",
         help="tiny CI-sized settings (overrides the scale flags)",

@@ -43,28 +43,16 @@ class PlanExecutor:
         self,
         database: Database,
         cpu_ms_per_row: float = DEFAULT_CPU_MS_PER_ROW,
-        engine: str = "row",
     ) -> None:
         self.database = database
         self.cpu_ms_per_row = cpu_ms_per_row
-        if engine not in ("row", "columnar"):
-            raise ValueError("engine must be 'row' or 'columnar', got %r" % engine)
-        self.engine = engine
-        self._columnar = None
-        if engine == "columnar":
-            from repro.sql.columnar import ColumnarExecutor
-
-            self._columnar = ColumnarExecutor(database, cpu_ms_per_row=cpu_ms_per_row)
         self._rows_processed = 0
         self._rows_filtered = 0
 
-    def execute(self, plan: PlanNode, frame_cache=None) -> ExecutionResult:
-        """Evaluate ``plan``. With ``engine="columnar"`` the vectorized
-        kernel runs it instead (identical rows and receipts);
-        ``frame_cache`` then shares base frames across statements and is
-        ignored by the row interpreter."""
-        if self._columnar is not None:
-            return self._columnar.execute_plan(plan, frame_cache=frame_cache)
+    def execute(self, plan: PlanNode) -> ExecutionResult:
+        """Evaluate ``plan`` one row at a time: the plan-level reference
+        that :meth:`repro.sql.columnar.ColumnarExecutor.execute_plan`
+        must match row for row and receipt for receipt."""
         self._rows_processed = 0
         self._rows_filtered = 0
         with self.database.device.meter() as receipt:

@@ -12,9 +12,10 @@ future perf PR as its standing gate:
   transient errors inside scheduler workers) plus the
   :class:`TransientFault` drills the service's fallback path absorbs;
 * :mod:`repro.testing.differential` — the lattice runner: every Table 1
-  problem solved across {algorithm} × {engine} × {cache mode} ×
-  {parallelism} and cross-checked against the exhaustive oracle, with
-  printable seeds to reproduce any failing lattice point.
+  problem solved per algorithm across cache modes, batching, the
+  process backend, snapshot boots and async serving, cross-checked
+  against the exhaustive oracle and (on the service path) the row
+  engine, with printable seeds to reproduce any failing lattice point.
 """
 
 from repro.testing.differential import (

@@ -1,16 +1,13 @@
 """Differential lattice runner: one oracle, every configuration.
 
-PRs 1–4 layered a bitmask kernel, a columnar engine, three caches and a
-parallel scheduler onto the CQP search — each proven equivalent in
-isolation. This module cross-validates them as a *lattice*: every
-Table 1 problem is solved at every point of
-
-    {c_boundaries, c_maxbounds, exhaustive} × {row, columnar}
-        × {caches off, on, warm} × {parallelism 1, 4}
-        × {serial, thread, process} × {batched, unbatched}
-        × {sync, async serving}
-
-and checked two ways:
+The CQP stack runs one fast path per layer — the bitmask evaluation
+kernel, the columnar engine, three caches, a serial or forked solve
+scheduler, structural batching — each proven equivalent in isolation.
+This module cross-validates them as a *lattice*: every Table 1 problem
+is solved per algorithm in {c_boundaries, c_maxbounds, exhaustive} at
+a handful of points — caches off / on / warm, the process backend,
+batched solving, a snapshot-warm boot, the async front-end — each
+running a code path no other point runs, and checked three ways:
 
 * **against the oracle** — an independent brute-force enumeration
   (:func:`exhaustive_oracle`) that shares nothing with the search
@@ -20,8 +17,13 @@ and checked two ways:
 * **against each other** — within one algorithm, every lattice point
   must produce a receipt (pref indices, doi, cost, size) **bit
   identical** to the cold single-threaded reference, and on the service
-  path identical *rows*: caches, engines and schedulers are claimed to
-  be pure-reuse transformations, so any drift is a bug.
+  path identical *rows*: caches, batching and schedulers are claimed
+  to be pure-reuse transformations, so any drift is a bug;
+* **against the row engine** — each service reference answer's rows
+  and ``blocks_read`` receipt must equal the row-at-a-time
+  :class:`~repro.sql.executor.Executor` running the same personalized
+  query. The reference point answers through ``service.request()``
+  one problem at a time, every other point through ``request_many``.
 
 Every scenario is generated from one integer seed and every failure
 message carries ``(seed, problem, lattice point)`` — rerunning the
@@ -51,11 +53,6 @@ _TOL = 1e-6
 DOI_ALGORITHMS = ("c_boundaries", "c_maxbounds", "exhaustive")
 EXACT_ALGORITHMS = frozenset({"c_boundaries", "exhaustive", "min_cost"})
 CACHE_MODES = ("off", "on", "warm")
-ENGINES = ("row", "columnar")
-PARALLELISMS = (1, 4)
-# "thread" on the legacy points keeps their historical coverage (the
-# scheduler's auto backend would degrade them to serial on small hosts).
-BACKENDS = ("serial", "thread", "process")
 
 
 class DifferentialFailure(AssertionError):
@@ -71,10 +68,11 @@ class LatticePoint:
     """One configuration of the correctness lattice.
 
     ``backend`` is the scheduler pool flavor the point's solves fan out
-    on; ``batched`` routes the point's problems through the structural
-    batching path (:func:`repro.core.adapters.solve_many`, or
+    on (``parallelism`` workers); ``batched`` (solver lattice only)
+    routes the point's problems through
+    :func:`repro.core.adapters.solve_many`, or
     :class:`~repro.core.algorithms.scheduler.SolvePlan` dispatch under
-    the process backend) instead of one solve per problem. ``snapshot``
+    the process backend, instead of one solve per problem. ``snapshot``
     (service lattice only) boots the point's service warm from a
     workload snapshot compiled on the spot
     (:func:`repro.workloads.compiler.compile_workload`) — restored
@@ -88,21 +86,19 @@ class LatticePoint:
     """
 
     algorithm: str
-    engine: str = "columnar"
     cache: str = "off"
     parallelism: int = 1
-    backend: str = "thread"
+    backend: str = "serial"
     batched: bool = False
     snapshot: str = "off"
     serving: str = "sync"
 
     def __str__(self) -> str:
         return (
-            "%s/engine=%s/cache=%s/parallelism=%d/backend=%s/batched=%s"
+            "%s/cache=%s/parallelism=%d/backend=%s/batched=%s"
             "/snapshot=%s/serving=%s"
             % (
                 self.algorithm,
-                self.engine,
                 self.cache,
                 self.parallelism,
                 self.backend,
@@ -239,30 +235,25 @@ def exhaustive_oracle(pspace, problem: CQPProblem) -> Receipt:
 
 
 def solver_lattice() -> List[LatticePoint]:
-    """Every (algorithm, cache, parallelism) point of the solve-only
-    lattice (the engine axis needs execution; see the service lattice),
-    plus the full {serial, thread, process} × {batched, unbatched}
-    cross per algorithm at the cache="on" column."""
+    """The solve-only lattice, six points per algorithm: the serial
+    unbatched solve under each cache mode, then with caches on the
+    batched :func:`adapters.solve_many` path and the process backend
+    (four workers), unbatched and batched."""
     points = []
     for algorithm in DOI_ALGORITHMS + ("min_cost",):
         for cache in CACHE_MODES:
-            for parallelism in PARALLELISMS:
-                points.append(
-                    LatticePoint(
-                        algorithm=algorithm, cache=cache, parallelism=parallelism
-                    )
+            points.append(LatticePoint(algorithm=algorithm, cache=cache))
+        points.append(LatticePoint(algorithm=algorithm, cache="on", batched=True))
+        for batched in (False, True):
+            points.append(
+                LatticePoint(
+                    algorithm=algorithm,
+                    cache="on",
+                    parallelism=4,
+                    backend="process",
+                    batched=batched,
                 )
-        for backend in BACKENDS:
-            for batched in (False, True):
-                points.append(
-                    LatticePoint(
-                        algorithm=algorithm,
-                        cache="on",
-                        parallelism=4,
-                        backend=backend,
-                        batched=batched,
-                    )
-                )
+            )
     return points
 
 
@@ -272,7 +263,7 @@ def _solve_problems(
     algorithm: str,
     cache: Optional[FrontierCache],
     parallelism: int,
-    backend: str = "thread",
+    backend: str = "serial",
     batched: bool = False,
 ) -> List[Optional[CQPSolution]]:
     """The solves of one lattice point, possibly fanned out or batched.
@@ -447,66 +438,53 @@ def _algorithm_for(problem: CQPProblem, requested: str) -> str:
     return "min_cost"
 
 
-# -- the service lattice (full pipeline, both engines) ------------------------------
+# -- the service lattice (full pipeline, row-engine reference) -----------------------
 
 
 def service_lattice() -> List[LatticePoint]:
-    """Every (algorithm, engine, cache, parallelism) point of the
-    end-to-end lattice, plus the backend × batched cross on the
-    columnar engine, plus the snapshot={off,restored} axis (one serial
-    and one batched-parallel warm-boot point per algorithm), plus the
-    serving={sync,async} axis: one plain and one batched-parallel
-    async-front-end point per algorithm."""
+    """The end-to-end lattice, six points per algorithm: the reference
+    (caches off, answered through ``request()``), ``request_many`` with
+    caches on and warm, the process backend (four workers), a
+    snapshot-warm boot and the async front-end."""
     points = []
     for algorithm in DOI_ALGORITHMS:
-        for engine in ENGINES:
-            for cache in CACHE_MODES:
-                for parallelism in PARALLELISMS:
-                    points.append(
-                        LatticePoint(
-                            algorithm=algorithm,
-                            engine=engine,
-                            cache=cache,
-                            parallelism=parallelism,
-                        )
-                    )
-        for backend in BACKENDS:
-            for batched in (False, True):
-                points.append(
-                    LatticePoint(
-                        algorithm=algorithm,
-                        engine="columnar",
-                        cache="on",
-                        parallelism=4,
-                        backend=backend,
-                        batched=batched,
-                    )
-                )
+        for cache in CACHE_MODES:
+            points.append(LatticePoint(algorithm=algorithm, cache=cache))
+        points.append(
+            LatticePoint(
+                algorithm=algorithm, cache="on", parallelism=4, backend="process"
+            )
+        )
         points.append(
             LatticePoint(algorithm=algorithm, cache="on", snapshot="restored")
         )
-        points.append(
-            LatticePoint(
-                algorithm=algorithm,
-                cache="on",
-                parallelism=4,
-                batched=True,
-                snapshot="restored",
-            )
-        )
-        points.append(
-            LatticePoint(algorithm=algorithm, cache="on", serving="async")
-        )
-        points.append(
-            LatticePoint(
-                algorithm=algorithm,
-                cache="on",
-                parallelism=4,
-                batched=True,
-                serving="async",
-            )
-        )
+        points.append(LatticePoint(algorithm=algorithm, cache="on", serving="async"))
     return points
+
+
+def _check_row_engine(database, service, response, context: str) -> None:
+    """A reference answer against the row-at-a-time engine.
+
+    The service executes on the columnar engine only; its rows and its
+    ``blocks_read`` receipt must equal what the reference
+    :class:`~repro.sql.executor.Executor` returns for the same
+    personalized query.
+    """
+    from repro.sql.executor import Executor
+
+    query = response.outcome.personalized_query
+    row = Executor(database).execute(query)
+    if tuple(row.rows) != response.rows:
+        raise DifferentialFailure(
+            "%s: rows diverged from the row engine (%d vs %d rows)"
+            % (context, len(response.rows), len(row.rows))
+        )
+    columnar = service.personalizer.execute(response.outcome)
+    if columnar.blocks_read != row.blocks_read:
+        raise DifferentialFailure(
+            "%s: blocks_read %d diverged from the row engine's %d"
+            % (context, columnar.blocks_read, row.blocks_read)
+        )
 
 
 def serve_batch_async(service, batch: Sequence) -> List:
@@ -553,8 +531,13 @@ def run_service_lattice(
     :class:`~repro.core.service.PersonalizationService` at every lattice
     point; across points of one algorithm, the *rows* and the solution
     receipt must be identical, and exact algorithms must match the
-    oracle on the extracted space. ``problems`` defaults to all six
-    Table 1 instances scaled to the scenario's extracted space.
+    oracle on the extracted space. Each reference answer is also
+    checked against the row engine. The reference point
+    (``LatticePoint(algorithm)``: caches off, serial) answers one
+    problem at a time through ``service.request()``; every other point
+    answers the whole batch through ``request_many`` or the async
+    front-end. ``problems`` defaults to all six Table 1 instances
+    scaled to the scenario's extracted space.
     """
     from repro.core.personalizer import Personalizer
     from repro.core.service import BatchRequest, PersonalizationService
@@ -599,12 +582,10 @@ def run_service_lattice(
             )
         service = PersonalizationService(
             database,
-            engine=point.engine,
             param_cache=ParameterCache(0 if point.cache == "off" else 65536),
             frontier_cache=FrontierCache(0 if point.cache == "off" else 256),
             parallelism=point.parallelism,
             backend=point.backend,
-            structural_batching=point.batched,
             snapshot=snapshot,
         )
         service.register("lattice-user", profile)
@@ -622,6 +603,17 @@ def run_service_lattice(
         for _ in range(passes):
             if point.serving == "async":
                 responses = serve_batch_async(service, batch)
+            elif point == LatticePoint(point.algorithm):
+                responses = [
+                    service.request(
+                        request.user,
+                        request.query,
+                        problem=request.problem,
+                        algorithm=request.algorithm,
+                        k_limit=request.k_limit,
+                    )
+                    for request in batch
+                ]
             else:
                 responses = service.request_many(batch, max_workers=point.parallelism)
         for number, response in zip(numbers, responses):
@@ -640,6 +632,12 @@ def run_service_lattice(
             fingerprint = (receipt, response.rows)
             reference = references.get(key)
             if reference is None:
+                _check_row_engine(
+                    database,
+                    service,
+                    response,
+                    "seed=%d problem=%d point=%s" % (seed, number, point),
+                )
                 references[key] = fingerprint
             else:
                 report.receipt_checks += 1

@@ -36,11 +36,8 @@ from repro.testing.differential import (
 )
 
 
-def _aligned_space(pspace, problem, cache=None, mask_kernel=True):
-    bundle = SpaceBundle(
-        pspace, problem, mask_kernel=mask_kernel, frontier_cache=cache
-    )
-    return bundle.aligned_space()
+def _aligned_space(pspace, problem, cache=None):
+    return SpaceBundle(pspace, problem, frontier_cache=cache).aligned_space()
 
 
 def _swept_frontier(pspace, problem):
@@ -93,13 +90,9 @@ class TestStackedFrontiers:
             state = tuple(r for r in range(k) if (mask >> r) & 1)
             assert table[mask] == space.budget_value(state), state
 
-    def test_gating_rejects_unaligned_and_tuple_kernels(self):
+    def test_gating_rejects_unaligned_spaces(self):
         pspace = synthetic_scenario(3, k_min=4, k_max=6)
         problem = CQPProblem.problem2(cmax=pspace.supreme_cost() * 0.5)
-        tuple_space = _aligned_space(
-            pspace, problem, cache=FrontierCache(), mask_kernel=False
-        )
-        assert not stacked_supported(tuple_space)
         doi_space = SpaceBundle(
             pspace, problem, frontier_cache=FrontierCache()
         ).doi_space()

@@ -255,6 +255,12 @@ class TestRequestMany:
         with pytest.raises(ValueError):
             PersonalizationService(movie_db, parallelism=0)
 
+    def test_unknown_backend_rejected_at_construction(self, movie_db):
+        # Fails fast, not at the first request_many.
+        for backend in ("typo", "thread"):
+            with pytest.raises(ValueError, match="backend"):
+                PersonalizationService(movie_db, backend=backend)
+
     def test_execute_false_skips_rows(self, movie_db, movie_profile):
         service = PersonalizationService(movie_db)
         service.register("al", movie_profile)

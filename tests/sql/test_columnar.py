@@ -132,7 +132,7 @@ def test_engines_agree_on_every_workload_query(movie_db, workload_queries, share
 @pytest.mark.tier2
 @pytest.mark.parametrize("shared_scans", [False, True])
 def test_engines_agree_on_personalized_queries(movie_db, movie_profile, shared_scans):
-    personalizer = Personalizer(movie_db, engine="row")
+    personalizer = Personalizer(movie_db)
     problem = CQPProblem.problem2(cmax=400.0)
     checked = 0
     for query in generate_queries(count=4, seed=0):
@@ -160,7 +160,7 @@ def test_engines_agree_on_personalized_queries(movie_db, movie_profile, shared_s
 
 class TestFrameReuse:
     def _personalized_query(self, movie_db, movie_profile):
-        personalizer = Personalizer(movie_db, engine="row")
+        personalizer = Personalizer(movie_db)
         outcome = personalizer.personalize(
             parse_select("select title from MOVIE where year >= 1980"),
             movie_profile,
@@ -232,14 +232,14 @@ class TestEngineFlag:
         assert columnar.rows_filtered_rowwise == 0
 
     def test_plan_executor_engine_delegates(self, movie_db, workload_queries):
+        # The plan interpreter is the row reference; the columnar
+        # engine runs the same plan through execute_plan.
         plan = Planner(movie_db).plan(workload_queries[1])
-        row = PlanExecutor(movie_db, engine="row").execute(plan)
-        columnar = PlanExecutor(movie_db, engine="columnar").execute(plan)
+        row = PlanExecutor(movie_db).execute(plan)
+        columnar = ColumnarExecutor(movie_db).execute_plan(plan)
         assert columnar.rows == row.rows
         assert receipt(columnar) == receipt(row)
 
     def test_unknown_engine_rejected(self, movie_db):
         with pytest.raises(ValueError):
             Executor(movie_db, engine="gpu")
-        with pytest.raises(ValueError):
-            PlanExecutor(movie_db, engine="gpu")

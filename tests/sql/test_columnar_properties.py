@@ -32,7 +32,6 @@ from repro.sql.columnar import ColumnarExecutor, FrameCache
 from repro.sql.parser import parse_select
 from repro.sql.plan_executor import PlanExecutor
 from repro.sql.planner import Planner
-from repro.sql.printer import to_sql
 from repro.storage.database import Database
 from repro.storage.datatypes import DataType
 from repro.storage.schema import Attribute, Relation, Schema
@@ -145,7 +144,7 @@ def test_columnar_matches_row_engine_on_typed_queries(instance):
     tables, query = instance
     database = _build_database(tables)
     plan = Planner(database).plan(query)
-    row = PlanExecutor(database, engine="row").execute(plan)
+    row = PlanExecutor(database).execute(plan)
     columnar = ColumnarExecutor(database).execute_plan(plan)
     assert columnar.rows == row.rows
     assert columnar.columns == row.columns
@@ -200,7 +199,7 @@ EDGE_ROWS = [
 def test_edge_cases_match_row_engine(sql):
     database = _build_database({"T0": EDGE_ROWS})
     plan = Planner(database).plan(parse_select(sql))
-    row = PlanExecutor(database, engine="row").execute(plan)
+    row = PlanExecutor(database).execute(plan)
     columnar = ColumnarExecutor(database).execute_plan(plan)
     assert columnar.rows == row.rows
     assert receipt(columnar) == receipt(row)
@@ -211,7 +210,7 @@ def test_empty_table_is_not_a_special_case():
     plan = Planner(database).plan(
         parse_select("select distinct i from T0 where s = 'oak' order by i")
     )
-    row = PlanExecutor(database, engine="row").execute(plan)
+    row = PlanExecutor(database).execute(plan)
     columnar = ColumnarExecutor(database).execute_plan(plan)
     assert columnar.rows == row.rows == []
     assert receipt(columnar) == receipt(row)
@@ -235,21 +234,18 @@ def test_table1_problems_row_identical_across_engines(
     movie_db, movie_profile, number
 ):
     """Each problem's personalized UNION ALL runs identically on both
-    engines: same rows in order, bit-identical receipts, and the
-    solver's answer does not depend on the engine."""
+    engines: same rows in order and bit-identical receipts, also
+    through the personalizer's own (columnar) execution."""
     query = parse_select("select title from MOVIE where year >= 1980")
-    row_outcome = Personalizer(movie_db, engine="row").personalize(
+    personalizer = Personalizer(movie_db)
+    outcome = personalizer.personalize(
         query, movie_profile, PROBLEMS[number], k_limit=8
     )
-    col_outcome = Personalizer(movie_db, engine="columnar").personalize(
-        query, movie_profile, PROBLEMS[number], k_limit=8
-    )
-    assert to_sql(row_outcome.personalized_query) == to_sql(
-        col_outcome.personalized_query
-    )
-    target = row_outcome.personalized_query
-    plan = Planner(movie_db).plan(target)
-    reference = PlanExecutor(movie_db, engine="row").execute(plan)
+    plan = Planner(movie_db).plan(outcome.personalized_query)
+    reference = PlanExecutor(movie_db).execute(plan)
     vectorized = ColumnarExecutor(movie_db).execute_plan(plan)
     assert vectorized.rows == reference.rows
     assert receipt(vectorized) == receipt(reference)
+    served = personalizer.execute(outcome)
+    assert served.rows == reference.rows
+    assert receipt(served) == receipt(reference)

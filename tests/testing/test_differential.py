@@ -4,12 +4,13 @@ Two halves:
 
 * the lattice passes on healthy code: synthetic scenarios through the
   solver lattice, and the movies **and** tourism workloads through the
-  full service lattice (every algorithm × engine × cache mode ×
-  parallelism point);
+  full service lattice (every algorithm at every point, references
+  checked against the row engine);
 * the lattice *fails* on deliberately broken code: swapping an exact
-  solver for the greedy, or flipping the dominance comparison inside
-  ``canonical_frontier``, must raise within a few seeds — a harness
-  that cannot catch a planted bug proves nothing about the real ones.
+  solver for the greedy, flipping the dominance comparison inside
+  ``canonical_frontier``, or corrupting a columnar result row must
+  raise within a few seeds — a harness that cannot catch a planted bug
+  proves nothing about the real ones.
 """
 
 from __future__ import annotations
@@ -42,45 +43,54 @@ class TestLatticeShape:
         }
         assert {p.cache for p in points} == {"off", "on", "warm"}
         assert {p.parallelism for p in points} == {1, 4}
+        assert len(points) == 4 * 6
 
     def test_service_lattice_adds_the_engine_axis(self):
+        # The engine axis is a check, not a point: each algorithm's
+        # reference point (caches off, serial, answered via request())
+        # is compared against the row engine.
         points = service_lattice()
-        assert {p.engine for p in points} == {"row", "columnar"}
-        # The classic cross plus the backend × batched cross plus the
-        # two snapshot="restored" points plus the two serving="async"
-        # points, per algorithm.
-        assert len(points) == 3 * 2 * 3 * 2 + 3 * 3 * 2 + 3 * 2 + 3 * 2
+        for algorithm in ("c_boundaries", "c_maxbounds", "exhaustive"):
+            assert points.count(LatticePoint(algorithm)) == 1
+        assert len(points) == 3 * 6
 
     def test_service_lattice_spans_the_serving_axis(self):
         points = service_lattice()
         assert {p.serving for p in points} == {"sync", "async"}
         asynchronous = [p for p in points if p.serving == "async"]
-        # Both a plain and a batched-parallel async front-end per algorithm.
-        assert {(p.parallelism, p.batched) for p in asynchronous} == {
-            (1, False),
-            (4, True),
-        }
+        # One async front-end point per algorithm.
+        assert {(p.parallelism, p.backend) for p in asynchronous} == {(1, "serial")}
+        assert len(asynchronous) == 3
 
     def test_service_lattice_spans_the_snapshot_axis(self):
         points = service_lattice()
         assert {p.snapshot for p in points} == {"off", "restored"}
         restored = [p for p in points if p.snapshot == "restored"]
-        # Both a serial and a batched-parallel warm boot per algorithm.
-        assert {(p.parallelism, p.batched) for p in restored} == {
-            (1, False),
-            (4, True),
-        }
+        # One warm boot per algorithm.
+        assert {(p.parallelism, p.backend) for p in restored} == {(1, "serial")}
+        assert len(restored) == 3
 
     def test_solver_lattice_spans_backends_and_batching(self):
         points = solver_lattice()
-        assert {p.backend for p in points} == {"serial", "thread", "process"}
+        assert {p.backend for p in points} == {"serial", "process"}
         assert {p.batched for p in points} == {False, True}
 
+    def test_every_point_runs_its_own_code_path(self):
+        # Parallelism only matters on the process backend: a serial
+        # point with parallelism > 1 would duplicate its parallelism=1
+        # twin, and duplicate points would run the same code twice.
+        for points in (solver_lattice(), service_lattice()):
+            assert len(set(points)) == len(points)
+            for point in points:
+                assert (point.parallelism > 1) == (point.backend == "process")
+
     def test_point_renders_a_reproduction_recipe(self):
-        point = LatticePoint("c_boundaries", cache="warm", parallelism=4)
+        point = LatticePoint(
+            "c_boundaries", cache="warm", parallelism=4, backend="process"
+        )
         assert str(point) == (
-            "c_boundaries/engine=columnar/cache=warm/parallelism=4"
-            "/backend=thread/batched=False/snapshot=off/serving=sync"
+            "c_boundaries/cache=warm/parallelism=4"
+            "/backend=process/batched=False/snapshot=off/serving=sync"
         )
 
 
@@ -93,11 +103,11 @@ class TestSolverLattice:
         assert report.receipt_checks > 0
 
     def test_receipts_are_compared_across_cache_and_parallelism(self):
-        # 12 points per algorithm (6 cache×parallelism + 6 backend×batched)
-        # → 11 receipt comparisons per (algorithm, problem) beyond the
-        # reference.
+        # 6 points per algorithm (3 cache modes, batched, process
+        # unbatched and batched) → 5 receipt comparisons per
+        # (algorithm, problem) beyond the reference.
         report = run_solver_lattice([0])
-        assert report.receipt_checks == report.solves - report.solves // 12
+        assert report.receipt_checks == report.solves - report.solves // 6
 
 
 class TestServiceLattice:
@@ -223,6 +233,33 @@ class TestHarnessSensitivity:
                 [0],
                 points=[LatticePoint("c_boundaries", cache="warm")],
             )
+
+    def test_corrupted_columnar_row_is_caught(
+        self, monkeypatch, movie_db, movie_profile, movie_query
+    ):
+        # Corrupt the first row of every columnar result. Only the
+        # reference point runs, so no cross-point comparison can see
+        # it: the row-engine check alone must.
+        from repro.sql.columnar import ColumnarExecutor
+
+        real_execute_plan = ColumnarExecutor.execute_plan
+
+        def corrupting(self, plan, frame_cache=None):
+            result = real_execute_plan(self, plan, frame_cache=frame_cache)
+            if result.rows:
+                result.rows[0] = ("corrupted",) + tuple(result.rows[0][1:])
+            return result
+
+        monkeypatch.setattr(ColumnarExecutor, "execute_plan", corrupting)
+        with pytest.raises(DifferentialFailure) as failure:
+            run_service_lattice(
+                movie_db,
+                movie_profile,
+                movie_query,
+                seed=1234,
+                points=[LatticePoint("c_boundaries")],
+            )
+        assert "row engine" in str(failure.value)
 
     def test_oracle_agrees_with_exhaustive_algorithm(self):
         # The oracle is only independent — not privileged. On healthy

@@ -135,7 +135,7 @@ class TestCompileWorkload:
         parallel = compile_workload(
             movie_db, fleet, queries, problems,
             algorithms=["c_boundaries"], k_limit=8,
-            parallelism=4, backend="thread",
+            parallelism=4, backend="serial",
         )
         assert parallel.param_state["entries"] == workload.param_state["entries"]
         assert parallel.frontier_state["memos"] == workload.frontier_state["memos"]
@@ -167,3 +167,20 @@ class TestCompileWorkload:
         }
         for counters in response.cache_telemetry.values():
             assert shape <= set(counters)
+
+
+class TestCompileCli:
+    def test_unknown_backend_is_an_argparse_error(self, capsys):
+        from repro.experiments.workload_cli import build_workload_parser
+
+        parser = build_workload_parser()
+        with pytest.raises(SystemExit) as exit_info:
+            parser.parse_args(
+                ["compile", "--out", "unused", "--backend", "thread"]
+            )
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'thread'" in capsys.readouterr().err
+        options = parser.parse_args(
+            ["compile", "--out", "unused", "--backend", "process"]
+        )
+        assert options.backend == "process"
