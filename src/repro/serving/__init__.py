@@ -3,13 +3,10 @@
 :class:`~repro.core.service.PersonalizationService` is a synchronous
 library call; this package turns it into a server loop fit for open-loop
 traffic. The layer decomposes into small sans-IO components — every
-queueing and deadline decision is a pure function of injected time, so
-the whole policy surface is unit-testable without a single real sleep —
-plus one thin asyncio shell that owns the actual waiting:
+queueing and deadline decision is a pure function of an explicit
+``now``, so the whole policy surface is unit-testable without a single
+real sleep — plus one thin asyncio shell that owns the actual waiting:
 
-* :mod:`repro.serving.clock` — injectable monotonic time
-  (:class:`SystemClock` for production, :class:`VirtualClock` for
-  deterministic tests);
 * :mod:`repro.serving.config` — SLA tiers (deadline, admission budget,
   retry-after, degradation thresholds) and the serving knobs;
 * :mod:`repro.serving.batcher` — micro-batching with deadline-driven
@@ -26,17 +23,16 @@ plus one thin asyncio shell that owns the actual waiting:
   WIN/IMPROVED/NEUTRAL/REGRESSION outcome classification and the
   per-tier scoreboard;
 * :mod:`repro.serving.server` — :class:`AsyncPersonalizationServer`,
-  the asyncio shell composing all of the above over an executor bridge
-  so the event loop never blocks on a solve;
-* :mod:`repro.serving.simulate` — a virtual-time reference
-  implementation of the same policy pipeline, for property tests;
+  the asyncio shell: one dispatcher loop composing all of the above,
+  one solve in flight at a time over an executor bridge so the event
+  loop never blocks on a solve. It reads time only from the event
+  loop, so the test suite runs this same server on a virtual-time loop;
 * :mod:`repro.serving.loadgen` — the seeded Poisson open-loop load
   generator the benchmark and the ``serve`` CLI share.
 """
 
 from repro.serving.admission import AdmissionController, AdmissionRejected, Rejection
 from repro.serving.batcher import MicroBatcher, PendingRequest
-from repro.serving.clock import SystemClock, VirtualClock
 from repro.serving.config import DEFAULT_TIERS, ServingConfig, SlaTier
 from repro.serving.degradation import DEGRADATION_LADDER, Degradation, DegradationPolicy
 from repro.serving.server import AsyncPersonalizationServer, ServedResponse
@@ -57,8 +53,6 @@ __all__ = [
     "ServedResponse",
     "ServingConfig",
     "SlaTier",
-    "SystemClock",
     "TierScoreboard",
-    "VirtualClock",
     "classify",
 ]

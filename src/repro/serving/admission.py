@@ -8,8 +8,8 @@ then gold: tier-ordered admission without any cross-request
 bookkeeping. A rejection is never silent — it always carries the tier's
 retry-after hint and the depth that triggered it.
 
-Sans-IO like the batcher: no clock, no sleeps; the asyncio server and
-the simulator both drive it with plain method calls.
+Sans-IO like the batcher: no clock, no sleeps; the asyncio server
+drives it with plain method calls.
 """
 
 from __future__ import annotations

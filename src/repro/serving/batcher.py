@@ -2,9 +2,9 @@
 
 The batcher is sans-IO: it never sleeps and never reads a clock — every
 method takes ``now`` explicitly, so the flush policy is a pure function
-of (pending set, time) and the fake-clock suite can walk it through any
-timeline. The asyncio server and the virtual-time simulator drive the
-same instance the same way; only who supplies ``now`` differs.
+of (pending set, time) and the unit tests can walk it through any
+timeline with plain float times. The asyncio server supplies its event
+loop's ``time()``.
 
 Flush policy, in order:
 
@@ -35,8 +35,7 @@ class PendingRequest:
     """One admitted request waiting for its batch to flush.
 
     ``completion`` is whatever the driver uses to deliver the result
-    (an asyncio future in the server, a result slot in the simulator);
-    the batcher never touches it.
+    (the server's asyncio future); the batcher never touches it.
     """
 
     seq: int
@@ -99,7 +98,8 @@ class MicroBatcher:
 
         Drains up to ``max_batch`` requests, highest tier first, arrival
         order within a tier — the tier-ordered dispatch half of the SLA
-        story (admission is the other half).
+        story (admission is the other half). ``now=math.inf`` takes the
+        next batch regardless of deadlines (the server's flush).
         """
         if not self.due(now):
             return []
@@ -109,12 +109,4 @@ class MicroBatcher:
         batch = ordered[: self.config.max_batch]
         taken = {pending.seq for pending in batch}
         self._pending = [p for p in self._pending if p.seq not in taken]
-        return batch
-
-    def drain(self) -> List[PendingRequest]:
-        """Every pending request, deadline or not (shutdown flush)."""
-        batch = sorted(
-            self._pending, key=lambda pending: (pending.tier.priority, pending.seq)
-        )
-        self._pending = []
         return batch

@@ -8,34 +8,36 @@ need an event loop and nothing more:
 * ``submit()`` — validate, admit (or raise
   :class:`~repro.serving.admission.AdmissionRejected` with a
   retry-after), enqueue, and await the response future;
-* the collector task — wait until the batcher says a batch is due
-  (flush-on-full wakes it immediately; flush-on-deadline bounds the
-  wait), then hand the batch to a dispatcher task;
-* the dispatcher — resolve degradation per request at dispatch time
-  (queue depth and burned budget are only known then), run the solve on
-  the existing scheduler-backed
+* one dispatcher loop that owns the service. It takes the next due
+  batch only when no solve is in flight (flush-on-full wakes it
+  immediately; flush-on-deadline bounds its wait), stamps the dispatch
+  time and resolves degradation at that moment — so the wait behind the
+  previous solve counts as queue time and burns the degradation budget
+  — then awaits the scheduler-backed
   :meth:`~repro.core.service.PersonalizationService.request_many`
-  through ``loop.run_in_executor`` so the event loop never blocks, then
-  classify, account, and complete the futures.
+  through ``loop.run_in_executor`` so the event loop never blocks, and
+  classifies, accounts, and completes the futures.
 
-Solves are serialized through one lock — the service's batch path is
-not reentrant, and the scheduler already fans each supergroup across
-workers — so concurrency lives in the queue, exactly where admission
-control and degradation can see it.
+One solve is in flight at a time: the service's batch path is not
+reentrant, and the scheduler already fans each supergroup across
+workers, so concurrency lives in the queue, exactly where admission
+control and degradation can see it. Every timestamp is the event
+loop's ``time()``, so tests drive this same server on a virtual-time
+loop.
 """
 
 from __future__ import annotations
 
 import asyncio
+import math
 from dataclasses import dataclass, replace
-from typing import List, Optional, Set, Union
+from typing import List, Optional, Union
 
 from repro.core.context import SearchContext, problem_for_context
 from repro.core.service import BatchRequest, PersonalizationService, ServiceResponse
 from repro.errors import PreferenceError
 from repro.serving.admission import AdmissionController, AdmissionRejected
 from repro.serving.batcher import MicroBatcher, PendingRequest
-from repro.serving.clock import SystemClock
 from repro.serving.config import ServingConfig
 from repro.serving.degradation import DegradationPolicy
 from repro.serving.taxonomy import TierScoreboard, classify
@@ -48,8 +50,8 @@ class ServedResponse:
     response: ServiceResponse
     tier: str
     status: str  # WIN / IMPROVED / NEUTRAL / REGRESSION
-    latency_ms: float  # admission -> completion, on the serving clock
-    queue_ms: float  # admission -> dispatch
+    latency_ms: float  # admission -> completion, on the event loop's clock
+    queue_ms: float  # admission -> dispatch (includes the wait for the solver)
     deadline_ms: float
     batch_size: int
     algorithm: Optional[str]  # what was dispatched (None = service default)
@@ -62,56 +64,48 @@ class ServedResponse:
 class AsyncPersonalizationServer:
     """Serve a :class:`PersonalizationService` to concurrent callers.
 
-    ``clock`` injects the time source every latency, deadline, and
-    degradation decision reads (production: :class:`SystemClock`).
-    ``executor`` is forwarded to ``loop.run_in_executor`` (None = the
-    loop's default thread pool). Use as an async context manager, or
-    call :meth:`start`/:meth:`stop` explicitly.
+    Use as an async context manager, or call :meth:`start`/:meth:`stop`
+    explicitly.
     """
 
     def __init__(
         self,
         service: PersonalizationService,
         config: Optional[ServingConfig] = None,
-        clock=None,
-        executor=None,
     ) -> None:
         self.service = service
         self.config = config if config is not None else ServingConfig()
-        self.clock = clock if clock is not None else SystemClock()
         self.scoreboard = TierScoreboard()
         self.admission = AdmissionController()
         self.batcher = MicroBatcher(self.config)
         self.policy = DegradationPolicy(self.config)
         self.batches_dispatched = 0
         self.requests_served = 0
-        self._executor = executor
         self._wake: Optional[asyncio.Event] = None
-        self._collector: Optional[asyncio.Task] = None
-        self._dispatches: Set[asyncio.Task] = set()
-        self._solve_lock: Optional[asyncio.Lock] = None
-        self._closing = False
+        self._idle: Optional[asyncio.Event] = None
+        self._dispatcher: Optional[asyncio.Task] = None
+        self._flushing = False  # take batches regardless of deadline
+        self._closing = False  # end the loop once flushed
 
     # -- lifecycle -----------------------------------------------------------------
 
     async def start(self) -> "AsyncPersonalizationServer":
-        if self._collector is not None:
+        if self._dispatcher is not None:
             raise RuntimeError("server already started")
         self._wake = asyncio.Event()
-        self._solve_lock = asyncio.Lock()
-        self._closing = False
-        self._collector = asyncio.get_running_loop().create_task(self._run())
+        self._idle = asyncio.Event()
+        self._flushing = self._closing = False
+        self._dispatcher = asyncio.get_running_loop().create_task(self._run())
         return self
 
     async def stop(self) -> None:
-        """Flush everything pending, answer it, and shut the loop down."""
-        if self._collector is None:
+        """Flush everything pending, answer it, and end the loop."""
+        if self._dispatcher is None:
             return
-        self._closing = True
+        self._flushing = self._closing = True
         self._wake.set()
-        await self._collector
-        await self._settle_dispatches()
-        self._collector = None
+        await self._dispatcher
+        self._dispatcher = None
 
     async def __aenter__(self) -> "AsyncPersonalizationServer":
         return await self.start()
@@ -120,10 +114,12 @@ class AsyncPersonalizationServer:
         await self.stop()
 
     async def drain(self) -> None:
-        """Flush all pending batches now and wait until they are served
-        (deadline-independent — the tests' deterministic settle point)."""
-        self._flush_all()
-        await self._settle_dispatches()
+        """Flush all pending batches now, deadline or not, and return once
+        the batcher is empty and nothing is in flight."""
+        self._flushing = True
+        self._idle.clear()
+        self._wake.set()
+        await self._idle.wait()
 
     # -- the submit path -----------------------------------------------------------
 
@@ -146,8 +142,8 @@ class AsyncPersonalizationServer:
         Otherwise the call parks on the response future until its batch
         is flushed, solved, and classified.
         """
-        if self._collector is None:
-            raise RuntimeError("server is not started (use 'async with server')")
+        if self._dispatcher is None or self._closing:
+            raise RuntimeError("server is not running (use 'async with server')")
         if isinstance(request, str):
             if user is None:
                 raise PreferenceError("a SQL-string submit needs user=")
@@ -166,56 +162,37 @@ class AsyncPersonalizationServer:
         if rejection is not None:
             self.scoreboard.record_rejection(tier_cfg.name)
             raise AdmissionRejected(rejection)
-        now = self.clock.monotonic()
-        future = asyncio.get_running_loop().create_future()
-        self.batcher.add(request, tier_cfg, now, completion=future)
+        loop = asyncio.get_running_loop()
+        future = loop.create_future()
+        self.batcher.add(request, tier_cfg, loop.time(), completion=future)
         self._wake.set()
         return await future
 
-    # -- the collector loop --------------------------------------------------------
+    # -- the dispatcher loop -------------------------------------------------------
 
     async def _run(self) -> None:
+        loop = asyncio.get_running_loop()
         while True:
-            now = self.clock.monotonic()
-            batch = self.batcher.take_due(now)
+            now = loop.time()
+            batch = self.batcher.take_due(math.inf if self._flushing else now)
             if batch:
-                self._spawn(batch)
+                await self._solve(batch, now)
                 continue
-            if self._closing:
-                self._flush_all()
-                break
+            if self._flushing:  # everything flushed and answered
+                self._flushing = False
+                self._idle.set()
+                if self._closing:
+                    return
             deadline = self.batcher.next_deadline()
             self._wake.clear()
-            if deadline is None:
-                await self._wake.wait()
-                continue
-            timeout = max(0.0, deadline - now)
-            if timeout <= 0.0:
-                continue  # due already; next take_due drains it
             try:
-                await asyncio.wait_for(self._wake.wait(), timeout)
+                await asyncio.wait_for(
+                    self._wake.wait(), None if deadline is None else deadline - now
+                )
             except asyncio.TimeoutError:
                 pass
 
-    def _flush_all(self) -> None:
-        pending = self.batcher.drain()
-        size = self.config.max_batch
-        for start in range(0, len(pending), size):
-            self._spawn(pending[start : start + size])
-
-    def _spawn(self, batch: List[PendingRequest]) -> None:
-        task = asyncio.get_running_loop().create_task(self._dispatch(batch))
-        self._dispatches.add(task)
-        task.add_done_callback(self._dispatches.discard)
-
-    async def _settle_dispatches(self) -> None:
-        while self._dispatches:
-            await asyncio.gather(*list(self._dispatches))
-
-    # -- the dispatcher ------------------------------------------------------------
-
-    async def _dispatch(self, batch: List[PendingRequest]) -> None:
-        dispatched_at = self.clock.monotonic()
+    async def _solve(self, batch: List[PendingRequest], dispatched_at: float) -> None:
         # Depth at dispatch = everything admitted and unanswered; that is
         # the load signal the degradation thresholds are written against.
         depth = self.admission.depth
@@ -230,17 +207,16 @@ class AsyncPersonalizationServer:
         ]
         loop = asyncio.get_running_loop()
         try:
-            async with self._solve_lock:
-                responses = await loop.run_in_executor(
-                    self._executor, self.service.request_many, requests
-                )
+            responses = await loop.run_in_executor(
+                None, self.service.request_many, requests
+            )
         except Exception as error:  # noqa: BLE001 — every waiter must hear
             self.admission.release(len(batch))
             for pending in batch:
                 if not pending.completion.done():
                     pending.completion.set_exception(error)
             return
-        completed_at = self.clock.monotonic()
+        completed_at = loop.time()
         self.batches_dispatched += 1
         for pending, degradation, response in zip(batch, degradations, responses):
             if degradation.degraded:

@@ -10,9 +10,9 @@ the serving pipeline must:
   never silently drop anything: exactly one outcome per arrival;
 * keep the scoreboard's books balanced against admission's counters.
 
-The interleavings run on the virtual-time simulator, which composes the
-same sans-IO components as the asyncio server — so the property holds
-with zero real sleeps and a derandomized hypothesis profile.
+The interleavings run the real asyncio server on a virtual-time event
+loop — so the property holds with zero real sleeps and a derandomized
+hypothesis profile.
 """
 
 from __future__ import annotations
@@ -24,11 +24,12 @@ from hypothesis import strategies as st
 from repro.core.frontier_cache import FrontierCache
 from repro.core.param_cache import ParameterCache
 from repro.core.service import PersonalizationService
+from repro.serving.admission import AdmissionRejected
 from repro.serving.config import ServingConfig, SlaTier
-from repro.serving.simulate import simulate_serving
+from repro.serving.server import ServedResponse
 from repro.testing.differential import Receipt
 
-from tests.serving.conftest import make_requests
+from tests.serving.conftest import make_requests, serve_timeline
 
 
 @pytest.fixture(scope="module")
@@ -119,38 +120,32 @@ def test_any_interleaving_serves_bit_identical_or_rejects_loudly(arena, scenario
         (offset, requests[pick], tier)
         for offset, pick, tier in zip(offsets, picks, tiers)
     ]
-    calls = iter(durations * len(arrivals))  # cycle long enough for any run
-    result = simulate_serving(
-        service, arrivals, config=config, solve_duration=lambda batch: next(calls)
-    )
+    outcomes, server = serve_timeline(service, arrivals, config, solve_s=durations)
 
     # Never dropped: exactly one outcome per arrival, served XOR rejected.
-    assert len(result.outcomes) == len(arrivals)
-    for outcome in result.outcomes:
-        assert (outcome.served is None) != (outcome.rejection is None)
+    assert len(outcomes) == len(arrivals)
+    assert all(isinstance(o, (ServedResponse, AdmissionRejected)) for o in outcomes)
 
     # Admitted answers are bit-identical to the synchronous service.
-    for outcome, (_, pick, _) in zip(result.outcomes, zip(offsets, picks, tiers)):
-        if outcome.served is None:
+    for outcome, pick in zip(outcomes, picks):
+        if not isinstance(outcome, ServedResponse):
             continue
-        assert receipt_and_rows(outcome.served.response) == receipt_and_rows(
-            reference[pick]
-        )
-        assert not outcome.served.response.degraded
+        assert receipt_and_rows(outcome.response) == receipt_and_rows(reference[pick])
+        assert not outcome.response.degraded
 
     # Rejections are loud: the right tier's positive retry-after.
     retry_after = {"gold": 0.050, "bronze": 0.250}
-    for outcome, tier in zip(result.outcomes, tiers):
-        if outcome.rejection is None:
+    for outcome, tier in zip(outcomes, tiers):
+        if not isinstance(outcome, AdmissionRejected):
             continue
         assert outcome.rejection.tier == tier
-        assert outcome.rejection.retry_after_s == pytest.approx(retry_after[tier])
-        assert outcome.rejection.retry_after_s > 0
+        assert outcome.retry_after_s == pytest.approx(retry_after[tier])
+        assert outcome.retry_after_s > 0
 
     # The books balance.
-    served = len(result.served)
-    rejected = len(result.rejections)
-    assert served + rejected == len(arrivals)
-    report = result.scoreboard.report()
+    served = sum(isinstance(o, ServedResponse) for o in outcomes)
+    rejected = len(outcomes) - served
+    report = server.scoreboard.report()
     assert sum(block["served"] for block in report.values()) == served
     assert sum(block["rejected"] for block in report.values()) == rejected
+    assert (server.admission.admitted, server.admission.rejected) == (served, rejected)

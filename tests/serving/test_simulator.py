@@ -1,19 +1,21 @@
-"""Virtual-time end-to-end tests of the serving pipeline.
+"""Virtual-time end-to-end timelines of the real serving loop.
 
-`simulate_serving` composes the real batcher/admission/degradation/
-scoreboard (and the real solver) on a VirtualClock — these scenarios
-script exact timelines and assert exact latencies, statuses, and
-accounting, with zero real sleeps.
+Each scenario replays scripted arrivals against
+:class:`~repro.serving.server.AsyncPersonalizationServer` on a
+:class:`~tests.serving.conftest.VirtualTimeLoop` with scripted solve
+durations, and asserts exact latencies, queue times, statuses, and
+accounting — with zero real sleeps.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from repro.serving.simulate import simulate_serving
+from repro.serving.admission import AdmissionRejected
+from repro.serving.server import ServedResponse
 from repro.testing.differential import Receipt
 
-from tests.serving.conftest import tiny_config
+from tests.serving.conftest import serve_timeline, tiny_config
 
 
 class TestFlushTiming:
@@ -22,9 +24,9 @@ class TestFlushTiming:
             (0.000, serving_requests[0], "bronze"),
             (0.005, serving_requests[1], "bronze"),
         ]
-        result = simulate_serving(serving_service, arrivals, config=tiny_config())
-        assert result.batches == 1
-        first, second = (outcome.served for outcome in result.outcomes)
+        outcomes, server = serve_timeline(serving_service, arrivals, tiny_config())
+        assert server.batches_dispatched == 1
+        first, second = outcomes
         # Solve is instantaneous, so latency is pure batching delay:
         # the 20 ms window from the first arrival.
         assert first.latency_ms == pytest.approx(20.0)
@@ -34,17 +36,17 @@ class TestFlushTiming:
         assert first.batch_size == 2
         # And the answers are the real service's answers, bit-identical.
         reference = serving_service.request_many(list(serving_requests[:2]))
-        for outcome, expected in zip(result.outcomes, reference):
-            assert Receipt.of(outcome.served.response.outcome.solution) == Receipt.of(
+        for served, expected in zip(outcomes, reference):
+            assert Receipt.of(served.response.outcome.solution) == Receipt.of(
                 expected.outcome.solution
             )
-            assert outcome.served.response.rows == expected.rows
+            assert served.response.rows == expected.rows
 
     def test_full_batch_flushes_without_waiting(self, serving_service, serving_requests):
         arrivals = [(0.0, serving_requests[n], "bronze") for n in range(4)]
-        result = simulate_serving(serving_service, arrivals, config=tiny_config())
-        assert result.batches == 1
-        assert all(o.served.latency_ms == pytest.approx(0.0) for o in result.outcomes)
+        outcomes, server = serve_timeline(serving_service, arrivals, tiny_config())
+        assert server.batches_dispatched == 1
+        assert all(served.latency_ms == pytest.approx(0.0) for served in outcomes)
 
     def test_solves_serialize_behind_one_in_flight_batch(
         self, serving_service, serving_requests
@@ -53,30 +55,20 @@ class TestFlushTiming:
             (0.0, serving_requests[0], "bronze"),
             (0.5, serving_requests[1], "bronze"),
         ]
-        result = simulate_serving(
-            serving_service,
-            arrivals,
-            config=tiny_config(),
-            solve_duration=lambda batch: 1.0,
+        outcomes, server = serve_timeline(
+            serving_service, arrivals, tiny_config(), solve_s=(1.0,)
         )
-        assert result.batches == 2
-        first, second = (outcome.served for outcome in result.outcomes)
-        # Batch 1 flushes at 20 ms and completes at 1.020 s; batch 2
-        # flushed only then (one solve in flight at a time) and
-        # completes at 2.020 s.
+        assert server.batches_dispatched == 2
+        first, second = outcomes
+        # Batch 1 flushes at 20 ms and completes at 1.020 s; batch 2's
+        # flush deadline (0.52 s) passes while that solve is in flight,
+        # so it is dispatched only at 1.020 s — and its queue time
+        # counts that wait — then completes at 2.020 s.
         assert first.latency_ms == pytest.approx(1020.0)
         assert second.latency_ms == pytest.approx(1520.0)
         assert second.queue_ms == pytest.approx(1520.0 - 1000.0)
+        assert second.batch_size == 1
         assert first.status == "IMPROVED" and second.status == "IMPROVED"
-
-    def test_negative_solve_duration_is_rejected(self, serving_service, serving_requests):
-        with pytest.raises(ValueError):
-            simulate_serving(
-                serving_service,
-                [(0.0, serving_requests[0], "bronze")],
-                config=tiny_config(),
-                solve_duration=lambda batch: -1.0,
-            )
 
 
 class TestBackpressure:
@@ -88,13 +80,13 @@ class TestBackpressure:
             (0.0, serving_requests[n % len(serving_requests)], "bronze")
             for n in range(5)
         ]
-        result = simulate_serving(serving_service, arrivals, config=tiny_config())
-        assert len(result.outcomes) == 5
-        assert len(result.served) == 4 and len(result.rejections) == 1
-        rejection = result.outcomes[4].rejection
-        assert rejection is not None and not result.outcomes[4].admitted
-        assert rejection.retry_after_s == pytest.approx(0.250)
-        assert result.scoreboard.report()["bronze"]["rejected"] == 1
+        outcomes, server = serve_timeline(serving_service, arrivals, tiny_config())
+        assert len(outcomes) == 5
+        assert all(isinstance(o, ServedResponse) for o in outcomes[:4])
+        rejected = outcomes[4]
+        assert isinstance(rejected, AdmissionRejected)
+        assert rejected.retry_after_s == pytest.approx(0.250)
+        assert server.scoreboard.report()["bronze"]["rejected"] == 1
 
     def test_completion_frees_capacity_for_later_arrivals(
         self, serving_service, serving_requests
@@ -103,8 +95,9 @@ class TestBackpressure:
         # a fifth at t=1 finds the queue empty again and is served.
         arrivals = [(0.0, serving_requests[n], "bronze") for n in range(4)]
         arrivals.append((1.0, serving_requests[4], "bronze"))
-        result = simulate_serving(serving_service, arrivals, config=tiny_config())
-        assert len(result.served) == 5 and not result.rejections
+        outcomes, _ = serve_timeline(serving_service, arrivals, tiny_config())
+        assert all(isinstance(o, ServedResponse) for o in outcomes)
+        assert len(outcomes) == 5
 
 
 class TestDegradation:
@@ -118,10 +111,9 @@ class TestDegradation:
         request = serving_requests[0]
         assert request.algorithm == "c_boundaries"
         arrivals = [(0.0, request, "bronze") for _ in range(3)]
-        result = simulate_serving(serving_service, arrivals, config=tiny_config())
-        assert result.downgrades == 3
-        for outcome in result.outcomes:
-            served = outcome.served
+        outcomes, server = serve_timeline(serving_service, arrivals, tiny_config())
+        assert server.policy.downgrades == 3
+        for served in outcomes:
             assert served.algorithm == "c_maxbounds"
             assert served.status == "NEUTRAL"
             assert served.response.degraded
@@ -133,24 +125,73 @@ class TestDegradation:
     ):
         request = serving_requests[0]
         arrivals = [(0.0, request, "bronze") for _ in range(3)]
-        result = simulate_serving(
-            serving_service, arrivals, config=tiny_config(degradation=False)
+        outcomes, server = serve_timeline(
+            serving_service, arrivals, tiny_config(degradation=False)
         )
-        assert result.downgrades == 0
-        assert all(o.served.algorithm == "c_boundaries" for o in result.outcomes)
-        assert all(not o.served.response.degraded for o in result.outcomes)
+        assert server.policy.downgrades == 0
+        assert all(served.algorithm == "c_boundaries" for served in outcomes)
+        assert all(not served.response.degraded for served in outcomes)
+
+    def test_wait_for_the_solver_burns_the_elapsed_budget(
+        self, serving_service, serving_requests
+    ):
+        # A 3 s solve is in flight when the c_boundaries request arrives
+        # at 0.1 s; it is dispatched at 3.02 s, 2920 ms after arrival —
+        # past half of bronze's 2 s deadline — so it runs one rung down.
+        request = serving_requests[0]
+        assert request.algorithm == "c_boundaries"
+        arrivals = [
+            (0.0, serving_requests[1], "bronze"),
+            (0.1, request, "bronze"),
+        ]
+        (_, served), _ = serve_timeline(
+            serving_service, arrivals, tiny_config(), solve_s=(3.0,)
+        )
+        assert served.algorithm == "c_maxbounds"
+        assert "queued 2920.0 ms > 50%" in served.response.degradation_reason
 
 
 class TestDeadlineMiss:
     def test_slow_solve_classifies_regression(self, serving_service, serving_requests):
-        result = simulate_serving(
+        outcomes, server = serve_timeline(
             serving_service,
             [(0.0, serving_requests[0], "bronze")],
-            config=tiny_config(),
-            solve_duration=lambda batch: 3.0,  # bronze deadline is 2 s
+            tiny_config(),
+            solve_s=(3.0,),  # bronze deadline is 2 s
         )
-        served = result.outcomes[0].served
+        served = outcomes[0]
         assert served.status == "REGRESSION"
         assert served.latency_ms == pytest.approx(3020.0)
         assert served.queue_ms == pytest.approx(20.0)
-        assert result.scoreboard.report()["bronze"]["taxonomy"]["REGRESSION"] == 1
+        assert server.scoreboard.report()["bronze"]["taxonomy"]["REGRESSION"] == 1
+
+
+class TestFailureIsolation:
+    def test_a_failing_solve_fails_only_its_batch(
+        self, serving_service, serving_requests, monkeypatch
+    ):
+        # The first request_many raises: A and B (one batch) hear the
+        # error, their admission slots come back, and C — a later batch
+        # on the same loop — is served normally.
+        real = serving_service.request_many
+        calls = []
+
+        def flaky(requests):
+            calls.append(len(requests))
+            if len(calls) == 1:
+                raise RuntimeError("solver blew up")
+            return real(requests)
+
+        monkeypatch.setattr(serving_service, "request_many", flaky)
+        arrivals = [
+            (0.0, serving_requests[0], "bronze"),
+            (0.0, serving_requests[1], "bronze"),
+            (0.5, serving_requests[2], "bronze"),
+        ]
+        outcomes, server = serve_timeline(serving_service, arrivals, tiny_config())
+        assert calls == [2, 1]
+        assert all(isinstance(o, RuntimeError) for o in outcomes[:2])
+        assert isinstance(outcomes[2], ServedResponse)
+        assert outcomes[2].response.personalized
+        assert server.admission.depth == 0
+        assert server.requests_served == 1 and server.batches_dispatched == 1
