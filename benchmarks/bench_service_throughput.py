@@ -16,8 +16,8 @@ is built for):
 * **compiled_snapshot** — the ladder's last rung: the population is
   compiled offline (:func:`repro.workloads.compiler.compile_workload`)
   and a *fresh* service boots from the snapshot, so the same stream is
-  served entirely out of precomputed pricing, frontiers, and frames. Before the run the database's column
-  arrays are exported to :mod:`multiprocessing.shared_memory` and
+  served entirely out of precomputed pricing and frontiers. Before the
+  multicore run the database's column arrays are exported to :mod:`multiprocessing.shared_memory` and
   attached in the parent, so every forked worker inherits zero-copy
   shm-backed column caches instead of rebuilding (and copy-on-write
   duplicating) them per process. On a single-CPU host this mode mostly
@@ -25,9 +25,8 @@ is built for):
 
 An **execution-heavy** section then isolates the execution engine: the
 population's personalized queries are pre-solved once and each is run
-through (a) the row engine, (b) the columnar kernel with frame reuse
-off, and (c) the columnar kernel with one shared base-frame cache
-across the whole set — the regime a batch executes under.
+through (a) the row engine and (b) the columnar kernel, which also
+records a per-operator time breakdown.
 
 Run as a script::
 
@@ -36,7 +35,7 @@ Run as a script::
 Appends one trajectory point to ``BENCH_service_throughput.json`` at
 the repo root (``--no-write`` to skip) and prints a table. The driver
 asserts two ratios: batched warm >= 3x the cold per-request loop, and
-columnar+shared >= 2x the row engine on the execution-heavy set.
+columnar >= 2x the row engine on the execution-heavy set.
 (Earlier trajectory points measured the first ratio against a
 ``seed_per_request`` mode — tuple evaluation kernel plus row engine —
 which no longer exists.)
@@ -56,7 +55,7 @@ from repro.core.personalizer import Personalizer
 from repro.core.problem import CQPProblem
 from repro.core.service import BatchRequest, PersonalizationService
 from repro.datasets.movies import MovieDatasetConfig, build_movie_database
-from repro.sql.columnar import ColumnarExecutor, FrameCache
+from repro.sql.columnar import ColumnarExecutor
 from repro.sql.executor import Executor
 from repro.storage.shm import attach_columns, export_columns
 from repro.workloads.profiles import generate_profiles
@@ -72,7 +71,7 @@ REPEATS = 3  # each (profile, query) pair appears R times in the stream
 CMAX = 400.0  # the paper's default cost bound (ms)
 DATASET = MovieDatasetConfig(n_movies=2000, n_directors=400, n_actors=1000)
 SPEEDUP_FLOOR = 3.0
-EXEC_SPEEDUP_FLOOR = 2.0  # columnar + shared frames vs the row engine
+EXEC_SPEEDUP_FLOOR = 2.0  # columnar vs the row engine
 
 
 def build_stream(users: List[str], queries, repeats: int) -> List[BatchRequest]:
@@ -129,8 +128,7 @@ def run_batched(service: PersonalizationService, stream: List[BatchRequest]) -> 
 
 def run_exec_heavy(database, profiles, queries) -> Dict:
     """Isolate the execution engine on the population's personalized
-    queries: row engine vs columnar-cold (no frame reuse) vs columnar
-    with one shared base-frame cache across the whole set."""
+    queries: row engine vs the columnar kernel."""
     personalizer = Personalizer(database)
     problem = CQPProblem.problem2(cmax=CMAX)
     targets = [
@@ -147,25 +145,17 @@ def run_exec_heavy(database, profiles, queries) -> Dict:
     row_engine = Executor(database, engine="row")
     row_s = timed(lambda: [row_engine.execute(t) for t in targets])
 
-    # The cold engine doubles as the per-operator profile: exclusive
+    # The columnar engine doubles as the per-operator profile: exclusive
     # wall-clock per operator kind, accumulated across the whole set,
     # so a regression in any one kernel is attributable from the
     # trajectory file alone.
-    cold_engine = ColumnarExecutor(database, frame_reuse=False, profile_ops=True)
+    cold_engine = ColumnarExecutor(database, profile_ops=True)
     cold_s = timed(lambda: [cold_engine.execute(t) for t in targets])
-
-    shared_engine = ColumnarExecutor(database)
-    shared_frames = FrameCache()
-    shared_s = timed(
-        lambda: [shared_engine.execute(t, frame_cache=shared_frames) for t in targets]
-    )
 
     return {
         "n_queries": len(targets),
         "row_s": round(row_s, 4),
         "columnar_cold_s": round(cold_s, 4),
-        "columnar_shared_s": round(shared_s, 4),
-        "frame_cache": shared_frames.counters(),
         "op_breakdown_cold_s": {
             op: round(seconds, 4)
             for op, seconds in sorted(
@@ -173,7 +163,6 @@ def run_exec_heavy(database, profiles, queries) -> Dict:
             )
         },
         "speedup_columnar_cold_vs_row": round(row_s / cold_s, 2),
-        "speedup_columnar_shared_vs_row": round(row_s / shared_s, 2),
     }
 
 
@@ -262,10 +251,10 @@ def main() -> int:
     speedup = (
         results["per_request_cold"]["total_s"] / results["batched_warm"]["total_s"]
     )
-    exec_speedup = exec_heavy["speedup_columnar_shared_vs_row"]
+    exec_speedup = exec_heavy["speedup_columnar_cold_vs_row"]
     print("\nbatched warm vs per-request cold: %.2fx (floor %.1fx)"
           % (speedup, SPEEDUP_FLOOR))
-    print("columnar+shared vs row engine:    %.2fx (floor %.1fx)"
+    print("columnar vs row engine:           %.2fx (floor %.1fx)"
           % (exec_speedup, EXEC_SPEEDUP_FLOOR))
 
     entry = {

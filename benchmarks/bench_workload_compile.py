@@ -8,9 +8,9 @@ The tentpole claim, quantified on one fleet:
   ``(profile, query, constraint-cluster)`` signatures. Both compressions
   are reported and the fleet-to-signature ratio is gated at
   ``COMPRESSION_FLOOR``;
-* **compile** — the offline pass prices every parameter, sweeps every
-  frontier, and executes the workload's frames once, fanned over the
-  solve scheduler, then persists everything as an on-disk snapshot;
+* **compile** — the offline pass prices every parameter and sweeps
+  every frontier once, fanned over the solve scheduler, then persists
+  both as an on-disk snapshot;
 * **cold start** — a *fresh* service bootstrapped from the snapshot
   must answer its first requests out of warm caches. The replay stream
   (users reconstructed by index, never from the materialized fleet) is
@@ -152,10 +152,9 @@ def main() -> int:
     print("interning:  %d users -> %d canonical (%.1fx), %d signatures"
           % (interning["fleet_size"], interning["canonical_profiles"],
              telemetry["profile_compression"], telemetry["distinct_signatures"]))
-    print("compiled:   %d pricing entries, %d frontiers, %d frames in %.2fs"
+    print("compiled:   %d pricing entries, %d frontiers in %.2fs"
           % (telemetry["param_cache"]["entries"],
-             telemetry["frontier_cache"]["entries"],
-             telemetry["frame_cache"]["entries"], compile_s))
+             telemetry["frontier_cache"]["entries"], compile_s))
 
     with tempfile.TemporaryDirectory() as scratch:
         snapshot_path = str(Path(scratch) / "workload")
@@ -206,7 +205,7 @@ def main() -> int:
             name: {"hits": c["hits"], "misses": c["misses"]}
             for name, c in warm_counters.items()
         })
-        for name in ("param_cache", "frontier_cache", "frame_cache"):
+        for name in ("param_cache", "frontier_cache"):
             if warm_counters[name]["misses"]:
                 print("FAIL: warm %s missed %d times — snapshot incomplete"
                       % (name, warm_counters[name]["misses"]))

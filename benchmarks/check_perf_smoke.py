@@ -9,13 +9,10 @@ A tiny K=15 workload asserting the cache machinery actually pays:
   cold solves, with the hit counters proving phase 1 was skipped;
 * the cache counters must prove *why* — the warm pass re-prices
   nothing;
-* columnar execution with shared base frames must beat the row engine
-  on the same personalized queries, with identical rows and receipts
-  (the gate that frame reuse stays profitable);
-* the vectorized kernels *alone* (frame reuse off) must beat the row
-  engine 4x, the byte-budgeted frame cache must keep its eviction rate
-  under 10% on a service-shaped batch, and the process backend's
-  batched path must track the warm single-core batch within pool
+* columnar execution must beat the row engine on the same
+  personalized queries, with identical rows and receipts;
+* the vectorized kernels must beat the row engine 4x on a larger
+  query set, and the process backend's batched path must track the warm single-core batch within pool
   overhead (beating it outright where there are cores to win with);
 * ``parallelism=4`` must never be slower than ``parallelism=1`` on the
   same stream (the ``auto`` backend degrades to serial whenever a pool
@@ -195,13 +192,13 @@ def test_batched_beats_request_loop():
 @pytest.mark.perfsmoke
 @pytest.mark.tier2
 def test_columnar_shared_beats_row_engine():
-    """The execution-engine gate: columnar + shared base frames must not
-    be slower than the row engine on the smoke workload's personalized
-    queries — and must return the same rows for the same receipts."""
+    """The execution-engine gate: the columnar engine must not be slower
+    than the row engine on the smoke workload's personalized queries —
+    and must return the same rows for the same receipts."""
     from collections import Counter
 
     from repro.core.personalizer import Personalizer
-    from repro.sql.columnar import ColumnarExecutor, FrameCache
+    from repro.sql.columnar import ColumnarExecutor
     from repro.sql.executor import Executor
     from repro.sql.plan_executor import PlanExecutor
     from repro.sql.planner import Planner
@@ -220,27 +217,24 @@ def test_columnar_shared_beats_row_engine():
     # Deterministic part first: same rows and blocks as the reference
     # executor, bit-identical receipt vs the plan interpreter (the
     # FROM-order reference may join in a different order, which moves
-    # rows_processed but never blocks or results), frames shared.
-    cache = FrameCache()
+    # rows_processed but never blocks or results).
     for target in targets:
         row_result = row_engine.execute(target)
         planned = PlanExecutor(database).execute(Planner(database).plan(target))
-        col_result = columnar.execute(target, frame_cache=cache)
+        col_result = columnar.execute(target)
         assert Counter(col_result.rows) == Counter(row_result.rows)
         assert col_result.blocks_read == row_result.blocks_read
         assert col_result.rows == planned.rows
         assert col_result.blocks_read == planned.blocks_read
         assert col_result.rows_processed == planned.rows_processed
-    assert cache.hits > 0
 
     def run_row():
         for target in targets:
             row_engine.execute(target)
 
-    def run_columnar_shared():
-        shared = FrameCache()
+    def run_columnar():
         for target in targets:
-            columnar.execute(target, frame_cache=shared)
+            columnar.execute(target)
 
     row_times, columnar_times = [], []
     for _ in range(ROUNDS):
@@ -248,12 +242,12 @@ def test_columnar_shared_beats_row_engine():
         run_row()
         row_times.append(time.perf_counter() - started)
         started = time.perf_counter()
-        run_columnar_shared()
+        run_columnar()
         columnar_times.append(time.perf_counter() - started)
 
     row_best, columnar_best = min(row_times), min(columnar_times)
     assert columnar_best <= row_best * WARM_MARGIN, (
-        "columnar+shared %.4fs not faster than the row engine %.4fs"
+        "columnar %.4fs not faster than the row engine %.4fs"
         % (columnar_best, row_best)
     )
 
@@ -273,8 +267,8 @@ def test_snapshot_warm_boot_beats_uncompiled_cold_start():
     database, profile, _ = _workload()
     queries = _queries(count=3, seed=0)
     problem = CQPProblem.problem2(cmax=400.0)
-    # c_boundaries: the one Table 1 algorithm that exercises all three
-    # caches (pricing, frontier memos, frames) on the serve path.
+    # c_boundaries: the one Table 1 algorithm that exercises both
+    # caches (pricing, frontier memos) on the serve path.
     compiled = compile_workload(
         database, [profile], queries, [problem],
         algorithms=["c_boundaries"], k_limit=K,
@@ -315,7 +309,7 @@ def test_snapshot_warm_boot_beats_uncompiled_cold_start():
     # touches.
     assert warm_prints == cold_prints
     telemetry = warm_service.cache_telemetry()
-    for cache in ("param_cache", "frontier_cache", "frame_cache"):
+    for cache in ("param_cache", "frontier_cache"):
         assert telemetry[cache]["hits"] > 0, cache
         assert telemetry[cache]["misses"] == 0, cache
 
@@ -329,12 +323,10 @@ def test_snapshot_warm_boot_beats_uncompiled_cold_start():
 @pytest.mark.perfsmoke
 @pytest.mark.tier2
 def test_columnar_cold_beats_row_by_4x():
-    """The vectorization gate: even *without* frame reuse, the typed
-    kernels (dictionary-encoded comparisons, selection vectors,
-    factorized joins) must beat the tuple-at-a-time interpreter by 4x
-    on the smoke workload's personalized queries. This isolates the
-    kernels themselves — ``test_columnar_shared_beats_row_engine``
-    above is allowed to win via caching; this one is not."""
+    """The vectorization gate: the typed kernels (dictionary-encoded
+    comparisons, selection vectors, factorized joins) must beat the
+    tuple-at-a-time interpreter by 4x on the smoke workload's
+    personalized queries."""
     from repro.core.personalizer import Personalizer
     from repro.sql.columnar import ColumnarExecutor
     from repro.sql.executor import Executor
@@ -348,7 +340,7 @@ def test_columnar_cold_beats_row_by_4x():
     ]
 
     row_engine = Executor(database)
-    cold_engine = ColumnarExecutor(database, frame_reuse=False)
+    cold_engine = ColumnarExecutor(database)
 
     def best(run) -> float:
         times = []
@@ -365,31 +357,6 @@ def test_columnar_cold_beats_row_by_4x():
     assert cold_best * 4.0 <= row_best, (
         "columnar-cold %.4fs is less than 4x faster than the row engine %.4fs"
         % (cold_best, row_best)
-    )
-
-
-@pytest.mark.perfsmoke
-@pytest.mark.tier2
-def test_frame_cache_eviction_rate_stays_low():
-    """The byte-budget gate: a batch sized like the service's real
-    groups must fit the cost-aware frame cache almost entirely — an
-    eviction rate at or above 10% means the budget heuristics regressed
-    into thrash (the failure mode the byte-budgeted policy replaced)."""
-    database, profile, query = _workload()
-    problem = CQPProblem.problem2(cmax=400.0)
-    service = PersonalizationService(database)
-    service.register("al", profile)
-    stream = [
-        BatchRequest("al", q, problem=problem, k_limit=K)
-        for q in generate_queries(count=6, seed=0)
-        for _ in range(4)
-    ]
-    responses = service.request_many(stream)
-    frames = responses[0].cache_telemetry["frame_cache"]
-    assert frames["puts"] > 0
-    assert frames["eviction_rate"] < 0.10, (
-        "frame cache thrashing: eviction rate %.3f (%s evictions / %s puts)"
-        % (frames["eviction_rate"], frames["evictions"], frames["puts"])
     )
 
 

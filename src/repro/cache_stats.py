@@ -1,11 +1,10 @@
 """Shared cache-telemetry plumbing.
 
-The system's three caches — per-path pricing
-(:class:`~repro.core.param_cache.ParameterCache`), boundary frontiers
-(:class:`~repro.core.frontier_cache.FrontierCache`), and shared base
-frames (:class:`~repro.sql.columnar.FrameCache`) — expose one telemetry
-shape so benchmarks and the service's ``cache_telemetry`` can treat
-them uniformly::
+The system's two caches — per-path pricing
+(:class:`~repro.core.param_cache.ParameterCache`) and boundary frontiers
+(:class:`~repro.core.frontier_cache.FrontierCache`) — expose one
+telemetry shape so benchmarks and the service's ``cache_telemetry``
+can treat them uniformly::
 
     hits / misses / lookups / invalidations / evictions
     entries / bytes_estimate  (+ cache-specific extras)

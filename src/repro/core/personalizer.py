@@ -280,16 +280,9 @@ class Personalizer:
             )
         return outcomes
 
-    def execute(
-        self, outcome: PersonalizationOutcome, frame_cache=None
-    ) -> ExecutionResult:
-        """Run the outcome's (personalized) query on the database.
-
-        ``frame_cache`` (a :class:`repro.sql.columnar.FrameCache`)
-        extends the columnar engine's base-frame sharing beyond this one
-        statement — the batched service path passes one per batch.
-        """
-        return self.executor.execute(outcome.personalized_query, frame_cache=frame_cache)
+    def execute(self, outcome: PersonalizationOutcome) -> ExecutionResult:
+        """Run the outcome's (personalized) query on the database."""
+        return self.executor.execute(outcome.personalized_query)
 
     def explain(self, outcome: PersonalizationOutcome, use_indexes: bool = False) -> str:
         """EXPLAIN-style plan tree for the outcome's query.

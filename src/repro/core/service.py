@@ -41,7 +41,6 @@ from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
 from repro.preferences.learning import LearningConfig, learn_profile, merge_profiles
 from repro.preferences.profile import UserProfile
 from repro.sql.ast_nodes import SelectQuery
-from repro.sql.columnar import DEFAULT_FRAME_CAPACITY, FrameCache
 from repro.sql.parser import parse_select
 from repro.sql.printer import to_sql
 from repro.storage.database import Database
@@ -55,10 +54,8 @@ class ServiceResponse:
     ``rows`` is an immutable tuple; duplicate requests in one
     ``request_many`` batch share the *same* tuple rather than copying
     the result per member. The trailing counters surface the execution
-    engine's sharing behaviour (see :mod:`repro.sql.columnar`): frame
-    cache traffic, UNION ALL branches answered incrementally from a
-    shared base frame, and rows filtered vectorized vs row-at-a-time —
-    plus the search-layer reuse counters (see
+    engine's rows filtered vectorized vs row-at-a-time (see
+    :mod:`repro.sql.columnar`) plus the search-layer reuse counters (see
     :mod:`repro.core.frontier_cache`): frontier memo traffic, states the
     boundary sweep was warm-started from, and batched neighbor
     evaluations.
@@ -68,9 +65,9 @@ class ServiceResponse:
     outcome: PersonalizationOutcome
     rows: Tuple[Row, ...]
     elapsed_ms: float
+    # Always 0 (there is no frame cache); kept for perfbench/workloads.py.
     frame_cache_hits: int = 0
     frame_cache_misses: int = 0
-    branches_incremental: int = 0
     rows_filtered_vectorized: int = 0
     rows_filtered_rowwise: int = 0
     frontier_cache_hits: int = 0
@@ -90,7 +87,7 @@ class ServiceResponse:
     degradation_reason: Optional[str] = None
     # Unified cross-request cache telemetry at the time this response
     # was produced: one counter block per cache (param_cache /
-    # frontier_cache / frame_cache), each in the shared
+    # frontier_cache), each in the shared
     # hits/misses/lookups/invalidations/evictions/entries/bytes_estimate
     # shape. Batch members share one (read-only) dict.
     cache_telemetry: Dict[str, Dict[str, int]] = field(default_factory=dict)
@@ -172,10 +169,9 @@ class PersonalizationService:
         ``snapshot`` boots the service warm from a compiled workload: a
         :class:`~repro.storage.snapshot.CompiledWorkload` or the path
         of a saved snapshot directory. The snapshot's pricing entries
-        and frontiers are installed into this service's caches and its
-        frames into a service-lifetime frame cache — after proving (by
-        content fingerprint and statistics version) that it was
-        compiled against this very database;
+        and frontiers are installed into this service's caches — after
+        proving (by content fingerprint and statistics version) that it
+        was compiled against this very database;
         :class:`~repro.storage.snapshot.SnapshotMismatch` is raised
         otherwise, never a silent cold start. Caches memoize pure
         functions, so a warm boot changes no response payload — only
@@ -203,10 +199,6 @@ class PersonalizationService:
         )
         self.learning_weight = learning_weight
         self._users: Dict[str, _UserState] = {}
-        # A service-lifetime frame cache exists only on warm boots: the
-        # cold service keeps its historical batch-/statement-scoped
-        # frame reuse, so snapshot=None changes nothing.
-        self.frame_cache = None
         self.snapshot_installed: Dict[str, int] = {}
         if snapshot is not None:
             from repro.storage.snapshot import CompiledWorkload, load_snapshot
@@ -232,23 +224,14 @@ class PersonalizationService:
                     frontier.capacity,
                     2 * len(snapshot.frontier_state.get("memos", ())),
                 )
-            frame_entries = len(snapshot.frame_state.get("entries", ()))
-            # Unbounded byte budget: a boot must never evict the frames
-            # it is installing (the entry cap is already sized to fit).
-            self.frame_cache = FrameCache(
-                capacity=max(512, 2 * frame_entries), capacity_bytes=None
-            )
             self.snapshot_installed = snapshot.restore_into(
                 database,
                 param_cache=self.personalizer.param_cache,
                 frontier_cache=self.personalizer.frontier_cache,
-                frame_cache=self.frame_cache,
             )
         if fault_injector is not None:
             fault_injector.arm_cache(self.personalizer.param_cache)
             fault_injector.arm_cache(self.personalizer.frontier_cache)
-            if self.frame_cache is not None:
-                fault_injector.arm_cache(self.frame_cache)
 
     @property
     def param_cache(self) -> ParameterCache:
@@ -264,26 +247,19 @@ class PersonalizationService:
         """Explicit invalidation hook for out-of-band database mutation
         (ordinary ``load``/``analyze`` calls are version-detected)."""
         self.personalizer.invalidate_caches()
-        if self.frame_cache is not None:
-            self.frame_cache.invalidate()
 
-    def cache_telemetry(self, frame_cache=None) -> Dict[str, Dict[str, int]]:
+    def cache_telemetry(self) -> Dict[str, Dict[str, int]]:
         """One unified counter block per cache this service runs on.
 
         Every block has the shared shape
         (``hits/misses/lookups/invalidations/evictions/entries/
         bytes_estimate``); the frontier block adds its two resident
-        populations. ``frame_cache`` lets the batch path report the
-        cache it actually executed against.
+        populations.
         """
-        telemetry = {
+        return {
             "param_cache": self.param_cache.counters(),
             "frontier_cache": self.frontier_cache.counters(),
         }
-        frames = frame_cache if frame_cache is not None else self.frame_cache
-        if frames is not None:
-            telemetry["frame_cache"] = frames.counters()
-        return telemetry
 
     # -- user management ----------------------------------------------------------
 
@@ -355,7 +331,7 @@ class PersonalizationService:
             )
             response.cache_telemetry = self.cache_telemetry()
             return response
-        result = self.personalizer.execute(outcome, frame_cache=self.frame_cache)
+        result = self.personalizer.execute(outcome)
         self._fold_exec_stats(outcome, result)
         response = self._response(
             user, outcome, result,
@@ -392,9 +368,6 @@ class PersonalizationService:
             outcome=outcome,
             rows=tuple(result.rows),
             elapsed_ms=result.elapsed_ms,
-            frame_cache_hits=result.frame_cache_hits,
-            frame_cache_misses=result.frame_cache_misses,
-            branches_incremental=result.branches_incremental,
             rows_filtered_vectorized=result.rows_filtered_vectorized,
             rows_filtered_rowwise=result.rows_filtered_rowwise,
             faults_injected=faults_injected,
@@ -409,9 +382,6 @@ class PersonalizationService:
         if outcome.solution is None:
             return
         stats = outcome.solution.stats
-        stats.frame_cache_hits += result.frame_cache_hits
-        stats.frame_cache_misses += result.frame_cache_misses
-        stats.branches_incremental += result.branches_incremental
         stats.rows_filtered_vectorized += result.rows_filtered_vectorized
         stats.rows_filtered_rowwise += result.rows_filtered_rowwise
 
@@ -441,14 +411,10 @@ class PersonalizationService:
         responses' payloads do not depend on the schedule (only work
         counters may — whichever group warms a cache first gets the
         misses). Execution stays serial because the
-        block-device I/O tally is shared, but all groups execute against
-        one batch-scoped frame cache: the columnar engine computes the
-        frame of any shared plan prefix (typically the base query's
-        scans and joins) once and every other group reuses it, frames
-        being immutable. Learning bookkeeping happens at the batch
-        boundary: all queries are logged first and due relearns run once
-        per user *before* any group is solved, so a batch observes one
-        consistent profile per user.
+        block-device I/O tally is shared. Learning bookkeeping happens
+        at the batch boundary: all queries are logged first and due
+        relearns run once per user *before* any group is solved, so a
+        batch observes one consistent profile per user.
 
         Returns responses in the order of ``requests``; duplicate
         members of a group share one immutable rows tuple (no per-member
@@ -578,28 +544,11 @@ class PersonalizationService:
             for index, outcome in zip(group_indices, outcome_list):
                 outcomes[index] = outcome
 
-        # Warm-booted services execute against their service-lifetime
-        # frame cache (already armed at construction); cold services
-        # keep the historical batch-scoped cache.
-        if not execute:
-            batch_frames = None
-        elif self.frame_cache is not None:
-            batch_frames = self.frame_cache
-        else:
-            # Sized from the workload: every group can keep its full
-            # plan-prefix chain resident (a personalized UNION ALL
-            # rarely produces more than a few dozen distinct subtrees),
-            # with the byte budget as the real backstop.
-            batch_frames = FrameCache(
-                capacity=max(DEFAULT_FRAME_CAPACITY, 64 * len(member_lists))
-            )
-            if self.fault_injector is not None:
-                self.fault_injector.arm_cache(batch_frames)
         responses: List[Optional[ServiceResponse]] = [None] * len(specs)
         for members, outcome in zip(member_lists, outcomes):
             user = specs[members[0]][0]
             if execute:
-                result = self.personalizer.execute(outcome, frame_cache=batch_frames)
+                result = self.personalizer.execute(outcome)
                 self._fold_exec_stats(outcome, result)
                 template = self._response(user, outcome, result)
             else:
@@ -635,7 +584,7 @@ class PersonalizationService:
                 )
         # One telemetry block per batch, shared read-only by every
         # member (counters are batch-level state anyway).
-        telemetry = self.cache_telemetry(frame_cache=batch_frames)
+        telemetry = self.cache_telemetry()
         for response in responses:
             response.cache_telemetry = telemetry
         return responses  # type: ignore[return-value]

@@ -41,14 +41,9 @@ class SearchStats:
     param_cache_hits: int = 0
     param_cache_misses: int = 0
     # Execution-side counters, folded in by the service after the
-    # personalized query runs (see repro.sql.columnar): base-frame cache
-    # traffic, UNION ALL branches answered incrementally from a shared
-    # frame, and rows pushed through filters vectorized vs one at a
-    # time. All zero until execution (and for the row engine the
-    # vectorized/frame counters stay zero).
-    frame_cache_hits: int = 0
-    frame_cache_misses: int = 0
-    branches_incremental: int = 0
+    # personalized query runs (see repro.sql.columnar): rows pushed
+    # through filters vectorized vs one at a time. Both zero until
+    # execution.
     rows_filtered_vectorized: int = 0
     rows_filtered_rowwise: int = 0
     # Search-layer reuse counters (see repro.core.frontier_cache and
@@ -154,9 +149,6 @@ class SearchStats:
         self.wall_time_s += other.wall_time_s
         self.param_cache_hits += other.param_cache_hits
         self.param_cache_misses += other.param_cache_misses
-        self.frame_cache_hits += other.frame_cache_hits
-        self.frame_cache_misses += other.frame_cache_misses
-        self.branches_incremental += other.branches_incremental
         self.rows_filtered_vectorized += other.rows_filtered_vectorized
         self.rows_filtered_rowwise += other.rows_filtered_rowwise
         self.frontier_cache_hits += other.frontier_cache_hits

@@ -181,16 +181,14 @@ def run_compile(options: argparse.Namespace) -> int:
         )
     )
     print(
-        "# compiled %d units in %.2fs (solve %.2fs, frames %.2fs); "
-        "%d pricing entries, %d frontiers, %d frames"
+        "# compiled %d units in %.2fs (solve %.2fs); "
+        "%d pricing entries, %d frontiers"
         % (
             compiled.telemetry["units"],
             seconds["total"],
             seconds["solve"],
-            seconds["frames"],
             compiled.telemetry["param_cache"]["entries"],
             compiled.telemetry["frontier_cache"]["entries"],
-            compiled.telemetry["frame_cache"]["entries"],
         )
     )
     print(

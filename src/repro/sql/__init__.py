@@ -19,7 +19,7 @@ from repro.sql.ast_nodes import (
     UnionAllQuery,
 )
 from repro.sql.cardinality import CardinalityEstimator
-from repro.sql.columnar import ColumnarExecutor, ColumnFrame, FrameCache
+from repro.sql.columnar import ColumnarExecutor, ColumnFrame
 from repro.sql.cost import CostModel, IndexAwareCostModel
 from repro.sql.executor import ExecutionResult, Executor
 from repro.sql.parser import parse_select
@@ -35,7 +35,6 @@ __all__ = [
     "ColumnRef",
     "Comparison",
     "CostModel",
-    "FrameCache",
     "ExecutionResult",
     "Executor",
     "GroupByHavingCount",

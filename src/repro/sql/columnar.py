@@ -1,12 +1,8 @@
-"""Vectorized columnar execution kernel with shared base-frame reuse.
+"""Vectorized columnar execution kernel.
 
 The row engines (:mod:`repro.sql.executor`, :mod:`repro.sql.plan_executor`)
-evaluate one tuple at a time and rebuild every scan, hash table, and join
-pipeline per query — even though each personalized candidate
-``Qx = Q AND Px`` shares the base query ``Q``, and the final Formula (6)
-answer is a UNION ALL of progressively personalized variants of the
-*same* query. This module exploits that structure, and runs the bulk
-operators on numpy:
+evaluate one tuple at a time. This module runs the same
+:class:`~repro.sql.plan.PlanNode` trees with the bulk operators on numpy:
 
 * :class:`~repro.storage.columns.Column` — typed column encodings:
   ``int64``/``float64``/``bool`` value arrays with null masks,
@@ -16,59 +12,40 @@ operators on numpy:
   built on them shares the arrays.
 * :class:`ColumnFrame` — parallel columns plus an optional ``int64``
   *selection vector* (ordered row indices). Filters never copy data;
-  they narrow the selection with boolean masks. Frames are immutable
-  once built, so they can be shared freely across query branches and
-  across requests.
+  they narrow the selection with boolean masks.
 * :class:`ColumnarExecutor` — vectorized scan / filter / hash-join /
   project / distinct / sort / limit / group-having operators driven by
-  the existing :class:`~repro.sql.plan.PlanNode` tree, so planning is
-  unchanged and the block-I/O cost receipts stay identical to the row
-  engine: the same ``blocks_read`` / ``io_ms`` / ``cpu_ms`` /
-  ``rows_processed``, with ``cpu_ms_per_row`` charged per selected row
-  exactly as today. Filter predicates compile once per plan node into
-  mask programs (resolved column positions + comparison kernels); hash
-  joins factorize both key columns to a shared code domain and expand
-  matches with ``bincount``/``repeat`` (order-identical to the row
-  engine's bucket join); sort, distinct, and group-having run on
-  ``lexsort``/``unique`` over per-column codes. Any operand the typed
-  kernels cannot reproduce exactly falls back to the original Python
-  loop for that operator — bit-identical semantics always win.
-* :class:`FrameCache` — the shared base-frame cache. Within one UNION
-  ALL statement (and, when a cache is passed in, across the statements
-  of one ``request_many`` batch) the frame produced by a common plan
-  prefix — the base query's scans, pushed-down filters, and joins — is
-  computed once; each personalized branch applies only its extra
-  preference predicates as incremental selection-vector filters.
-  Admission is byte-budgeted and eviction is cost-aware: every entry
-  carries its private resident bytes (base-table columns count 0 — they
-  are resident regardless) and its recompute cost replayed from the
-  tally through :func:`repro.sql.cost.replay_cost_ms`; when the cache
-  exceeds ``capacity`` entries or ``capacity_bytes``, the entry with
-  the least recompute-cost-per-byte is dropped first.
+  the existing plan tree, so planning is unchanged and the block-I/O
+  cost receipts stay identical to the row engine: the same
+  ``blocks_read`` / ``io_ms`` / ``cpu_ms`` / ``rows_processed``, with
+  ``cpu_ms_per_row`` charged per selected row exactly as today. Filter
+  predicates compile once per plan node into mask programs (resolved
+  column positions + comparison kernels); hash joins factorize both key
+  columns to a shared code domain and expand matches with
+  ``bincount``/``repeat`` (order-identical to the row engine's bucket
+  join); sort, distinct, and group-having run on ``lexsort``/``unique``
+  over per-column codes. Any operand the typed kernels cannot reproduce
+  exactly falls back to the original Python loop for that operator —
+  bit-identical semantics always win.
 
-Frame reuse is a *wall-clock* optimization only: on every cache hit the
-executor re-charges the receipt the row engine would have produced for
-that subtree (scans per the ``shared_scans`` setting, index probes and
-join/sort/group work always), so the Formula (6) cost semantics and the
-``shared_scans`` ablation are preserved bit-for-bit. See
+Every plan node runs once per execution, so each UNION ALL branch of a
+Formula (6) statement recomputes its base-query prefix and charges it
+exactly as the row engine does (scans per the ``shared_scans`` setting,
+index probes and join/sort/group work always). See
 ``docs/ALGORITHMS.md`` ("Vectorized execution").
 """
 
 from __future__ import annotations
 
-import heapq
 import operator as _op
 import time
 from collections import OrderedDict
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache_stats import CacheStatsMixin
 from repro.errors import ExecutionError, SQLError
 from repro.sql.ast_nodes import Literal, Operator, QueryNode
-from repro.sql.cost import replay_cost_ms
 from repro.sql.executor import DEFAULT_CPU_MS_PER_ROW, ExecutionResult
 from repro.sql.plan import (
     DistinctNode,
@@ -113,7 +90,7 @@ class ColumnFrame:
     gather fresh columns.
     """
 
-    __slots__ = ("columns", "data", "sel", "_rows_memo")
+    __slots__ = ("columns", "data", "sel")
 
     def __init__(
         self,
@@ -132,7 +109,6 @@ class ColumnFrame:
             self.sel = sel.astype(np.int64, copy=False)
         else:
             self.sel = np.asarray(sel, dtype=np.int64)
-        self._rows_memo: Optional[List[Row]] = None
 
     @property
     def n_rows(self) -> int:
@@ -153,344 +129,8 @@ class ColumnFrame:
         return self.data[position].materialize(self.sel)
 
     def rows(self) -> List[Row]:
-        """Row-major materialization (memoized; returns a fresh list)."""
-        if self._rows_memo is None:
-            if not self.data:
-                self._rows_memo = []
-            else:
-                materialized = [column.materialize(self.sel) for column in self.data]
-                self._rows_memo = list(zip(*materialized))
-        return list(self._rows_memo)
-
-
-def plan_key(node: PlanNode, _memo: Optional[Dict[int, Tuple]] = None) -> Tuple:
-    """Structural identity of a plan subtree — the frame-cache key.
-
-    Two subtrees with equal keys compute the same frame on the same
-    database snapshot. All embedded values (conditions, literals, sort
-    keys) are hashable by construction. ``_memo`` (an id(node) → key
-    dict whose owner keeps the nodes alive) lets the executor reuse
-    child keys across nested calls instead of re-walking shared
-    subtrees.
-    """
-    if _memo is not None:
-        memoized = _memo.get(id(node))
-        if memoized is not None:
-            return memoized
-    key = _build_plan_key(node, _memo)
-    if _memo is not None:
-        _memo[id(node)] = key
-    return key
-
-
-def _build_plan_key(node: PlanNode, memo: Optional[Dict[int, Tuple]]) -> Tuple:
-    if isinstance(node, ScanNode):
-        return ("scan", node.relation, node.binding)
-    if isinstance(node, IndexProbeNode):
-        return ("probe", node.relation, node.binding, node.attribute, node.value)
-    if isinstance(node, FilterNode):
-        return ("filter", node.conditions, plan_key(node.child, memo))
-    if isinstance(node, HashJoinNode):
-        return (
-            "hashjoin",
-            node.left_column,
-            node.right_column,
-            plan_key(node.left, memo),
-            plan_key(node.right, memo),
-        )
-    if isinstance(node, NestedLoopJoinNode):
-        return (
-            "nloop",
-            node.conditions,
-            plan_key(node.left, memo),
-            plan_key(node.right, memo),
-        )
-    if isinstance(node, ProjectNode):
-        return ("project", node.columns, node.output_names, plan_key(node.child, memo))
-    if isinstance(node, DistinctNode):
-        return ("distinct", plan_key(node.child, memo))
-    if isinstance(node, SortNode):
-        return ("sort", node.keys, plan_key(node.child, memo))
-    if isinstance(node, LimitNode):
-        return ("limit", node.limit, plan_key(node.child, memo))
-    if isinstance(node, UnionAllNode):
-        return ("union",) + tuple(plan_key(child, memo) for child in node.inputs)
-    if isinstance(node, GroupHavingCountNode):
-        return ("group", node.count, node.at_least, plan_key(node.child, memo))
-    raise ExecutionError("no plan key for node %r" % (node,))
-
-
-@dataclass
-class _Tally:
-    """The cost receipt of one plan subtree, recorded on first execution.
-
-    Replayed on every frame-cache hit so reuse never changes the
-    simulated receipt: scans charge per the ``shared_scans`` setting
-    (skipped for relations already scanned in the current statement),
-    index probes and join/sort/group work re-charge unconditionally —
-    exactly what the row engine would have done re-executing the
-    subtree.
-    """
-
-    scans: List[Tuple[str, int, int]] = field(default_factory=list)  # (rel, blocks, rows)
-    probe_blocks: int = 0
-    probe_rows: int = 0
-    work_rows: int = 0
-
-    def absorb(self, other: "_Tally") -> None:
-        self.scans.extend(other.scans)
-        self.probe_blocks += other.probe_blocks
-        self.probe_rows += other.probe_rows
-        self.work_rows += other.work_rows
-
-
-DEFAULT_FRAME_CAPACITY = 8192
-DEFAULT_FRAME_BUDGET_BYTES = 256 << 20  # 256 MiB of private frame bytes
-
-
-def _tally_recompute_ms(tally: _Tally) -> float:
-    blocks = sum(blocks for _, blocks, _ in tally.scans) + tally.probe_blocks
-    rows = (
-        sum(rows for _, _, rows in tally.scans)
-        + tally.probe_rows
-        + tally.work_rows
-    )
-    return replay_cost_ms(blocks, rows)
-
-
-class FrameCache(CacheStatsMixin):
-    """Shared base-frame cache: plan-subtree key → (frame, tally).
-
-    One instance spans whatever reuse scope its owner chooses: the
-    executor creates a throwaway per-statement cache when none is
-    passed (sharing across UNION ALL branches), and
-    ``PersonalizationService.request_many`` passes one batch-scoped
-    instance so identical prefixes are shared across the whole batch.
-    Entries are validated against the database's ``stats_token`` and
-    dropped wholesale when the data changes.
-
-    Capacity is two-dimensional: ``capacity`` bounds the entry count
-    (0 disables storage entirely) and ``capacity_bytes`` bounds the
-    entries' *private* resident bytes (``None`` = unbounded — snapshot
-    boots use this so a restore never evicts what it just installed).
-    Private means bytes evicting the frame would actually free:
-    base-table columns and shared dictionaries count 0. Over budget,
-    the entry with the least recompute cost per byte goes first — big
-    cheap frames are sacrificed before small expensive ones.
-    """
-
-    def __init__(
-        self,
-        capacity: int = DEFAULT_FRAME_CAPACITY,
-        capacity_bytes: Optional[int] = DEFAULT_FRAME_BUDGET_BYTES,
-    ) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0, got %r" % capacity)
-        if capacity_bytes is not None and capacity_bytes < 0:
-            raise ValueError("capacity_bytes must be >= 0, got %r" % capacity_bytes)
-        self.capacity = capacity
-        self.capacity_bytes = capacity_bytes
-        # key -> (frame, tally, nbytes, seq); seq invalidates stale heap rows.
-        self._entries: Dict[Tuple, Tuple[ColumnFrame, _Tally, int, int]] = {}
-        self._heap: List[Tuple[float, int, Tuple]] = []  # (score, seq, key)
-        self._seq = 0
-        self._token: Optional[Tuple[int, int]] = None
-        self._bytes = 0  # incrementally maintained private-byte figure
-        self.puts = 0
-        self._init_stats()
-        # Fault seam: when set, called with the site name at the top of
-        # every lookup (see repro.testing.faults) — an eviction there
-        # must leave the engine on the recompute path, never corrupt it.
-        self.fault_hook: Optional[Callable[[str], None]] = None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def validate(self, token: Tuple[int, int]) -> None:
-        """Flush all entries if the database snapshot changed."""
-        if self._token != token:
-            if self._entries:
-                self.invalidations += 1
-            self._entries.clear()
-            self._heap.clear()
-            self._bytes = 0
-            self._token = token
-
-    def get(self, key: Tuple) -> Optional[Tuple[ColumnFrame, _Tally]]:
-        if self.fault_hook is not None:
-            self.fault_hook("frame_cache.get")
-        entry = self._entries.get(key)
-        if entry is not None:
-            self.hits += 1
-            return entry[0], entry[1]
-        self.misses += 1
-        return None
-
-    def put(self, key: Tuple, frame: ColumnFrame, tally: _Tally) -> None:
-        if self.capacity == 0:
-            return
-        nbytes = _frame_nbytes(frame)
-        previous = self._entries.pop(key, None)
-        if previous is not None:
-            self._bytes -= previous[2]
-        self._seq += 1
-        self._entries[key] = (frame, tally, nbytes, self._seq)
-        self._bytes += nbytes
-        score = _tally_recompute_ms(tally) / max(1, nbytes)
-        heapq.heappush(self._heap, (score, self._seq, key))
-        self.puts += 1
-        self._shrink()
-
-    def _shrink(self) -> None:
-        while self._entries and (
-            len(self._entries) > self.capacity
-            or (self.capacity_bytes is not None and self._bytes > self.capacity_bytes)
-        ):
-            if not self._evict_one():
-                break
-
-    def _evict_one(self) -> bool:
-        """Drop the entry with the least recompute cost per byte."""
-        while self._heap:
-            _, seq, key = heapq.heappop(self._heap)
-            entry = self._entries.get(key)
-            if entry is not None and entry[3] == seq:
-                del self._entries[key]
-                self._bytes -= entry[2]
-                self.evictions += 1
-                return True
-        return False
-
-    def invalidate(self) -> None:
-        """Explicitly drop every entry (eviction drills, out-of-band
-        data mutation); the next lookups recompute from the tables."""
-        if self._entries:
-            self.invalidations += 1
-        self._entries.clear()
-        self._heap.clear()
-        self._bytes = 0
-
-    # -- persistence -----------------------------------------------------------------
-
-    def snapshot(self) -> Dict:
-        """The cached frames as a state blob for on-disk persistence.
-
-        Frame columns are decoded to the fixed dtypes
-        :mod:`repro.storage.shm` shares across processes (int64 /
-        float64 / bool / fixed-width unicode); a frame with any column
-        that cannot be represented that way is skipped — recomputed on
-        first use after a restore, bit-identical just colder. Column
-        arrays are deduplicated by object identity (filters share their
-        parent's data), so a shared base column is captured once. The
-        returned blob's ``columns`` map holds numpy arrays; the disk
-        writer (:mod:`repro.storage.snapshot`) spills them to files that
-        restore as zero-copy read-only memmap views.
-        """
-        columns: Dict[int, object] = {}
-        entries = []
-        for key, (frame, tally, _, _) in self._entries.items():
-            refs: List[int] = []
-            shareable = True
-            for column in frame.data:
-                ref = id(column)
-                if ref not in columns:
-                    array = column.dense_array()
-                    if array is None:
-                        shareable = False
-                        break
-                    columns[ref] = array
-                refs.append(ref)
-            if not shareable:
-                continue
-            sel = None if frame.sel is None else frame.sel.tolist()
-            entries.append(
-                (
-                    key,
-                    (frame.columns, tuple(refs), sel),
-                    (list(tally.scans), tally.probe_blocks, tally.probe_rows, tally.work_rows),
-                )
-            )
-        used = {ref for _, (_, refs, _), _ in entries for ref in refs}
-        return {
-            "kind": "frame_cache",
-            "capacity": self.capacity,
-            "entries": entries,
-            "columns": {ref: columns[ref] for ref in used},
-        }
-
-    def restore(
-        self,
-        state: Dict,
-        token: Tuple,
-        columns: Optional[Dict[int, object]] = None,
-    ) -> int:
-        """Install a :meth:`snapshot` blob under the live ``token``.
-
-        ``columns`` optionally overrides the blob's column arrays with
-        externally attached ones (the zero-copy memmap views of
-        :mod:`repro.storage.snapshot`). Arrays are re-encoded into
-        typed :class:`~repro.storage.columns.Column` objects exactly
-        once per shared ref, so restored frames keep the snapshot's
-        column sharing. Returns frames installed.
-        """
-        if state.get("kind") != "frame_cache":
-            raise ValueError("not a FrameCache snapshot: %r" % (state.get("kind"),))
-        source = columns if columns is not None else state["columns"]
-        self.validate(token)
-        encoded: Dict[int, Column] = {}
-
-        def column_of(ref: int) -> Column:
-            column = encoded.get(ref)
-            if column is None:
-                column = Column.from_array(np.asarray(source[ref]))
-                encoded[ref] = column
-            return column
-
-        installed = 0
-        for key, (names, refs, sel), tally_state in state["entries"]:
-            frame = ColumnFrame(
-                columns=names,
-                data=[column_of(ref) for ref in refs],
-                sel=sel,
-            )
-            scans, probe_blocks, probe_rows, work_rows = tally_state
-            tally = _Tally(
-                scans=[tuple(scan) for scan in scans],
-                probe_blocks=probe_blocks,
-                probe_rows=probe_rows,
-                work_rows=work_rows,
-            )
-            self.put(key, frame, tally)
-            installed += 1
-        return installed
-
-    # -- telemetry -------------------------------------------------------------------
-
-    def _stats_entries(self) -> int:
-        return len(self._entries)
-
-    def _stats_bytes(self) -> int:
-        return self._bytes
-
-    def _stats_extra(self) -> Dict[str, object]:
-        return {
-            "puts": self.puts,
-            "eviction_rate": (
-                round(self.evictions / self.puts, 4) if self.puts else 0.0
-            ),
-        }
-
-
-def _frame_nbytes(frame: ColumnFrame) -> int:
-    """The private resident bytes of one cached frame: column payloads
-    this frame's data would free on eviction (base-table columns and
-    shared dictionaries count 0 — see ``Column.nbytes``) plus its
-    selection vector. Columns shared between cached frames are counted
-    once per frame, an over-estimate by design: the figure bounds what
-    eviction can free, not RSS."""
-    payload = sum(column.nbytes for column in frame.data)
-    sel = 0 if frame.sel is None else frame.sel.nbytes
-    return 128 + payload + sel
+        """Row-major materialization (a fresh list on every call)."""
+        return list(zip(*(column.materialize(self.sel) for column in self.data)))
 
 
 # -- vectorized operator helpers -----------------------------------------------------
@@ -681,9 +321,7 @@ class ColumnarExecutor:
     :class:`~repro.sql.plan_executor.PlanExecutor`: ``execute`` takes
     any query node (planned through the ordinary
     :class:`~repro.sql.planner.Planner`), ``execute_plan`` takes a
-    prepared plan. ``frame_reuse=False`` disables all caching — each
-    operator recomputes, the pure-vectorization ablation.
-    ``profile_ops=True`` accumulates exclusive wall-clock seconds per
+    prepared plan. ``profile_ops=True`` accumulates exclusive wall-clock seconds per
     operator kind in ``op_times`` (across executions — benches read it
     after a loop); it costs a couple of timer reads per node, so it is
     off by default.
@@ -695,14 +333,12 @@ class ColumnarExecutor:
         shared_scans: bool = False,
         cpu_ms_per_row: float = DEFAULT_CPU_MS_PER_ROW,
         use_indexes: bool = False,
-        frame_reuse: bool = True,
         profile_ops: bool = False,
     ) -> None:
         self.database = database
         self.shared_scans = shared_scans
         self.cpu_ms_per_row = cpu_ms_per_row
         self.use_indexes = use_indexes
-        self.frame_reuse = frame_reuse
         self.profile_ops = profile_ops
         self.op_times: Dict[str, float] = {}
         self._op_stack: List[float] = []
@@ -715,11 +351,6 @@ class ColumnarExecutor:
         # Per-execution state.
         self._rows_processed = 0
         self._scanned: set = set()
-        self._tallies: List[_Tally] = []
-        self._cache: Optional[FrameCache] = None
-        self._hits = 0
-        self._misses = 0
-        self._branches_incremental = 0
         self._rows_filtered_vectorized = 0
 
     # -- public API -----------------------------------------------------------
@@ -735,42 +366,17 @@ class ColumnarExecutor:
                 self._plan_cache.popitem(last=False)
         return plan
 
-    def execute(
-        self, query: QueryNode, frame_cache: Optional[FrameCache] = None
-    ) -> ExecutionResult:
+    def execute(self, query: QueryNode) -> ExecutionResult:
         """Plan and execute ``query``; see :meth:`execute_plan`."""
-        return self.execute_plan(self.plan(query), frame_cache=frame_cache)
+        return self.execute_plan(self.plan(query))
 
-    def execute_plan(
-        self, plan: PlanNode, frame_cache: Optional[FrameCache] = None
-    ) -> ExecutionResult:
-        """Execute a plan, metering I/O and per-selected-row CPU.
-
-        ``frame_cache`` extends base-frame sharing beyond this statement
-        (e.g. one cache per ``request_many`` batch); when omitted a
-        statement-scoped cache still shares frames across the UNION ALL
-        branches of this one query.
-        """
+    def execute_plan(self, plan: PlanNode) -> ExecutionResult:
+        """Execute a plan, metering I/O and per-selected-row CPU."""
         self._rows_processed = 0
         self._scanned = set()
-        self._tallies = []
-        self._hits = self._misses = 0
-        self._branches_incremental = 0
         self._rows_filtered_vectorized = 0
-        # Plan nodes are alive for the whole execution, so id()-keyed
-        # memoization of their structural keys is sound here.
-        self._key_memo = {}
-        if self.frame_reuse:
-            cache = frame_cache if frame_cache is not None else FrameCache()
-            cache.validate(self.database.stats_token)
-        else:
-            cache = None
-        self._cache = cache
-        try:
-            with self.database.device.meter() as receipt:
-                frame = self._run(plan)
-        finally:
-            self._cache = None
+        with self.database.device.meter() as receipt:
+            frame = self._run(plan)
         return ExecutionResult(
             columns=list(frame.columns),
             rows=frame.rows(),
@@ -778,17 +384,12 @@ class ColumnarExecutor:
             io_ms=receipt.elapsed_ms,
             cpu_ms=self._rows_processed * self.cpu_ms_per_row,
             rows_processed=self._rows_processed,
-            frame_cache_hits=self._hits,
-            frame_cache_misses=self._misses,
-            branches_incremental=self._branches_incremental,
             rows_filtered_vectorized=self._rows_filtered_vectorized,
         )
 
     # -- cost metering ---------------------------------------------------------
 
     def _charge_scan(self, relation: str, blocks: int, rows: int) -> None:
-        if self._tallies:
-            self._tallies[-1].scans.append((relation, blocks, rows))
         if self.shared_scans and relation in self._scanned:
             return
         self._scanned.add(relation)
@@ -796,32 +397,11 @@ class ColumnarExecutor:
         self._rows_processed += rows
 
     def _charge_probe(self, blocks: int, rows: int) -> None:
-        if self._tallies:
-            tally = self._tallies[-1]
-            tally.probe_blocks += blocks
-            tally.probe_rows += rows
         self.database.device.charge(blocks)
         self._rows_processed += rows
 
     def _charge_work(self, rows: int) -> None:
-        if self._tallies:
-            self._tallies[-1].work_rows += rows
         self._rows_processed += rows
-
-    def _apply_tally(self, tally: _Tally) -> None:
-        """Replay a cached subtree's receipt in the current statement."""
-        device = self.database.device
-        for relation, blocks, rows in tally.scans:
-            if self.shared_scans and relation in self._scanned:
-                continue
-            self._scanned.add(relation)
-            device.charge(blocks)
-            self._rows_processed += rows
-        if tally.probe_blocks:
-            device.charge(tally.probe_blocks)
-        self._rows_processed += tally.probe_rows + tally.work_rows
-        if self._tallies:
-            self._tallies[-1].absorb(tally)
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -843,33 +423,10 @@ class ColumnarExecutor:
             )
 
     def _run_node(self, node: PlanNode) -> ColumnFrame:
-        cache = self._cache
-        if cache is None:
-            handler = self._HANDLERS.get(type(node))
-            if handler is None:
-                raise ExecutionError("no handler for plan node %r" % (node,))
-            return handler(self, node)
-        key = plan_key(node, self._key_memo)
-        entry = cache.get(key)
-        if entry is not None:
-            frame, tally = entry
-            self._apply_tally(tally)
-            self._hits += 1
-            return frame
         handler = self._HANDLERS.get(type(node))
         if handler is None:
             raise ExecutionError("no handler for plan node %r" % (node,))
-        tally = _Tally()
-        self._tallies.append(tally)
-        try:
-            frame = handler(self, node)
-        finally:
-            self._tallies.pop()
-        if self._tallies:
-            self._tallies[-1].absorb(tally)
-        cache.put(key, frame, tally)
-        self._misses += 1
-        return frame
+        return handler(self, node)
 
     # -- leaves -----------------------------------------------------------------
 
@@ -1092,10 +649,7 @@ class ColumnarExecutor:
         columns: Tuple[str, ...] = ()
         parts: List[ColumnFrame] = []
         for child in node.inputs:
-            hits_before = self._hits
             frame = self._run(child)
-            if self._hits > hits_before:
-                self._branches_incremental += 1
             if not columns:
                 columns = frame.columns
             elif len(columns) != len(frame.columns):

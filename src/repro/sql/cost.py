@@ -20,25 +20,6 @@ from repro.sql.ast_nodes import (
     UnionAllQuery,
 )
 from repro.storage.database import Database
-from repro.storage.iomodel import DEFAULT_MS_PER_BLOCK
-
-# The executor's default per-selected-row CPU charge (kept numerically
-# in sync with repro.sql.executor.DEFAULT_CPU_MS_PER_ROW, which cannot
-# be imported here without a layering cycle).
-DEFAULT_CPU_MS_PER_ROW = 0.0005
-
-
-def replay_cost_ms(
-    blocks: int,
-    rows: int,
-    ms_per_block: float = DEFAULT_MS_PER_BLOCK,
-    cpu_ms_per_row: float = DEFAULT_CPU_MS_PER_ROW,
-) -> float:
-    """Simulated cost of re-deriving a cached artifact, in the paper's
-    units: ``b × blocks`` of I/O (Section 7.1) plus the executor's
-    per-row CPU charge. The frame cache scores eviction candidates by
-    this recompute cost per resident byte."""
-    return blocks * ms_per_block + rows * cpu_ms_per_row
 
 
 class CostModel:

@@ -49,10 +49,9 @@ class ExecutionResult:
     """Rows plus the cost receipt of one statement execution.
 
     The trailing counters are execution-side diagnostics (not part of
-    the simulated cost): frame-cache traffic and incremental branches
-    are produced by the columnar engine only, the ``rows_filtered_*``
-    pair says how many rows each engine pushed through filter
-    predicates vectorized vs one tuple at a time.
+    the simulated cost): the ``rows_filtered_*`` pair says how many
+    rows each engine pushed through filter predicates vectorized vs one
+    tuple at a time.
     """
 
     columns: List[str]
@@ -61,9 +60,6 @@ class ExecutionResult:
     io_ms: float = 0.0
     cpu_ms: float = 0.0
     rows_processed: int = 0
-    frame_cache_hits: int = 0
-    frame_cache_misses: int = 0
-    branches_incremental: int = 0
     rows_filtered_vectorized: int = 0
     rows_filtered_rowwise: int = 0
 
@@ -144,17 +140,15 @@ class Executor:
 
     # -- public API -----------------------------------------------------------
 
-    def execute(self, query: QueryNode, frame_cache=None) -> ExecutionResult:
+    def execute(self, query: QueryNode) -> ExecutionResult:
         """Execute any query node, metering its I/O and per-tuple CPU.
 
         With ``engine="columnar"`` evaluation is delegated to the
         vectorized kernel (identical rows and cost receipts on the
-        supported query shapes); ``frame_cache`` then extends
-        base-frame sharing across statements and is ignored by the row
-        engine.
+        supported query shapes).
         """
         if self._columnar is not None:
-            return self._columnar.execute(query, frame_cache=frame_cache)
+            return self._columnar.execute(query)
         scan_cache: Optional[Dict[str, List[Row]]] = {} if self.shared_scans else None
         self._rows_processed = 0
         self._rows_filtered = 0

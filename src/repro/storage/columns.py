@@ -57,8 +57,7 @@ def values_as_shared_array(values: Sequence[object]) -> Optional[np.ndarray]:
     """``values`` as a dense shareable ndarray, or None.
 
     Shareable means a fixed-width dtype (bool/int/uint/float/unicode)
-    with no NULLs — the contract of both the shm export segments and
-    frame-cache snapshots. Returns None whenever the exact values
+    with no NULLs — the contract of the shm export segments. Returns None whenever the exact values
     cannot round-trip through such an array.
     """
     if isinstance(values, np.ndarray):
@@ -87,15 +86,9 @@ def _roundtrips(array: np.ndarray, values: Sequence[object]) -> bool:
 
 
 class Column:
-    """One immutable, typed column (see module docstring).
+    """One immutable, typed column (see module docstring)."""
 
-    ``pinned`` marks columns backed by base-table storage (built by
-    ``Table.encoded_columns()`` or the shm attach path): they are
-    resident whether or not any cached frame references them, so the
-    frame cache's byte accounting treats them as free.
-    """
-
-    __slots__ = ("kind", "values", "mask", "codes", "dictionary", "pinned")
+    __slots__ = ("kind", "values", "mask", "codes", "dictionary")
 
     def __init__(
         self,
@@ -104,14 +97,12 @@ class Column:
         mask: Optional[np.ndarray] = None,
         codes: Optional[np.ndarray] = None,
         dictionary: Optional[np.ndarray] = None,
-        pinned: bool = False,
     ) -> None:
         self.kind = kind
         self.values = values
         self.mask = mask
         self.codes = codes
         self.dictionary = dictionary
-        self.pinned = pinned
 
     # -- construction ----------------------------------------------------------------
 
@@ -157,35 +148,32 @@ class Column:
         return cls._object(values)
 
     @classmethod
-    def from_typed(cls, values, data_type: DataType, pinned: bool = False) -> "Column":
+    def from_typed(cls, values, data_type: DataType) -> "Column":
         """Encode values whose type the schema already declares."""
         try:
             if data_type is DataType.INTEGER:
-                column = cls._numeric(values, np.int64)
-            elif data_type is DataType.FLOAT:
-                column = cls._numeric(values, np.float64)
-            elif data_type is DataType.STRING:
-                column = cls.from_strings(values)
-            else:  # pragma: no cover - the enum is closed
-                column = cls._object(list(values))
+                return cls._numeric(values, np.int64)
+            if data_type is DataType.FLOAT:
+                return cls._numeric(values, np.float64)
+            if data_type is DataType.STRING:
+                return cls.from_strings(values)
         except (OverflowError, TypeError, ValueError):
-            column = cls._object(list(values))
-        column.pinned = pinned
-        return column
+            pass
+        return cls._object(list(values))
 
     @classmethod
-    def from_array(cls, array: np.ndarray, pinned: bool = False) -> "Column":
+    def from_array(cls, array: np.ndarray) -> "Column":
         """Wrap a dense (null-free) ndarray, e.g. an shm-backed view."""
         if array.dtype.kind in "biuf":
-            return cls("num", values=array, pinned=pinned)
+            return cls("num", values=array)
         if array.dtype.kind == "U":
             if len(array):
                 dictionary, inverse = np.unique(array, return_inverse=True)
                 codes = inverse.astype(np.int64, copy=False)
             else:
                 dictionary, codes = _EMPTY_U, _EMPTY_I64
-            return cls("dict", codes=codes, dictionary=dictionary, pinned=pinned)
-        return cls._object(list(array.tolist()), pinned=pinned)
+            return cls("dict", codes=codes, dictionary=dictionary)
+        return cls._object(list(array.tolist()))
 
     @classmethod
     def from_strings(cls, values) -> "Column":
@@ -212,8 +200,8 @@ class Column:
         return cls("num", values=array, mask=mask)
 
     @classmethod
-    def _object(cls, values: List[object], pinned: bool = False) -> "Column":
-        return cls("obj", values=values, pinned=pinned)
+    def _object(cls, values: List[object]) -> "Column":
+        return cls("obj", values=values)
 
     # -- shape -----------------------------------------------------------------------
 
@@ -221,23 +209,6 @@ class Column:
         if self.kind == "dict":
             return len(self.codes)
         return len(self.values)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes this column privately owns.
-
-        Dictionary payloads are excluded: derived dict columns share
-        the base table's dictionary object, so only their codes are new
-        storage. Pinned (base-table) columns report 0 — evicting a
-        frame that references them frees nothing.
-        """
-        if self.pinned:
-            return 0
-        if self.kind == "num":
-            return self.values.nbytes + (self.mask.nbytes if self.mask is not None else 0)
-        if self.kind == "dict":
-            return self.codes.nbytes
-        return 64 + 8 * len(self.values)
 
     # -- access ----------------------------------------------------------------------
 
@@ -286,24 +257,6 @@ class Column:
             for i in nulls.tolist():
                 out[i] = None
         return out
-
-    def dense_array(self) -> Optional[np.ndarray]:
-        """A null-free shareable ndarray of the full column, or None.
-
-        Used by frame-cache snapshots (the persistence format stores
-        dense arrays, not encodings).
-        """
-        if self.kind == "num":
-            if self.mask is not None and self.mask.any():
-                return None
-            return self.values
-        if self.kind == "dict":
-            if len(self.codes) and (self.codes < 0).any():
-                return None
-            if len(self.dictionary) == 0:
-                return np.asarray([], dtype="U1")
-            return self.dictionary[self.codes]
-        return values_as_shared_array(self.values)
 
     # -- vectorized kernels ----------------------------------------------------------
 

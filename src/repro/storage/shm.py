@@ -6,7 +6,7 @@ value sequences cached on the table. When work fans out to forked
 worker processes, each worker's first scan would rebuild those arrays
 from the fork-copied row store: correct, but it multiplies the resident
 set and the warmup cost by the worker count. This module shares the
-base-frame columns instead:
+base-table columns instead:
 
 * :func:`export_columns` (parent, before the fork) coerces each
   column of the selected tables into a fixed-dtype numpy array —

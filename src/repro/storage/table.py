@@ -124,19 +124,16 @@ class Table:
 
         Encoded once per table version (cache dropped on insert, and by
         :mod:`repro.storage.shm` when shared views are attached) and
-        shared between every frame built on this table, which is why
-        the columns are flagged *pinned*: their bytes are resident
-        regardless of any cache's decisions, so frame-cache byte
-        budgets count them as free.
+        shared between every frame built on this table.
         """
         if self._encoded_cache is None:
             from repro.storage.columns import Column
             import numpy as _np
 
             self._encoded_cache = tuple(
-                Column.from_array(values, pinned=True)
+                Column.from_array(values)
                 if isinstance(values, _np.ndarray)
-                else Column.from_typed(values, attribute.data_type, pinned=True)
+                else Column.from_typed(values, attribute.data_type)
                 for values, attribute in zip(
                     self.column_arrays(), self.relation.attributes
                 )

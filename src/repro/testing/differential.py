@@ -1,7 +1,7 @@
 """Differential lattice runner: one oracle, every configuration.
 
 The CQP stack runs one fast path per layer — the bitmask evaluation
-kernel, the columnar engine, three caches, a serial or forked solve
+kernel, the columnar engine, two caches, a serial or forked solve
 scheduler, structural batching — each proven equivalent in isolation.
 This module cross-validates them as a *lattice*: every Table 1 problem
 is solved per algorithm in {c_boundaries, c_maxbounds, exhaustive} at
@@ -76,7 +76,7 @@ class LatticePoint:
     (service lattice only) boots the point's service warm from a
     workload snapshot compiled on the spot
     (:func:`repro.workloads.compiler.compile_workload`) — restored
-    pricing, frontiers and frames must leave every response
+    pricing and frontiers must leave every response
     bit-identical to the cold services. ``serving`` (service lattice
     only) routes the point's batch through the asyncio front-end
     (:class:`~repro.serving.server.AsyncPersonalizationServer` in

@@ -16,9 +16,8 @@ Three fault families, matching the seams the core modules expose:
   the injector on a cache's ``fault_hook``; when the site fires, the
   cache's ``invalidate()`` runs *inside* a lookup, so the solve
   continues against a cold cache from that point on
-  (:class:`~repro.core.param_cache.ParameterCache`,
-  :class:`~repro.core.frontier_cache.FrontierCache`,
-  :class:`~repro.sql.columnar.FrameCache` all expose the hook);
+  (:class:`~repro.core.param_cache.ParameterCache` and
+  :class:`~repro.core.frontier_cache.FrontierCache` expose the hook);
 * **statistics bumps between sweep steps** — :meth:`between_steps`
   re-ANALYZEs the database when the ``"sweep.step"`` site fires,
   changing ``Database.stats_token`` so the next validation flushes
@@ -50,7 +49,6 @@ SITES = (
     "param_cache.price",
     "frontier_cache.lookup",
     "frontier_cache.evaluator",
-    "frame_cache.get",
     "scheduler.worker",
     "sweep.step",
 )

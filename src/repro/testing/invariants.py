@@ -182,7 +182,6 @@ def check_search_stats(stats: SearchStats) -> None:
     """Internal consistency of one run's counter record."""
     pairs = [
         ("param_cache", stats.param_cache_hits, stats.param_cache_misses),
-        ("frame_cache", stats.frame_cache_hits, stats.frame_cache_misses),
         ("frontier_cache", stats.frontier_cache_hits, stats.frontier_cache_misses),
     ]
     for name, hits, misses in pairs:

@@ -1,14 +1,13 @@
 """The workload compiler: fleet-scale offline precomputation.
 
 A personalization service with a large registered fleet answers its
-online requests out of three caches — per-path pricing
-(:class:`~repro.core.param_cache.ParameterCache`), canonical boundary
-frontiers (:class:`~repro.core.frontier_cache.FrontierCache`), and
-shared base frames (:class:`~repro.sql.columnar.FrameCache`). All three
+online requests out of two caches — per-path pricing
+(:class:`~repro.core.param_cache.ParameterCache`) and canonical boundary
+frontiers (:class:`~repro.core.frontier_cache.FrontierCache`). Both
 memoize pure functions of *(query, profile content, database)*, which
 means their steady-state contents are computable **offline**, before
 the first request arrives. :func:`compile_workload` does exactly that,
-in three passes:
+in two passes:
 
 1. **Intern the fleet** (:class:`~repro.core.interning.ProfileInterner`)
    — a million users collapse to the distinct profile *contents* among
@@ -31,11 +30,6 @@ in three passes:
    frontier store keys on the space *signature*, and the telemetry
    reports the fleet-to-signature compression.
 
-3. **Precompute the execution layer** — run the base template queries
-   plus (a budget of) the units' personalized queries through one
-   compile-scoped frame cache, capturing the shared plan-prefix frames
-   online execution will hit.
-
 The result is a :class:`~repro.storage.snapshot.CompiledWorkload` —
 persist it with :func:`~repro.storage.snapshot.save_snapshot` and boot
 :class:`~repro.core.service.PersonalizationService` with ``snapshot=``
@@ -54,12 +48,9 @@ from repro.core.interning import ProfileInterner
 from repro.core.param_cache import ParameterCache
 from repro.core.preference_space import extract_preference_space
 from repro.core.problem import Constraints, CQPProblem, Parameter
-from repro.core.rewriter import QueryRewriter
 from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
 from repro.preferences.profile import UserProfile
-from repro.sql.ast_nodes import QueryNode, SelectQuery
-from repro.sql.columnar import FrameCache
-from repro.sql.executor import Executor
+from repro.sql.ast_nodes import SelectQuery
 from repro.sql.parser import parse_select
 from repro.sql.printer import to_sql
 from repro.storage.database import Database
@@ -121,9 +112,6 @@ def compile_workload(
     algebra: DoiAlgebra = PRODUCT_ALGEBRA,
     parallelism: int = 1,
     backend: str = "auto",
-    precompute_frames: bool = True,
-    max_frame_queries: Optional[int] = None,
-    frame_capacity: Optional[int] = None,
     meta: Optional[Dict] = None,
 ) -> CompiledWorkload:
     """Compile a fleet's steady-state cache contents offline.
@@ -135,13 +123,7 @@ def compile_workload(
     the same ``default_algorithm`` the serving side uses).
     ``parallelism``/``backend`` fan the per-unit solve work out across
     a scheduler; results are bit-identical on every backend because
-    units only memoize pure functions. ``max_frame_queries`` bounds how
-    many *personalized* queries are executed for frame capture (base
-    template queries are always executed when ``precompute_frames``;
-    ``None`` captures every distinct personalized query).
-    ``frame_capacity`` overrides the compiled frame cache's size —
-    by default it is sized to hold the whole captured set, because a
-    compile-time eviction becomes an online cold miss.
+    units only memoize pure functions.
     """
     if not database.analyzed:
         database.analyze()
@@ -207,29 +189,13 @@ def compile_workload(
         signature = None
         if pspace.k > 0:
             signature = space_signature(pspace)
-            solutions = adapters.solve_many(
+            adapters.solve_many(
                 pspace,
                 cluster_problems,
                 algorithms=[resolved[i] for i in cluster],
                 frontier_cache=unit_frontier,
             )
-        else:
-            solutions = [None] * len(cluster_problems)
-        rewriter = QueryRewriter(query, schema=database.schema)
-        rewritten: List[QueryNode] = []
-        seen_sql = set()
-        for solution in solutions:
-            paths = (
-                [pspace.paths[i] for i in solution.pref_indices]
-                if solution is not None
-                else []
-            )
-            node = rewriter.personalized_query(paths)
-            sql = to_sql(node)
-            if sql not in seen_sql:
-                seen_sql.add(sql)
-                rewritten.append(node)
-        return signature, unit_param.snapshot(), unit_frontier.snapshot(), rewritten
+        return signature, unit_param.snapshot(), unit_frontier.snapshot()
 
     solve_started = time.perf_counter()
     scheduler = SolveScheduler(max(1, parallelism), backend=backend)
@@ -243,52 +209,12 @@ def compile_workload(
     frontier_cache = FrontierCache(capacity=max(256, 2 * len(units)))
     frontier_cache.validate(token)
     signatures = set()
-    personalized: List[QueryNode] = []
-    for signature, param_state, frontier_state, rewritten in results:
+    for signature, param_state, frontier_state in results:
         if signature is not None:
             signatures.add(signature)
         param_cache.restore(param_state, token)
         frontier_cache.restore(frontier_state, token)
-        personalized.extend(rewritten)
     solve_seconds = time.perf_counter() - solve_started
-
-    # Pass 3: capture the execution layer's shared frames.
-    frames_started = time.perf_counter()
-    budget = (
-        max_frame_queries if max_frame_queries is not None else len(personalized)
-    )
-    if frame_capacity is None:
-        # A compile-time eviction becomes an online cold miss, so size
-        # the cache to hold every frame the captured queries can spawn.
-        frame_capacity = max(
-            4096, 64 * (len(parsed) + min(len(personalized), budget))
-        )
-    # Unbounded byte budget: the compiler's cache must hold every frame
-    # the workload produced so the snapshot captures all of them.
-    frame_cache = FrameCache(capacity=frame_capacity, capacity_bytes=None)
-    frames_executed = 0
-    if precompute_frames:
-        frame_cache.validate(token)
-        executor = Executor(database, engine="columnar")
-        seen_sql = set()
-        for query in parsed:
-            sql = to_sql(query)
-            if sql in seen_sql:
-                continue
-            seen_sql.add(sql)
-            executor.execute(query, frame_cache=frame_cache)
-            frames_executed += 1
-        for node in personalized:
-            if budget <= 0:
-                break
-            sql = to_sql(node)
-            if sql in seen_sql:
-                continue
-            seen_sql.add(sql)
-            executor.execute(node, frame_cache=frame_cache)
-            frames_executed += 1
-            budget -= 1
-    frames_seconds = time.perf_counter() - frames_started
 
     fleet_requests = interner.fleet_size * len(parsed) * len(cluster_lists)
     telemetry = {
@@ -301,14 +227,11 @@ def compile_workload(
         "signature_compression": (
             fleet_requests / len(signatures) if signatures else 1.0
         ),
-        "frames_executed": frames_executed,
         "param_cache": param_cache.counters(),
         "frontier_cache": frontier_cache.counters(),
-        "frame_cache": frame_cache.counters(),
         "compile_seconds": {
             "intern": intern_seconds,
             "solve": solve_seconds,
-            "frames": frames_seconds,
             "total": time.perf_counter() - started,
         },
     }
@@ -328,5 +251,4 @@ def compile_workload(
         telemetry=telemetry,
         param_state=param_cache.snapshot(),
         frontier_state=frontier_cache.snapshot(),
-        frame_state=frame_cache.snapshot(),
     )

@@ -217,8 +217,7 @@ class TestServiceDegradation:
                 "param_cache.price": 3,
                 "frontier_cache.lookup": 2,
                 "frontier_cache.evaluator": 2,
-                "frame_cache.get": 2,
-                "scheduler.worker": 1,  # every attempt fails → fallback
+                    "scheduler.worker": 1,  # every attempt fails → fallback
             },
             phases={"param_cache.price": 1},
         )

@@ -237,7 +237,6 @@ class TestFaultDrillThroughAsyncPath:
             "param_cache.price": 3,
             "frontier_cache.lookup": 2,
             "frontier_cache.evaluator": 2,
-            "frame_cache.get": 2,
             "scheduler.worker": 1,  # every attempt fails → fallback path
         },
         phases={"param_cache.price": 1},

@@ -9,7 +9,7 @@ must return identical rows **and** identical cost receipts
 personalized queries (where the planner may pick a different join order
 than the reference executor's FROM-order), the columnar engine must
 match the plan interpreter exactly and the reference executor as a
-multiset. Frame reuse must never change a receipt — only wall clock.
+multiset.
 """
 
 from collections import Counter
@@ -21,12 +21,7 @@ from hypothesis import strategies as st
 from repro.core.personalizer import Personalizer
 from repro.core.problem import CQPProblem
 from repro.sql.ast_nodes import Operator
-from repro.sql.columnar import (
-    ColumnarExecutor,
-    ColumnFrame,
-    FrameCache,
-    plan_key,
-)
+from repro.sql.columnar import ColumnarExecutor, ColumnFrame
 from repro.sql.executor import Executor
 from repro.sql.parser import parse_select
 from repro.sql.plan_executor import PlanExecutor
@@ -70,20 +65,6 @@ class TestColumnFrame:
         frame = ColumnFrame(["t.a"], [[]])
         assert frame.n_rows == 0
         assert frame.rows() == []
-
-
-class TestPlanKey:
-    def test_equal_plans_equal_keys(self, movie_db):
-        query = parse_select("select title from MOVIE where year >= 1990")
-        a = Planner(movie_db).plan(query)
-        b = Planner(movie_db).plan(query)
-        assert a is not b
-        assert plan_key(a) == plan_key(b)
-
-    def test_different_filters_differ(self, movie_db):
-        a = Planner(movie_db).plan(parse_select("select title from MOVIE where year >= 1990"))
-        b = Planner(movie_db).plan(parse_select("select title from MOVIE where year >= 1991"))
-        assert plan_key(a) != plan_key(b)
 
 
 # -- vectorized filter semantics (property) -------------------------------------
@@ -155,42 +136,13 @@ def test_engines_agree_on_personalized_queries(movie_db, movie_profile, shared_s
     assert checked > 0  # the profile actually personalized something
 
 
-# -- frame reuse: receipts never change, wall clock does ------------------------
+# -- state reused across executions -------------------------------------------
 
 
 class TestFrameReuse:
-    def _personalized_query(self, movie_db, movie_profile):
-        personalizer = Personalizer(movie_db)
-        outcome = personalizer.personalize(
-            parse_select("select title from MOVIE where year >= 1980"),
-            movie_profile,
-            CQPProblem.problem2(cmax=400.0),
-            k_limit=10,
-        )
-        assert len(outcome.paths) >= 2  # a genuine UNION ALL statement
-        return outcome.personalized_query
-
-    def test_within_statement_sharing_counts_branches(self, movie_db, movie_profile):
-        query = self._personalized_query(movie_db, movie_profile)
-        result = ColumnarExecutor(movie_db).execute(query)
-        assert result.frame_cache_hits > 0
-        assert result.branches_incremental > 0
-
-    @pytest.mark.parametrize("shared_scans", [False, True])
-    def test_reuse_never_changes_the_receipt(self, movie_db, movie_profile, shared_scans):
-        query = self._personalized_query(movie_db, movie_profile)
-        cold = ColumnarExecutor(
-            movie_db, shared_scans=shared_scans, frame_reuse=False
-        ).execute(query)
-        warm_executor = ColumnarExecutor(movie_db, shared_scans=shared_scans)
-        cache = FrameCache()
-        first = warm_executor.execute(query, frame_cache=cache)
-        second = warm_executor.execute(query, frame_cache=cache)
-        assert cold.rows == first.rows == second.rows
-        assert receipt(cold) == receipt(first) == receipt(second)
-        assert first.frame_cache_hits > 0  # intra-statement sharing
-        assert second.frame_cache_hits >= 1  # the whole statement reused
-        assert second.frame_cache_misses == 0
+    """Every scan frame shares its table's encoded columns, and the
+    executor memoizes plans and filter programs across executions;
+    none of that may outlive the data it was built from."""
 
     def test_cache_flushes_when_data_changes(self):
         from tests.conftest import SMALL_DATASET
@@ -200,21 +152,11 @@ class TestFrameReuse:
         database.analyze()
         query = parse_select("select title from MOVIE where year >= 1990")
         executor = ColumnarExecutor(database)
-        cache = FrameCache()
-        before = executor.execute(query, frame_cache=cache)
+        before = executor.execute(query)
         database.insert("MOVIE", [999999, "A Brand New Movie", 2001, 100, 1])
         database.analyze()
-        after = executor.execute(query, frame_cache=cache)
+        after = executor.execute(query)
         assert len(after.rows) == len(before.rows) + 1
-
-    def test_zero_capacity_cache_disables_storage(self, movie_db):
-        query = parse_select("select title from MOVIE")
-        cache = FrameCache(capacity=0)
-        result = ColumnarExecutor(movie_db).execute(query, frame_cache=cache)
-        second = ColumnarExecutor(movie_db).execute(query, frame_cache=cache)
-        assert result.rows == second.rows
-        assert len(cache) == 0
-        assert second.frame_cache_hits == 0
 
 
 # -- engine flag plumbing -------------------------------------------------------

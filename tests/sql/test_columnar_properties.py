@@ -28,7 +28,7 @@ from repro.sql.ast_nodes import (
     SelectQuery,
     TableRef,
 )
-from repro.sql.columnar import ColumnarExecutor, FrameCache
+from repro.sql.columnar import ColumnarExecutor
 from repro.sql.parser import parse_select
 from repro.sql.plan_executor import PlanExecutor
 from repro.sql.planner import Planner
@@ -153,15 +153,16 @@ def test_columnar_matches_row_engine_on_typed_queries(instance):
 
 @settings(max_examples=60, deadline=None)
 @given(typed_instances())
-def test_frame_reuse_is_invisible(instance):
-    """A warm second run returns the same rows and the same receipt."""
+def test_rerunning_a_plan_is_invisible(instance):
+    """The same executor runs the same plan twice: the second run (warm
+    filter programs, already-encoded columns) returns the same rows and
+    the same receipt."""
     tables, query = instance
     database = _build_database(tables)
     plan = Planner(database).plan(query)
     executor = ColumnarExecutor(database)
-    cache = FrameCache()
-    first = executor.execute_plan(plan, frame_cache=cache)
-    second = executor.execute_plan(plan, frame_cache=cache)
+    first = executor.execute_plan(plan)
+    second = executor.execute_plan(plan)
     assert first.rows == second.rows
     assert receipt(first) == receipt(second)
 

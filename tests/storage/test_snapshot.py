@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -85,30 +86,37 @@ class TestRoundTrip:
         warm = PersonalizationService(database, snapshot=loaded)
         assert warm.snapshot_installed["param_entries"] > 0
         assert warm.snapshot_installed["frontiers"] > 0
-        assert warm.snapshot_installed["frames"] > 0
 
         cold_out = _responses(cold, fleet, queries, problems)
         warm_out = _responses(warm, fleet, queries, problems)
         assert warm_out == cold_out
 
         # Warm really means warm: every compiled request is answered
-        # with zero misses on all three caches.
+        # with zero misses on both caches.
         telemetry = warm.cache_telemetry()
-        for cache in ("param_cache", "frontier_cache", "frame_cache"):
+        for cache in ("param_cache", "frontier_cache"):
             assert telemetry[cache]["hits"] > 0, cache
             assert telemetry[cache]["misses"] == 0, cache
 
-    def test_frame_columns_come_back_as_memmaps(self, tmp_path):
+    def test_older_frame_sections_are_ignored(self, tmp_path):
+        # An older writer also stored a ``frame`` blob in caches.pkl and
+        # its arrays under columns/; the reader skips both.
         database = _build()
         compiled, _, _, _ = _compile(database)
         path = str(tmp_path / "snap")
         save_snapshot(compiled, path)
-        loaded = load_snapshot(path)
-        assert loaded.frame_columns
-        assert all(
-            isinstance(column, np.memmap)
-            for column in loaded.frame_columns.values()
-        )
+        caches_path = os.path.join(path, "caches.pkl")
+        with open(caches_path, "rb") as handle:
+            states = pickle.load(handle)
+        states["frame"] = {"kind": "frame_cache", "entries": [], "columns": {}}
+        with open(caches_path, "wb") as handle:
+            pickle.dump(states, handle)
+        os.makedirs(os.path.join(path, "columns"))
+        np.save(os.path.join(path, "columns", "1.npy"), np.arange(3))
+        warm = PersonalizationService(database, snapshot=path)
+        fresh = PersonalizationService(database, snapshot=compiled)
+        assert warm.snapshot_installed == fresh.snapshot_installed
+        assert warm.snapshot_installed["frontiers"] > 0
 
     def test_service_accepts_a_snapshot_path(self, tmp_path):
         database = _build()
@@ -166,7 +174,7 @@ class TestRestoreSafety:
         database = _build()
         compiled, _, _, _ = _compile(database)
         installed = compiled.restore_into(database)  # no caches passed
-        assert installed == {"param_entries": 0, "frontiers": 0, "frames": 0}
+        assert installed == {"param_entries": 0, "frontiers": 0}
 
     def test_blank_compiled_workload_restores_nothing(self):
         database = _build()

@@ -244,8 +244,8 @@ class TestHarnessSensitivity:
 
         real_execute_plan = ColumnarExecutor.execute_plan
 
-        def corrupting(self, plan, frame_cache=None):
-            result = real_execute_plan(self, plan, frame_cache=frame_cache)
+        def corrupting(self, plan):
+            result = real_execute_plan(self, plan)
             if result.rows:
                 result.rows[0] = ("corrupted",) + tuple(result.rows[0][1:])
             return result

@@ -108,14 +108,13 @@ class TestCompileWorkload:
         assert 1 <= telemetry["distinct_signatures"] <= 6
         assert telemetry["signature_compression"] >= 10.0
         assert telemetry["units"] == 6
-        for cache in ("param_cache", "frontier_cache", "frame_cache"):
+        for cache in ("param_cache", "frontier_cache"):
             assert telemetry[cache]["entries"] > 0
 
     def test_compiled_state_is_populated(self, compiled):
         workload, _, _, _ = compiled
         assert workload.param_state["entries"]
         assert workload.frontier_state["memos"]
-        assert workload.frame_state["entries"]
 
     def test_warm_boot_answers_with_zero_misses(self, movie_db, compiled):
         workload, fleet, queries, problems = compiled
@@ -126,7 +125,7 @@ class TestCompileWorkload:
             algorithm="c_boundaries", k_limit=8,
         )
         telemetry = response.cache_telemetry
-        for cache in ("param_cache", "frontier_cache", "frame_cache"):
+        for cache in ("param_cache", "frontier_cache"):
             assert telemetry[cache]["hits"] > 0, cache
             assert telemetry[cache]["misses"] == 0, cache
 
@@ -140,16 +139,6 @@ class TestCompileWorkload:
         assert parallel.param_state["entries"] == workload.param_state["entries"]
         assert parallel.frontier_state["memos"] == workload.frontier_state["memos"]
         assert parallel.fingerprint == workload.fingerprint
-
-    def test_frames_can_be_skipped(self, movie_db, compiled):
-        _, fleet, queries, problems = compiled
-        no_frames = compile_workload(
-            movie_db, fleet[:5], queries, problems,
-            algorithms=["c_boundaries"], k_limit=8,
-            precompute_frames=False,
-        )
-        assert no_frames.frame_state["entries"] == []
-        assert no_frames.telemetry["frames_executed"] == 0
 
     def test_response_telemetry_present_on_cold_services_too(
         self, movie_db, compiled
