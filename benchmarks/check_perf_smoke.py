@@ -14,6 +14,8 @@ A tiny K=15 workload asserting the cache machinery actually pays:
 * the vectorized kernels must beat the row engine 4x on a larger
   query set, and the process backend's batched path must track the warm single-core batch within pool
   overhead (beating it outright where there are cores to win with);
+* FINDBOUNDARY on int masks must beat the tuple-state reference sweep
+  by 1.5x on K = 30 movie-database spaces;
 * ``parallelism=4`` must never be slower than ``parallelism=1`` on the
   same stream (the ``auto`` backend degrades to serial whenever a pool
   cannot pay, including on single-CPU hosts), and the process backend's
@@ -152,6 +154,59 @@ def test_warm_sweep_beats_cold_sweep():
     assert warm <= cold * WARM_MARGIN, (
         "warm sweep %.4fs not faster than cold %.4fs by the %.0f%% margin"
         % (warm, cold, 100 * (1 - WARM_MARGIN))
+    )
+
+
+MASK_SWEEP_SPEEDUP = 1.5  # mask FINDBOUNDARY vs the tuple reference
+
+
+@pytest.mark.perfsmoke
+@pytest.mark.tier2
+def test_mask_sweep_beats_reference_sweep():
+    """The search-kernel gate: FINDBOUNDARY on int masks must beat the
+    tuple-state reference sweep it replaced by ``MASK_SWEEP_SPEEDUP`` on
+    movie-database spaces at K = 30, under the tight cost budgets the
+    benchmark's cold Problem 3 requests use. Both run on fresh spaces
+    (cold evaluator caches) and must record the same boundaries; the
+    correctness tests alone would not notice the sweep getting slower."""
+    from repro.core.algorithms.c_boundaries import find_boundaries
+    from repro.core.space import SpaceBundle
+    from repro.core.stats import SearchStats
+    from repro.testing import reference
+
+    database, profile, _ = _workload()
+    constraints = CQPProblem.problem2(cmax=400.0).constraints
+    pspaces = [
+        extract_preference_space(
+            database, query, profile, constraints=constraints, k_limit=30
+        )
+        for query in generate_queries(count=2, seed=0)
+    ]
+    assert all(pspace.k == 30 for pspace in pspaces)
+    budgets = (20.0, 24.0, 28.0, 32.0)
+
+    def sweep(loop):
+        spaces = [
+            SpaceBundle(pspace, CQPProblem.problem2(cmax)).cost_space()
+            for pspace in pspaces
+            for cmax in budgets
+        ]
+        started = time.perf_counter()
+        boundaries = [loop(space, SearchStats()) for space in spaces]
+        return time.perf_counter() - started, boundaries
+
+    mask_times, reference_times = [], []
+    for _ in range(ROUNDS):
+        elapsed, expected = sweep(reference.find_boundaries)
+        reference_times.append(elapsed)
+        elapsed, got = sweep(find_boundaries)
+        mask_times.append(elapsed)
+        assert got == expected
+
+    mask, tuple_ = min(mask_times), min(reference_times)
+    assert mask * MASK_SWEEP_SPEEDUP <= tuple_, (
+        "mask sweep %.4fs not %.1fx faster than the reference %.4fs"
+        % (mask, MASK_SWEEP_SPEEDUP, tuple_)
     )
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.solution import CQPSolution
 from repro.core.space import SearchSpace
-from repro.core.state import State, is_below
+from repro.core.state import State, state_of
 from repro.core.stats import SearchStats, container_bytes
 from repro.errors import SearchError
 from repro.utils.timing import Stopwatch
@@ -208,21 +208,36 @@ def greedy_extend(
     the state within budget, until no insertion fits. The fixed loop in
     the paper's Figure 7 (which never exits when no neighbor fits) is
     repaired here: the loop runs while an insertion *succeeded*.
+
+    Runs on int masks: each pass scans the absent ranks in ascending
+    order (skipping ``forbidden`` ones), prices each candidate's P-index
+    mask with one budget call, and restarts from rank 0 after every
+    insertion — the same candidates, in the same order, as the
+    tuple-state reference in :mod:`repro.testing.reference`.
     """
-    current = state
+    bits = space.pref_bits
+    price = space.budget_mask
+    limit = space.feasible_limit
+    k = space.k
+    rmask = pmask = 0
+    for rank in state:
+        rmask |= 1 << rank
+        pmask |= bits[rank]
     grown = True
+    inserted = False
     while grown:
         grown = False
-        for candidate in space.horizontal2(current):
-            inserted = (set(candidate) - set(current)).pop()
-            if forbidden is not None and inserted in forbidden:
+        for rank in range(k):
+            if (rmask >> rank) & 1 or (forbidden is not None and rank in forbidden):
                 continue
-            if space.within_budget(candidate):
-                current = candidate
+            candidate = pmask | bits[rank]
+            if price(candidate) <= limit:
+                rmask |= 1 << rank
+                pmask = candidate
                 stats.moved()
-                grown = True
+                grown = inserted = True
                 break
-    return current
+    return state_of(rmask) if inserted else state
 
 
 class CQPAlgorithm(ABC):

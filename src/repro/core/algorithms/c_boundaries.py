@@ -23,19 +23,16 @@ for the property-based equivalence check.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.core.algorithms.base import (
-    CQPAlgorithm,
-    PruneBook,
-    find_max_doi_below,
-    register,
-)
-from repro.core.algorithms.scheduler import vertical_by_budget
+from repro.core.algorithms.base import CQPAlgorithm, find_max_doi_below, register
 from repro.core.frontier_cache import canonical_frontier
 from repro.core.space import SearchSpace
-from repro.core.state import State
-from repro.core.stats import SearchStats, container_bytes
+from repro.core.state import Mask, State, state_of
+from repro.core.stats import SearchStats, node_bytes
+
+# One queue entry: rank mask, P-index mask, packed rank word, group.
+_Entry = Tuple[Mask, Mask, int, int]
 
 
 def find_boundaries(
@@ -59,47 +56,130 @@ def find_boundaries(
     seeds already cover. An *empty* seed sequence is meaningful: no
     feasible state existed under the looser limit, so none exists now,
     and the sweep returns immediately.
-    """
-    boundaries: List[State] = []
-    book = PruneBook()
-    queue: "deque[State]" = deque()
-    stats.track_container("RQ", lambda: container_bytes(queue))
-    stats.track_container("Boundaries", lambda: container_bytes(boundaries))
 
-    if space.k == 0:
-        return boundaries
+    The sweep runs on int masks. A state travels as its rank mask
+    (the visited-set key), its P-index mask (what the evaluator prices;
+    a Vertical move ``r -> r+1`` flips two of its bits) and a *packed
+    rank word*: one field per position holding that position's rank
+    below a guard bit. A Vertical move at position ``i`` adds one to
+    field ``i``; a Horizontal move writes a new top field. Componentwise
+    dominance of a state over a recorded boundary ``b`` of its group —
+    the paper's ``prune(.)`` — is then ``((word | G) - b) & G == G``,
+    where ``G`` holds the group's guard bits: each field subtracts
+    without borrowing from its neighbour, and keeps its guard bit
+    exactly when the state's rank is at least the boundary's.
+
+    The visit order is the paper's, unchanged: Vertical neighbors are
+    pushed at the head in decreasing budget order (stable for ties),
+    Horizontal successors at the tail, and pruning happens on enqueue
+    and again on dequeue against the boundaries recorded *so far* —
+    the work counters, evaluator traffic and recorded boundary list
+    (returned as rank tuples in recording order) match the tuple-state
+    reference in :mod:`repro.testing.reference` call for call. The
+    memory probe keeps running byte totals of the queue and the
+    boundary list under the same :func:`node_bytes` accounting.
+    """
+    recorded: List[Mask] = []
+    live = [0, 0]  # accounted bytes: queue, recorded boundaries
+    stats.track_container("RQ", lambda: live[0])
+    stats.track_container("Boundaries", lambda: live[1])
+
+    k = space.k
+    if k == 0:
+        return []
+    bits = space.pref_bits
+    price = space.budget_mask
+    price_many = space.budget_mask_many
+    limit = space.feasible_limit
+    value_bits = max(1, (k - 1).bit_length())
+    width = value_bits + 1
+    guards = [0]
+    for position in range(k):
+        guards.append(guards[-1] | (1 << (position * width + value_bits)))
+    sizes = [node_bytes(range(group)) for group in range(k + 1)]
+    book: Dict[int, List[int]] = {}  # group -> packed words of its boundaries
+
+    def covered(word: int, group: int) -> bool:
+        marks = book.get(group)
+        if marks:
+            guard = guards[group]
+            raised = word | guard
+            for mark in marks:
+                if (raised - mark) & guard == guard:
+                    return True
+        return False
+
+    queue: "deque[_Entry]" = deque()
+    visited: Set[Mask] = set()
     warm = seeds is not None
     if seeds is None:
         seeds = ((0,),)
     for seed in seeds:
-        book.mark(seed)
-        queue.append(seed)
+        rmask = pmask = word = 0
+        for position, rank in enumerate(seed):
+            rmask |= 1 << rank
+            pmask |= bits[rank]
+            word |= rank << (position * width)
+        visited.add(rmask)
+        queue.append((rmask, pmask, word, len(seed)))
+        live[0] += sizes[len(seed)]
     while queue:
-        state = queue.popleft()
+        rmask, pmask, word, group = queue.popleft()
+        live[0] -= sizes[group]
         stats.examined()
-        if book.below_any_boundary(state):
+        if covered(word, group):
             continue  # a boundary recorded since enqueue covers this state
-        if space.within_budget(state):
-            boundaries.append(state)
-            book.add_boundary(state)
+        if price(pmask) <= limit:
+            recorded.append(rmask)
+            book.setdefault(group, []).append(word)
+            live[1] += sizes[group]
             if warm:
                 continue  # the next group is covered by its own seeds
-            successor = space.horizontal(state)
-            if successor is not None and not book.prune(successor):
-                stats.moved()
-                queue.append(successor)  # tail: next group, breadth-first
+            rank = rmask.bit_length()  # the Horizontal move appends it
+            if rank < k:
+                successor = rmask | (1 << rank)
+                grown = word | (rank << (group * width))
+                if successor not in visited and not covered(grown, group + 1):
+                    visited.add(successor)
+                    stats.moved()
+                    # tail: next group, breadth-first
+                    queue.append((successor, pmask | bits[rank], grown, group + 1))
+                    live[0] += sizes[group + 1]
         else:
             # The paper orders Vertical neighbors by decreasing cost and
             # pushes them at the head so a group is finished before the
             # next one starts; the whole neighbor set is priced in one
-            # batched estimator call.
-            neighbors = vertical_by_budget(space, state, stats)
+            # batched estimator call. Neighbors are generated rightmost
+            # position first.
+            neighbors: List[_Entry] = []
+            position = group
+            rest = rmask
+            while rest:
+                rank = rest.bit_length() - 1
+                rest ^= 1 << rank
+                position -= 1
+                if rank + 1 < k and not (rmask >> (rank + 1)) & 1:
+                    neighbors.append((
+                        rmask + (1 << rank),
+                        pmask ^ bits[rank] ^ bits[rank + 1],
+                        word + (1 << (position * width)),
+                        group,
+                    ))
+            if len(neighbors) > 1:
+                values = price_many([neighbor[1] for neighbor in neighbors])
+                stats.neighbor_batches += 1
+                order = sorted(
+                    range(len(neighbors)), key=values.__getitem__, reverse=True
+                )
+                neighbors = [neighbors[i] for i in order]
             for neighbor in reversed(neighbors):
-                if not book.prune(neighbor):
+                if neighbor[0] not in visited and not covered(neighbor[2], group):
+                    visited.add(neighbor[0])
                     stats.moved()
                     queue.appendleft(neighbor)
+                    live[0] += sizes[group]
         stats.sample_memory()
-    return boundaries
+    return [state_of(rmask) for rmask in recorded]
 
 
 @register

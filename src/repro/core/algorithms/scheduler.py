@@ -1,19 +1,10 @@
-"""Search scheduling: batched neighbor evaluation + parallel solve fan-out.
+"""Search scheduling: parallel solve fan-out.
 
-Two independent levers on search-layer throughput:
-
-* :func:`vertical_by_budget` prices the whole Vertical neighbor set of
-  a dequeued state through the estimator in **one batched call** (the
-  estimates are independent of each other) and returns the neighbors in
-  the paper's decreasing-budget order. Each figure still comes from the
-  scalar kernel, so the ordering — and therefore the sweep — is
-  bit-identical to neighbor-at-a-time evaluation.
-
-* :class:`SolveScheduler` fans **independent solves** (per-user groups
-  in ``request_many``, per-(profile, query) cells in the experiment
-  grids) across a bounded pool with deterministic result ordering:
-  results come back positionally, never completion-ordered. The pool
-  flavor is the ``backend``:
+:class:`SolveScheduler` fans **independent solves** (per-user groups
+in ``request_many``, per-(profile, query) cells in the experiment
+grids) across a bounded pool with deterministic result ordering:
+results come back positionally, never completion-ordered. The pool
+flavor is the ``backend``:
 
   - ``"serial"`` — a plain loop on the calling thread; the reference
     semantics the process backend must reproduce bit-identically.
@@ -74,9 +65,6 @@ from typing import (
     TypeVar,
 )
 
-from repro.core.space import SearchSpace
-from repro.core.state import State
-from repro.core.stats import SearchStats
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -108,27 +96,6 @@ class TransientFault(RuntimeError):
     else a task raises is a genuine bug and still fails the whole
     :meth:`SolveScheduler.map`, exactly like the serial loop would.
     """
-
-
-def vertical_by_budget(
-    space: SearchSpace, state: State, stats: Optional[SearchStats] = None
-) -> List[State]:
-    """The Vertical neighbors of ``state``, ordered by decreasing budget.
-
-    Replicates ``neighbors.sort(key=space.budget_value, reverse=True)``
-    exactly (stable order for equal budgets) while evaluating the whole
-    neighbor set in one batched estimator call.
-    """
-    neighbors = space.vertical(state)
-    if len(neighbors) > 1:
-        values = space.budget_values(neighbors)
-        if stats is not None:
-            stats.neighbor_batches += 1
-        order = sorted(
-            range(len(neighbors)), key=values.__getitem__, reverse=True
-        )
-        neighbors = [neighbors[i] for i in order]
-    return neighbors
 
 
 def fork_available() -> bool:

@@ -124,11 +124,18 @@ def space_signature(pspace) -> Tuple:
 
 
 class FrontierMemo:
-    """Per-(signature, vector, axis) store of limit → canonical frontier."""
+    """Per-(signature, vector, axis) store of limit → canonical frontier.
+
+    ``attached`` is true while the cache maps this memo. An in-flight
+    solve may still hold (and store into) a memo the cache has since
+    evicted or flushed; such stores feed that solve only and leave the
+    cache's frontier and byte tallies alone.
+    """
 
     def __init__(self, cache: "FrontierCache") -> None:
         self._cache = cache
         self._entries: "OrderedDict[float, Frontier]" = OrderedDict()
+        self.attached = True
 
     def lookup(self, limit: float) -> Tuple[Optional[Frontier], Optional[Frontier]]:
         """``(exact, seeds)`` for a solve at ``limit``.
@@ -161,15 +168,21 @@ class FrontierMemo:
     def store(self, limit: float, frontier: Frontier) -> None:
         cache = self._cache
         with cache._lock:
+            counted = self.attached
             previous = self._entries.get(limit)
-            if previous is not None:
+            if previous is not None and counted:
                 cache._frontier_bytes -= _frontier_nbytes(previous)
+                cache._frontier_count -= 1
             self._entries[limit] = frontier
-            cache._frontier_bytes += _frontier_nbytes(frontier)
+            if counted:
+                cache._frontier_bytes += _frontier_nbytes(frontier)
+                cache._frontier_count += 1
             self._entries.move_to_end(limit)
             while len(self._entries) > FRONTIER_LIMITS_PER_MEMO:
                 _, evicted = self._entries.popitem(last=False)
-                cache._frontier_bytes -= _frontier_nbytes(evicted)
+                if counted:
+                    cache._frontier_bytes -= _frontier_nbytes(evicted)
+                    cache._frontier_count -= 1
                 cache.evictions += 1
 
     def __len__(self) -> int:
@@ -205,9 +218,12 @@ class FrontierCache(CacheStatsMixin):
         self._stats_token: Hashable = None
         self._lock = threading.Lock()
         self._init_stats()
-        # Incrementally maintained estimate of the bytes pinned by the
-        # stored frontiers (evaluator mask caches grow on demand and are
-        # estimated from their pinned parameter arrays in counters()).
+        # Incrementally maintained count of, and estimate of the bytes
+        # pinned by, the stored frontiers (evaluator mask caches grow on
+        # demand and are estimated from their pinned parameter arrays in
+        # counters()). Telemetry is read on every response, so it must
+        # not walk the memos.
+        self._frontier_count = 0
         self._frontier_bytes = 0
         self._evaluator_bytes = 0
         # Fault seam: when set, called (outside the lock) with the site
@@ -252,7 +268,9 @@ class FrontierCache(CacheStatsMixin):
         self._evaluators.clear()
         for memo in self._memos.values():
             memo._entries.clear()
+            memo.attached = False
         self._memos.clear()
+        self._frontier_count = 0
         self._frontier_bytes = 0
         self._evaluator_bytes = 0
 
@@ -301,8 +319,10 @@ class FrontierCache(CacheStatsMixin):
                 self._memos[key] = memo
                 while len(self._memos) > self.capacity:
                     _, dropped = self._memos.popitem(last=False)
+                    dropped.attached = False
                     for frontier in dropped._entries.values():
                         self._frontier_bytes -= _frontier_nbytes(frontier)
+                        self._frontier_count -= 1
                         self.evictions += 1
             else:
                 self._memos.move_to_end(key)
@@ -356,7 +376,7 @@ class FrontierCache(CacheStatsMixin):
     # -- introspection -------------------------------------------------------------
 
     def _stats_entries(self) -> int:
-        return sum(len(memo) for memo in self._memos.values())
+        return self._frontier_count
 
     def _stats_bytes(self) -> int:
         return self._frontier_bytes + self._evaluator_bytes

@@ -38,10 +38,19 @@ class SearchSpace:
     ``extra_mask``) are supplied, the hot entry points instead translate
     rank states to P-index *bitmasks* via a precomputed per-rank bit
     table and evaluate those — no tuple allocation, and single-int cache
-    keys downstream. The algorithms keep calling the tuple-state API
-    either way; only the evaluation plumbing changes. :class:`SpaceBundle`
-    always supplies the mask twins; tuple-only spaces remain as the
-    hand-built reference (see :mod:`repro.workloads.scenarios`).
+    keys downstream. :class:`SpaceBundle` always supplies the mask twins;
+    tuple-only spaces remain as the hand-built reference (see
+    :mod:`repro.workloads.scenarios`).
+
+    The mask-native search loops (FINDBOUNDARY, the ``Horizontal2``
+    growth) price P-index masks directly through three public members:
+    :attr:`pref_bits` (rank -> single-bit mask of its P-index),
+    :attr:`budget_mask`/:attr:`budget_mask_many` (the budget of one or
+    many masks) and :attr:`feasible_limit` (the budget test's limit,
+    tolerance included). On a tuple-only space the two pricing members
+    fall back to the tuple ``budget`` callable, passing the P-indices in
+    ascending rank order exactly as :meth:`prefs` does, so one loop
+    serves both kinds of space.
     """
 
     def __init__(
@@ -71,16 +80,24 @@ class SearchSpace:
         self.budget_aligned = budget_aligned
         self._extra = extra
         self.name = name
-        self._budget_mask = budget_mask
         self._objective_mask = objective_mask
         self._extra_mask = extra_mask
-        self._budget_mask_many = budget_mask_many
+        if budget_mask is None:
+            budget_mask = self._budget_of_prefs
+        if budget_mask_many is None:
+            scalar = budget_mask
+
+            def budget_mask_many(masks: Sequence[Mask]) -> List[float]:
+                return [scalar(mask) for mask in masks]
+
+        self.budget_mask: Callable[[Mask], float] = budget_mask
+        self.budget_mask_many: Callable[[Sequence[Mask]], List[float]] = budget_mask_many
         # Frontier memo attached by SpaceBundle when a FrontierCache is
         # in play (budget-aligned spaces only); algorithms may ignore it.
         self.frontier = None
         # rank -> single-bit mask of the P-index it denotes
-        self._pref_bit: Tuple[Mask, ...] = tuple(1 << p for p in self.vector)
-        self._feasible_limit = self.limit + abs(self.limit) * _TOL + _TOL
+        self.pref_bits: Tuple[Mask, ...] = tuple(1 << p for p in self.vector)
+        self.feasible_limit = self.limit + abs(self.limit) * _TOL + _TOL
 
     @property
     def k(self) -> int:
@@ -94,32 +111,22 @@ class SearchSpace:
 
     def pref_mask(self, state: State) -> Mask:
         """Translate a rank state to the bitmask of its P-indices."""
-        bits = self._pref_bit
+        bits = self.pref_bits
         mask = 0
         for rank in state:
             mask |= bits[rank]
         return mask
 
+    def _budget_of_prefs(self, mask: Mask) -> float:
+        """Tuple-only fallback for :attr:`budget_mask`: P-indices in
+        ascending rank order, as :meth:`prefs` lists them."""
+        return self._budget(tuple(p for p in self.vector if (mask >> p) & 1))
+
     def budget_value(self, state: State) -> float:
-        if self._budget_mask is not None:
-            return self._budget_mask(self.pref_mask(state))
-        return self._budget(self.prefs(state))
+        return self.budget_mask(self.pref_mask(state))
 
     def within_budget(self, state: State) -> bool:
-        return self.budget_value(state) <= self._feasible_limit
-
-    def budget_values(self, states: Sequence[State]) -> List[float]:
-        """Budget parameters of many states in one batched call.
-
-        Rides the evaluator's batched mask kernel when available; each
-        figure still comes from the scalar arithmetic, so the results
-        are bit-identical to state-at-a-time :meth:`budget_value`.
-        """
-        if self._budget_mask_many is not None:
-            pref_mask = self.pref_mask
-            return self._budget_mask_many([pref_mask(state) for state in states])
-        budget_value = self.budget_value
-        return [budget_value(state) for state in states]
+        return self.budget_value(state) <= self.feasible_limit
 
     def objective_value(self, state: State) -> float:
         if self._objective_mask is not None:
@@ -174,17 +181,6 @@ class SearchSpace:
 
     def horizontal2(self, state: State) -> List[State]:
         return tr.horizontal2(state, self.k)
-
-    # -- transitions (mask-level twins) ------------------------------------------------
-
-    def horizontal_mask(self, mask: Mask) -> Optional[Mask]:
-        return tr.horizontal_mask(mask, self.k)
-
-    def vertical_mask(self, mask: Mask) -> List[Mask]:
-        return tr.vertical_mask(mask, self.k)
-
-    def horizontal2_mask(self, mask: Mask) -> List[Mask]:
-        return tr.horizontal2_mask(mask, self.k)
 
 
 class SpaceBundle:

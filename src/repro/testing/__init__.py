@@ -1,6 +1,6 @@
 """Correctness subsystem: invariants, fault injection, differential runs.
 
-Three reusable pieces, consumed by the test suite and importable by any
+Four reusable pieces, consumed by the test suite and importable by any
 future perf PR as its standing gate:
 
 * :mod:`repro.testing.invariants` — executable checkers for the paper's
@@ -15,7 +15,10 @@ future perf PR as its standing gate:
   problem solved per algorithm across cache modes, batching, the
   process backend, snapshot boots and async serving, cross-checked
   against the exhaustive oracle and (on the service path) the row
-  engine, with printable seeds to reproduce any failing lattice point.
+  engine, with printable seeds to reproduce any failing lattice point;
+* :mod:`repro.testing.reference` — the tuple-state FINDBOUNDARY sweep
+  and ``Horizontal2`` growth the mask-native search loops replaced,
+  kept as their call-for-call oracle.
 """
 
 from repro.testing.differential import (

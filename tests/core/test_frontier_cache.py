@@ -234,6 +234,64 @@ class TestCacheMechanics:
         assert cache.counters()["frontiers"] == 0
 
 
+# One cache operation: (kind, memo key index, limit index, frontier size).
+cache_operations = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["store", "fill", "new_memo", "flush", "restore", "stale_store"]
+        ),
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=3),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cache_operations)
+def test_frontier_count_tracks_the_memos(operations):
+    """The O(1) ``frontiers`` counter equals the summed memo lengths
+    after any mix of stores, per-memo eviction (more limits than a memo
+    holds), memo eviction (more memos than the capacity), flushes,
+    snapshot restores and stores into a memo the cache already dropped."""
+    from repro.core.frontier_cache import FRONTIER_LIMITS_PER_MEMO, _frontier_nbytes
+
+    cache = FrontierCache(capacity=3)
+    held = []  # memos an in-flight solve would still hold
+    snapshot = cache.snapshot()
+
+    def memo(index):
+        found = cache.memo_for(("sig", index), (0, 1), "cost")
+        held.append(found)
+        return found
+
+    for kind, key, limit, size in operations:
+        frontier = tuple((rank,) for rank in range(size))
+        if kind == "store":
+            memo(key).store(float(limit), frontier)
+        elif kind == "fill":
+            target = memo(key)
+            for extra in range(FRONTIER_LIMITS_PER_MEMO + 2):
+                target.store(float(limit + extra), frontier)
+        elif kind == "new_memo":
+            memo(key + 5)
+        elif kind == "flush":
+            snapshot = cache.snapshot()
+            cache.invalidate()
+        elif kind == "restore":
+            cache.restore(snapshot, stats_token=None)
+        elif held:
+            held[key % len(held)].store(float(limit), frontier)
+        memos = list(cache._memos.values())
+        counters = cache.counters()
+        assert counters["frontiers"] == sum(len(m) for m in memos)
+        assert counters["entries"] == counters["frontiers"]
+        assert cache._frontier_bytes == sum(
+            _frontier_nbytes(f) for m in memos for f in m._entries.values()
+        )
+
+
 class TestCanonicalFrontier:
     def test_dominated_states_dropped(self):
         # (1, 3) dominates (0, 2) componentwise, so it is covered and
