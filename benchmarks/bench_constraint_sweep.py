@@ -1,4 +1,4 @@
-"""Constraint sweeps: cold vs frontier-cache-warm vs parallel solves.
+"""Constraint sweeps: cold vs frontier-cache-warm vs stacked batch solves.
 
 The access pattern of the paper's Figure-12 benchmarks and of real
 budget-tuning users alike: the *same* (query, profile) space is solved
@@ -18,13 +18,10 @@ each stream repeated ``REPEATS`` times, in three modes:
 * **warm** — one shared :class:`FrontierCache`: the first pass resumes
   each tightening from the previous frontier, later passes hit exact
   stored frontiers and skip phase 1 outright;
-* **parallel** — the stream chunked round-robin into one
-  :class:`SolvePlan` per worker and dispatched through
-  ``SolveScheduler(backend="process")``: forked workers escape the GIL,
-  and each plan runs the structurally batched
-  :func:`~repro.core.adapters.solve_many` (stacked frontier kernel +
-  duplicate sharing) against its worker's persistent cache. This is the
-  mode the ``speedup_parallel_vs_cold`` floor gates.
+* **solve_many** — the whole stream as one
+  :func:`~repro.core.adapters.solve_many` call (stacked frontier kernel
+  + duplicate sharing) in one process. This is the mode the
+  ``speedup_solve_many_vs_cold`` floor gates.
 
 Every mode's solutions are asserted identical to cold's before any
 timing is reported.
@@ -35,7 +32,7 @@ Run as a script::
 
 Appends one trajectory point to ``BENCH_constraint_sweep.json`` at the
 repo root (``--no-write`` to skip). The driver asserts warm >= 2x cold
-and parallel >= 3x cold on the combined stream (non-quick runs).
+and solve_many >= 3x cold on the combined stream (non-quick runs).
 """
 
 from __future__ import annotations
@@ -48,11 +45,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro.core import adapters
-from repro.core.algorithms.scheduler import (
-    SolvePlan,
-    SolveScheduler,
-    fork_available,
-)
 from repro.core.frontier_cache import FrontierCache
 from repro.core.problem import CQPProblem
 from repro.core.solution import CQPSolution
@@ -66,9 +58,8 @@ SEEDS = (7, 11)
 N_CMAX_STEPS = 16
 N_SMIN_STEPS = 12
 REPEATS = 3  # each sweep ladder is replayed R times (the Fig-12 regime)
-PARALLELISM = 4
 SPEEDUP_FLOOR = 2.0  # warm vs cold, combined cmax + smin streams
-PARALLEL_FLOOR = 3.0  # process-backend parallel vs cold, same streams
+PARALLEL_FLOOR = 3.0  # one stacked solve_many call vs cold, same streams
 
 
 def build_space(seed: int, k: int):
@@ -103,30 +94,18 @@ def solution_key(solution: Optional[CQPSolution]) -> Optional[Tuple]:
 
 
 def run_stream(pspace, stream: List[CQPProblem],
-               cache: Optional[FrontierCache], parallelism: int = 1,
-               backend: str = "serial",
+               cache: Optional[FrontierCache], batched: bool = False,
                ) -> Tuple[float, List[Optional[Tuple]]]:
-    solve = lambda problem: adapters.solve(  # noqa: E731
-        pspace, problem, "c_boundaries", frontier_cache=cache
-    )
     started = time.perf_counter()
-    if parallelism > 1 and backend == "process":
-        # Round-robin chunks: one structurally batched SolvePlan per
-        # forked worker; timing includes the pool spin-up on purpose.
-        chunks = [stream[i::parallelism] for i in range(parallelism)]
-        plans = [
-            SolvePlan(pspace, tuple(chunk), algorithm="c_boundaries")
-            for chunk in chunks if chunk
-        ]
-        with SolveScheduler(parallelism, backend="process") as scheduler:
-            solved = scheduler.solve_plans(plans)
-        solutions: List = [None] * len(stream)
-        for offset, chunk_solutions in enumerate(solved):
-            solutions[offset::parallelism] = chunk_solutions
-    elif parallelism > 1:
-        solutions = SolveScheduler(parallelism, backend=backend).map(solve, stream)
+    if batched:
+        solutions = adapters.solve_many(
+            pspace, stream, algorithm="c_boundaries", frontier_cache=cache
+        )
     else:
-        solutions = [solve(problem) for problem in stream]
+        solutions = [
+            adapters.solve(pspace, problem, "c_boundaries", frontier_cache=cache)
+            for problem in stream
+        ]
     elapsed = time.perf_counter() - started
     return elapsed, [solution_key(s) for s in solutions]
 
@@ -145,7 +124,7 @@ def main() -> int:
     n_smin = 6 if args.quick else N_SMIN_STEPS
     repeats = 2 if args.quick else REPEATS
 
-    totals = {"cold": 0.0, "warm": 0.0, "parallel": 0.0}
+    totals = {"cold": 0.0, "warm": 0.0, "solve_many": 0.0}
     axis_totals: Dict[str, Dict[str, float]] = {
         "cmax": dict(totals), "smin": dict(totals),
     }
@@ -156,32 +135,30 @@ def main() -> int:
         pspace = build_space(seed, k)
         streams = build_streams(pspace, n_cmax, n_smin, repeats)
         warm_cache = FrontierCache()
-        parallel_cache = FrontierCache()
         for axis, stream in streams.items():
             n_solves += len(stream)
             cold_s, cold_keys = run_stream(pspace, stream, cache=None)
             warm_s, warm_keys = run_stream(pspace, stream, cache=warm_cache)
-            par_s, par_keys = run_stream(
-                pspace, stream, cache=parallel_cache, parallelism=PARALLELISM,
-                backend="process" if fork_available() else "serial",
-            )
+            many_s, many_keys = run_stream(pspace, stream, cache=None, batched=True)
             assert warm_keys == cold_keys, "warm diverged on %s/%d" % (axis, seed)
-            assert par_keys == cold_keys, "parallel diverged on %s/%d" % (axis, seed)
+            assert many_keys == cold_keys, (
+                "solve_many diverged on %s/%d" % (axis, seed)
+            )
             for mode, value in (("cold", cold_s), ("warm", warm_s),
-                                ("parallel", par_s)):
+                                ("solve_many", many_s)):
                 totals[mode] += value
                 axis_totals[axis][mode] += value
-            print("seed %2d %-4s x%d: cold %6.2fs | warm %6.2fs | parallel %6.2fs"
-                  % (seed, axis, len(stream), cold_s, warm_s, par_s))
+            print("seed %2d %-4s x%d: cold %6.2fs | warm %6.2fs | solve_many %6.2fs"
+                  % (seed, axis, len(stream), cold_s, warm_s, many_s))
         for name, value in warm_cache.counters().items():
             warm_counters[name] = warm_counters.get(name, 0) + value
 
     warm_speedup = totals["cold"] / totals["warm"]
-    parallel_speedup = totals["cold"] / totals["parallel"]
+    many_speedup = totals["cold"] / totals["solve_many"]
     print("\n%d solves/mode | warm %.2fx cold (floor %.1fx) | "
-          "parallel %.2fx cold (floor %.1fx)"
+          "solve_many %.2fx cold (floor %.1fx)"
           % (n_solves, warm_speedup, SPEEDUP_FLOOR,
-             parallel_speedup, PARALLEL_FLOOR))
+             many_speedup, PARALLEL_FLOOR))
     print("frontier cache: %s" % warm_counters)
 
     modes = {
@@ -190,7 +167,7 @@ def main() -> int:
             "cmax_s": round(axis_totals["cmax"][mode], 4),
             "smin_s": round(axis_totals["smin"][mode], 4),
         }
-        for mode in ("cold", "warm", "parallel")
+        for mode in totals
     }
     entry = {
         "date": time.strftime("%Y-%m-%d"),
@@ -200,14 +177,12 @@ def main() -> int:
             "n_cmax_steps": n_cmax,
             "n_smin_steps": n_smin,
             "repeats": repeats,
-            "parallelism": PARALLELISM,
-            "parallel_backend": "process" if fork_available() else "serial",
             "quick": args.quick,
         },
         "modes": modes,
         "frontier_cache": warm_counters,
         "speedup_warm_vs_cold": round(warm_speedup, 2),
-        "speedup_parallel_vs_cold": round(parallel_speedup, 2),
+        "speedup_solve_many_vs_cold": round(many_speedup, 2),
     }
     if not args.no_write:
         trajectory = []
@@ -224,9 +199,9 @@ def main() -> int:
         print("FAIL: warm speedup %.2fx under the %.1fx floor"
               % (warm_speedup, SPEEDUP_FLOOR))
         return 1
-    if not args.quick and parallel_speedup < PARALLEL_FLOOR:
-        print("FAIL: parallel speedup %.2fx under the %.1fx floor"
-              % (parallel_speedup, PARALLEL_FLOOR))
+    if not args.quick and many_speedup < PARALLEL_FLOOR:
+        print("FAIL: solve_many speedup %.2fx under the %.1fx floor"
+              % (many_speedup, PARALLEL_FLOOR))
         return 1
     return 0
 

@@ -1,6 +1,6 @@
 """Service throughput: per-request loop vs the batched path.
 
-Quantifies the PR's three layers on one workload — the paper's 20
+Compares the service's request paths on one workload — the paper's 20
 profiles x 10 queries population at K=30, streamed with repetition
 (every pair asked R times, the service-trace regime the batched path
 is built for):
@@ -10,18 +10,10 @@ is built for):
   primes the cache, second pass reuses it);
 * **batched_cold / batched_warm** — ``request_many`` over the whole
   stream: one solve and one execution per (user, query) group;
-* **batched_multicore** — the same batch on a service with
-  ``parallelism=4, backend="process"``: supergroup personalization
-  fans out to forked workers;
 * **compiled_snapshot** — the ladder's last rung: the population is
   compiled offline (:func:`repro.workloads.compiler.compile_workload`)
   and a *fresh* service boots from the snapshot, so the same stream is
-  served entirely out of precomputed pricing and frontiers. Before the
-  multicore run the database's column arrays are exported to :mod:`multiprocessing.shared_memory` and
-  attached in the parent, so every forked worker inherits zero-copy
-  shm-backed column caches instead of rebuilding (and copy-on-write
-  duplicating) them per process. On a single-CPU host this mode mostly
-  measures pool overhead; on real hardware it scales with cores.
+  served entirely out of precomputed pricing and frontiers.
 
 An **execution-heavy** section then isolates the execution engine: the
 population's personalized queries are pre-solved once and each is run
@@ -50,14 +42,12 @@ import time
 from pathlib import Path
 from typing import Dict, List
 
-from repro.core.algorithms.scheduler import fork_available
 from repro.core.personalizer import Personalizer
 from repro.core.problem import CQPProblem
 from repro.core.service import BatchRequest, PersonalizationService
 from repro.datasets.movies import MovieDatasetConfig, build_movie_database
 from repro.sql.columnar import ColumnarExecutor
 from repro.sql.executor import Executor
-from repro.storage.shm import attach_columns, export_columns
 from repro.workloads.profiles import generate_profiles
 from repro.workloads.queries import generate_queries
 
@@ -84,12 +74,8 @@ def build_stream(users: List[str], queries, repeats: int) -> List[BatchRequest]:
     ]
 
 
-def make_service(
-    database, profiles, parallelism: int = 1, backend: str = "auto",
-) -> PersonalizationService:
-    service = PersonalizationService(
-        database, parallelism=parallelism, backend=backend
-    )
+def make_service(database, profiles) -> PersonalizationService:
+    service = PersonalizationService(database)
     for index, profile in enumerate(profiles):
         service.register("user-%02d" % index, profile)
     return service
@@ -203,30 +189,6 @@ def main() -> int:
     cache = batch_service.param_cache.counters()
     print("parameter cache:     %s" % cache)
 
-    shared_tables: List[str] = []
-    if fork_available():
-        # Multi-core mode: forked personalization workers inherit the
-        # parent's shm-backed column caches zero-copy instead of
-        # rebuilding them per process.
-        multicore_service = make_service(
-            database, profiles, parallelism=4, backend="process"
-        )
-        with export_columns(database) as export:
-            shared_tables = attach_columns(database, export.handle)
-            # Same protocol as batched_warm: one warm-up pass primes the
-            # shared caches, the second pass is what gets reported —
-            # comparing a cold multicore run against a warm single-core
-            # one would conflate pool overhead with cache state.
-            run_batched(multicore_service, stream)
-            results["batched_multicore"] = run_batched(multicore_service, stream)
-        results["batched_multicore"]["vs_warm"] = round(
-            results["batched_multicore"]["req_per_s"]
-            / results["batched_warm"]["req_per_s"],
-            3,
-        )
-        print("batched_multicore:   %s (shm tables: %s)"
-              % (results["batched_multicore"], ",".join(shared_tables) or "none"))
-
     # The compiled rung: precompute the whole population offline, then
     # serve the same stream from a freshly booted snapshot-warm service.
     from repro.workloads.compiler import compile_workload
@@ -266,18 +228,12 @@ def main() -> int:
             "k": K,
             "cmax": CMAX,
             "n_movies": DATASET.n_movies,
-            "multicore_parallelism": 4,
-            "multicore_backend": "process" if fork_available() else None,
-            "shm_tables": shared_tables,
             "quick": args.quick,
         },
         "modes": results,
         "param_cache": cache,
         "exec_heavy": exec_heavy,
         "speedup_batched_warm_vs_per_request": round(speedup, 2),
-        "batched_multicore_vs_warm": results.get("batched_multicore", {}).get(
-            "vs_warm"
-        ),
     }
     if not args.no_write:
         trajectory = []

@@ -113,7 +113,6 @@ def main() -> int:
                         help="small fleet for a fast sanity run")
     parser.add_argument("--no-write", action="store_true",
                         help="do not append to %s" % TRAJECTORY_FILE.name)
-    parser.add_argument("--parallelism", type=int, default=2)
     args = parser.parse_args()
 
     users = 2_000 if args.quick else FLEET_USERS
@@ -135,13 +134,11 @@ def main() -> int:
     fleet = generate_fleet(database, users, archetypes=archetypes, seed=SEED)
     fleet_s = time.perf_counter() - t0
 
-    print("compiling workload (%d units, parallelism=%d)..."
-          % (archetypes * n_queries, args.parallelism))
+    print("compiling workload (%d units)..." % (archetypes * n_queries))
     t0 = time.perf_counter()
     compiled = compile_workload(
         database, fleet, queries, [problem],
         algorithms=["c_boundaries"], k_limit=K,
-        parallelism=args.parallelism,
         meta={"bench": "workload_compile"},
     )
     compile_s = time.perf_counter() - t0
@@ -234,7 +231,6 @@ def main() -> int:
             "cmax": CMAX,
             "n_movies": dataset.n_movies,
             "replay_requests": requests,
-            "parallelism": args.parallelism,
             "quick": args.quick,
         },
         "fleet_generate_s": round(fleet_s, 3),

@@ -12,15 +12,12 @@ A tiny K=15 workload asserting the cache machinery actually pays:
 * columnar execution must beat the row engine on the same
   personalized queries, with identical rows and receipts;
 * the vectorized kernels must beat the row engine 4x on a larger
-  query set, and the process backend's batched path must track the warm single-core batch within pool
-  overhead (beating it outright where there are cores to win with);
+  query set;
 * FINDBOUNDARY on int masks must beat the tuple-state reference sweep
   by 1.5x on K = 30 movie-database spaces;
-* ``parallelism=4`` must never be slower than ``parallelism=1`` on the
-  same stream (the ``auto`` backend degrades to serial whenever a pool
-  cannot pay, including on single-CPU hosts), and the process backend's
-  structurally batched :class:`SolvePlan` path must beat the cold
-  serial loop it replaces — identical receipts both times.
+* one stacked :func:`~repro.core.adapters.solve_many` call must beat
+  the cold solve-per-problem loop on the same stream, with identical
+  receipts.
 
 Timing assertions are kept deliberately loose (best-of-N, 0.9x margin)
 so the check catches "the cache stopped working", not scheduler noise.
@@ -415,65 +412,6 @@ def test_columnar_cold_beats_row_by_4x():
     )
 
 
-@pytest.mark.perfsmoke
-@pytest.mark.tier2
-def test_multicore_batch_tracks_warm_batch():
-    """The process-backend bargain at the service level: with the
-    slimmed outcome envelopes (workers ship solutions + paths, the
-    parent rebuilds the rest), ``parallelism=4`` batches must beat the
-    warm single-core batch wherever there are cores to win with, and on
-    a single-CPU host must stay within pool overhead of it."""
-    import os
-
-    from repro.core.algorithms.scheduler import fork_available
-
-    if not fork_available():
-        pytest.skip("no fork on this platform")
-
-    database, profile, query = _workload()
-    problem = CQPProblem.problem2(cmax=400.0)
-    stream = [
-        BatchRequest("al", q, problem=problem, k_limit=K)
-        for q in generate_queries(count=6, seed=0)
-        for _ in range(4)
-    ]
-
-    def batch_time(service) -> float:
-        service.request_many(stream)  # warm-up pass primes the caches
-        started = time.perf_counter()
-        responses = service.request_many(stream)
-        assert len(responses) == len(stream)
-        return time.perf_counter() - started
-
-    warm_service = PersonalizationService(database)
-    warm_service.register("al", profile)
-    warm = batch_time(warm_service)
-
-    multicore_service = PersonalizationService(
-        database, parallelism=4, backend="process"
-    )
-    multicore_service.register("al", profile)
-    multicore = batch_time(multicore_service)
-
-    # Fixed pool spin-up (forking 4 workers, attaching shared columns)
-    # that this deliberately tiny stream cannot amortize; the bench's
-    # 600-request stream is where the ratio itself is judged.
-    pool_grace = 0.25
-    if (os.cpu_count() or 1) > 1:
-        assert multicore <= warm + pool_grace, (
-            "multicore batch %.4fs slower than warm single-core batch %.4fs"
-            % (multicore, warm)
-        )
-    else:
-        # One CPU: a pool cannot win, only lose by its overhead. The
-        # slimmed envelopes bound that loss — anything past 2x means
-        # serialization weight crept back into the worker results.
-        assert multicore <= warm * 2.0 + pool_grace, (
-            "single-CPU pool overhead out of bounds: multicore %.4fs vs "
-            "warm %.4fs" % (multicore, warm)
-        )
-
-
 def _ladder(seed: int = 3, k: int = 14, steps: int = 10, repeats: int = 3):
     """A replayed descending-cmax ladder over one synthetic space."""
     import random
@@ -502,56 +440,11 @@ def _receipts(solutions):
 
 @pytest.mark.perfsmoke
 @pytest.mark.tier2
-def test_parallelism_never_slower_than_serial():
-    """The auto backend's bargain: asking for workers can only help.
-
-    On a single-CPU host (or any batch where a pool cannot pay) the
-    scheduler resolves ``auto`` to the serial loop, so ``parallelism=4``
-    must track ``parallelism=1`` within noise — never a pool-overhead
-    regression."""
+def test_solve_many_beats_the_cold_serial_loop():
+    """The stacked frontier kernel's bargain: one
+    :func:`~repro.core.adapters.solve_many` call over the whole stream
+    must beat the cold solve-per-problem loop it replaces."""
     from repro.core import adapters
-    from repro.core.algorithms.scheduler import SolveScheduler
-
-    pspace, stream = _ladder()
-    solve = lambda problem: adapters.solve(  # noqa: E731
-        pspace, problem, "c_boundaries"
-    )
-
-    serial_times, wide_times = [], []
-    serial_solutions = wide_solutions = None
-    for _ in range(ROUNDS):
-        started = time.perf_counter()
-        serial_solutions = SolveScheduler(1).map(solve, stream)
-        serial_times.append(time.perf_counter() - started)
-        started = time.perf_counter()
-        wide_solutions = SolveScheduler(4, backend="auto").map(solve, stream)
-        wide_times.append(time.perf_counter() - started)
-
-    assert _receipts(wide_solutions) == _receipts(serial_solutions)
-    serial, wide = min(serial_times), min(wide_times)
-    # 10% + 50ms of grace: this is a no-regression gate, not a race.
-    assert wide <= serial * 1.10 + 0.05, (
-        "parallelism=4 (%.4fs) slower than parallelism=1 (%.4fs)"
-        % (wide, serial)
-    )
-
-
-@pytest.mark.perfsmoke
-@pytest.mark.tier2
-def test_process_plans_beat_the_cold_serial_loop():
-    """The process backend's bargain: structurally batched SolvePlans
-    (stacked frontier kernel + per-worker caches) must beat the cold
-    solve-per-problem loop they replace, pool spin-up included —
-    even on one CPU, because the batching does the heavy lifting."""
-    from repro.core import adapters
-    from repro.core.algorithms.scheduler import (
-        SolvePlan,
-        SolveScheduler,
-        fork_available,
-    )
-
-    if not fork_available():
-        pytest.skip("no fork on this platform")
 
     pspace, stream = _ladder()
 
@@ -561,24 +454,13 @@ def test_process_plans_beat_the_cold_serial_loop():
     ]
     cold = time.perf_counter() - started
 
-    parallelism = 4
-    chunks = [stream[i::parallelism] for i in range(parallelism)]
-    plans = [
-        SolvePlan(pspace, tuple(chunk), algorithm="c_boundaries")
-        for chunk in chunks if chunk
-    ]
     started = time.perf_counter()
-    with SolveScheduler(parallelism, backend="process") as scheduler:
-        solved = scheduler.solve_plans(plans)
+    solutions = adapters.solve_many(pspace, stream, algorithm="c_boundaries")
     batched = time.perf_counter() - started
 
-    solutions = [None] * len(stream)
-    for offset, chunk_solutions in enumerate(solved):
-        solutions[offset::parallelism] = chunk_solutions
     assert _receipts(solutions) == _receipts(cold_solutions)
     assert batched <= cold, (
-        "process-backend plans %.4fs not faster than the cold loop %.4fs"
-        % (batched, cold)
+        "solve_many %.4fs not faster than the cold loop %.4fs" % (batched, cold)
     )
 
 

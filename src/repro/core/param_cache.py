@@ -20,8 +20,8 @@ they were priced under, and the first access after the token changes
 flushes the cache. :meth:`invalidate` is the explicit hook for callers
 that mutate statistics out of band.
 
-The cache is thread-safe (one lock around the memo) so the batched
-service path can fan requests out across a pool while sharing it.
+The cache is thread-safe (one lock around the memo): the async server
+answers batches on an executor thread while other callers share it.
 """
 
 from __future__ import annotations

@@ -20,8 +20,9 @@ answers one request group at a time through
 :meth:`Personalizer.personalize`, and
 :meth:`~PersonalizationService.request_many` always clusters
 same-extraction groups into :meth:`Personalizer.personalize_many`
-calls (structural batching). Both return bit-identical answers, and
-execution always runs on the columnar engine.
+calls (structural batching), run one after another with retry and
+cold fallback. Both return bit-identical answers, and execution always
+runs on the columnar engine.
 """
 
 from __future__ import annotations
@@ -29,13 +30,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
-from repro.core.algorithms.scheduler import SolveScheduler, check_backend
+from repro.core.algorithms.scheduler import SolveScheduler
 from repro.core.context import SearchContext, problem_for_context
 from repro.core.frontier_cache import FrontierCache
 from repro.core.param_cache import ParameterCache
 from repro.core.personalizer import PersonalizationOutcome, Personalizer
 from repro.core.problem import CQPProblem
-from repro.core.rewriter import QueryRewriter
 from repro.errors import PreferenceError
 from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
 from repro.preferences.learning import LearningConfig, learn_profile, merge_profiles
@@ -76,8 +76,8 @@ class ServiceResponse:
     neighbor_batches: int = 0
     # Resilience counters: faults the wired injector fired while this
     # request (or its whole batch — see request_many) was answered, and
-    # scheduler tasks that degraded to the cold single-threaded
-    # fallback. Both stay 0 in normal, fault-free operation.
+    # scheduler tasks that degraded to the cold fallback. Both stay 0 in
+    # normal, fault-free operation.
     faults_injected: int = 0
     fallbacks_taken: int = 0
     # Why this response is degraded, when it is: transient-fault
@@ -85,12 +85,6 @@ class ServiceResponse:
     # the serving layer (see repro.serving.degradation). None whenever
     # the response is the full-fidelity answer.
     degradation_reason: Optional[str] = None
-    # Unified cross-request cache telemetry at the time this response
-    # was produced: one counter block per cache (param_cache /
-    # frontier_cache), each in the shared
-    # hits/misses/lookups/invalidations/evictions/entries/bytes_estimate
-    # shape. Batch members share one (read-only) dict.
-    cache_telemetry: Dict[str, Dict[str, int]] = field(default_factory=dict)
 
     @property
     def personalized(self) -> bool:
@@ -100,9 +94,9 @@ class ServiceResponse:
     def degraded(self) -> bool:
         """True when this response is anything less than the
         full-fidelity answer: a transient-fault fallback re-ran it on
-        the cold single-threaded path, **or** the serving layer
-        downgraded the algorithm to meet an SLA budget
-        (``degradation_reason`` says which)."""
+        the cold path, **or** the serving layer downgraded the
+        algorithm to meet an SLA budget (``degradation_reason`` says
+        which)."""
         return self.fallbacks_taken > 0 or self.degradation_reason is not None
 
 
@@ -137,10 +131,8 @@ class PersonalizationService:
         learning_weight: float = 0.3,
         param_cache: Optional[ParameterCache] = None,
         frontier_cache: Optional[FrontierCache] = None,
-        parallelism: int = 1,
         fault_injector=None,
         solve_retries: int = 1,
-        backend: str = "auto",
         snapshot=None,
     ) -> None:
         """``relearn_every``: after that many requests a user's profile is
@@ -148,23 +140,14 @@ class PersonalizationService:
         ``learning_config`` defaults to a fresh :class:`LearningConfig`
         per service (never a shared instance). ``param_cache`` /
         ``frontier_cache`` are forwarded to the :class:`Personalizer`.
-        ``parallelism`` is the default fan-out for :meth:`request_many`'s
-        independent per-group solves; 1 (the default) keeps every
-        request on the calling thread, bit-identical to the serial path.
 
         ``fault_injector`` (the :class:`repro.testing.faults.FaultInjector`
         protocol) arms the resilience drills: the service's caches get
-        eviction hooks, scheduler workers get transient-error sites, and
+        eviction hooks, scheduler tasks get transient-error sites, and
         every response reports ``faults_injected``/``fallbacks_taken``.
         ``solve_retries`` is how many times a transiently failed group
-        solve is retried in place before the cold single-threaded
-        fallback runs it (see
+        solve is retried in place before the cold fallback runs it (see
         :class:`~repro.core.algorithms.scheduler.SolveScheduler`).
-
-        ``backend`` picks the scheduler's pool flavor for the fan-out
-        (one of :data:`~repro.core.algorithms.scheduler.BACKENDS`:
-        ``"auto"``/``"serial"``/``"process"`` — see the scheduler
-        module); an unknown name fails here, not at the first batch.
 
         ``snapshot`` boots the service warm from a compiled workload: a
         :class:`~repro.storage.snapshot.CompiledWorkload` or the path
@@ -178,14 +161,9 @@ class PersonalizationService:
         how fast the first requests are answered."""
         if relearn_every < 0:
             raise ValueError("relearn_every must be >= 0")
-        if parallelism < 1:
-            raise ValueError("parallelism must be >= 1")
         if solve_retries < 0:
             raise ValueError("solve_retries must be >= 0")
-        check_backend(backend)
-        self.parallelism = parallelism
         self.solve_retries = solve_retries
-        self.backend = backend
         self.fault_injector = fault_injector
         self.personalizer = Personalizer(
             database,
@@ -324,21 +302,17 @@ class PersonalizationService:
             query, state.profile, problem, algorithm=algorithm, k_limit=k_limit
         )
         if not execute:
-            response = ServiceResponse(
+            return ServiceResponse(
                 user=user, outcome=outcome, rows=(), elapsed_ms=0.0,
                 faults_injected=self._faults_so_far() - faults_before,
                 **self._search_counters(outcome),
             )
-            response.cache_telemetry = self.cache_telemetry()
-            return response
         result = self.personalizer.execute(outcome)
         self._fold_exec_stats(outcome, result)
-        response = self._response(
+        return self._response(
             user, outcome, result,
             faults_injected=self._faults_so_far() - faults_before,
         )
-        response.cache_telemetry = self.cache_telemetry()
-        return response
 
     def _faults_so_far(self) -> int:
         """The wired injector's running fault tally (0 when none)."""
@@ -390,7 +364,6 @@ class PersonalizationService:
     def request_many(
         self,
         requests: Iterable[BatchRequest],
-        max_workers: Optional[int] = None,
         execute: bool = True,
     ) -> List[ServiceResponse]:
         """Answer a batch of requests, sharing work across duplicates.
@@ -403,26 +376,17 @@ class PersonalizationService:
         still shares per-path pricing, so even an all-distinct batch
         beats the request-at-a-time loop once warm.
 
-        ``max_workers`` (default: the service's ``parallelism``) > 1
-        fans the per-group personalization out through a
-        :class:`~repro.core.algorithms.scheduler.SolveScheduler` with
-        results in deterministic (input) order; the solves are
-        independent and the shared caches memoize pure functions, so the
-        responses' payloads do not depend on the schedule (only work
-        counters may — whichever group warms a cache first gets the
-        misses). Execution stays serial because the
-        block-device I/O tally is shared. Learning bookkeeping happens
-        at the batch boundary: all queries are logged first and due
-        relearns run once per user *before* any group is solved, so a
-        batch observes one consistent profile per user.
+        The per-supergroup personalization runs through a serial
+        :class:`~repro.core.algorithms.scheduler.SolveScheduler`, which
+        retries transient faults and re-runs an exhausted supergroup on
+        the cold path. Learning bookkeeping happens at the batch
+        boundary: all queries are logged first and due relearns run once
+        per user *before* any group is solved, so a batch observes one
+        consistent profile per user.
 
         Returns responses in the order of ``requests``; duplicate
         members of a group share one immutable rows tuple (no per-member
-        copies). One caveat of the process backend: outcomes crossing a
-        worker pipe are rebuilt parent-side from their (solution, paths)
-        payload and carry ``outcome.preference_space = None`` — every
-        other field, the rewritten SQL, the executed rows, and all cost
-        receipts are identical to the in-process paths.
+        copies).
         """
         specs: List[Tuple[str, SelectQuery, CQPProblem, Optional[str], Optional[int]]] = []
         for req in requests:
@@ -486,58 +450,18 @@ class PersonalizationService:
         def personalize_super_cold(group_indices: Sequence[int]) -> List[PersonalizationOutcome]:
             # Degraded path after exhausted retries: drop every shared
             # memo (any of them could have been mid-write when the fault
-            # hit) and re-solve on the calling thread. The caches only
-            # memoize pure functions, so the cold re-solve's payload is
-            # bit-identical to what the clean run would have returned.
+            # hit) and re-solve. The caches only memoize pure functions,
+            # so the cold re-solve's payload is bit-identical to what the
+            # clean run would have returned.
             self.personalizer.invalidate_caches()
             return personalize_super(group_indices)
 
-        # Pickle-slimming seam for the process backend: a worker ships
-        # only each outcome's (solution, paths) — the parts that are
-        # pure solver output — and the parent re-derives the rewritten
-        # query exactly as personalize_many would have. Rebuilt outcomes
-        # carry ``preference_space=None`` (the space is worker-local
-        # solver state, expensive to pickle and unused downstream of the
-        # batched path); in-process backends and fallbacks still return
-        # full outcomes.
-        def encode_outcomes(outcome_list: List[PersonalizationOutcome]):
-            return [(outcome.solution, outcome.paths) for outcome in outcome_list]
-
-        def decode_outcomes(payload, super_index: int) -> List[PersonalizationOutcome]:
-            rebuilt: List[PersonalizationOutcome] = []
-            for group_index, (solution, paths) in zip(
-                super_lists[super_index], payload
-            ):
-                _, query, problem, _, _ = specs[member_lists[group_index][0]]
-                rewriter = QueryRewriter(
-                    query, schema=self.personalizer.database.schema
-                )
-                rebuilt.append(
-                    PersonalizationOutcome(
-                        problem=problem,
-                        original_query=query,
-                        personalized_query=rewriter.personalized_query(paths),
-                        solution=solution,
-                        paths=paths,
-                        preference_space=None,
-                    )
-                )
-            return rebuilt
-
-        workers = self.parallelism if max_workers is None else max_workers
         faults_before = self._faults_so_far()
         scheduler = SolveScheduler(
-            max(1, workers),
-            retries=self.solve_retries,
-            fault_injector=self.fault_injector,
-            backend=self.backend,
+            retries=self.solve_retries, fault_injector=self.fault_injector
         )
         super_outcomes = scheduler.map(
-            personalize_super,
-            super_lists,
-            fallback=personalize_super_cold,
-            encode=encode_outcomes,
-            decode=decode_outcomes,
+            personalize_super, super_lists, fallback=personalize_super_cold
         )
         outcomes: List[Optional[PersonalizationOutcome]] = [None] * len(member_lists)
         for group_indices, outcome_list in zip(super_lists, super_outcomes):
@@ -559,19 +483,15 @@ class PersonalizationService:
             # (replaces the old per-member list(rows) copies).
             for position in members:
                 responses[position] = replace(template)
-        # Resilience counters are batch totals: fault attribution inside
-        # a pool is ambiguous, and what callers act on ("did this batch
-        # degrade, and how often?") is the aggregate anyway. Faults that
-        # fired inside forked workers never touch the parent injector;
-        # they come home in the workers' result envelopes as
-        # ``scheduler.remote_faults`` and are folded in here.
-        faults = self._faults_so_far() - faults_before + scheduler.remote_faults
+        # Resilience counters are batch totals: what callers act on ("did
+        # this batch degrade, and how often?") is the aggregate.
+        faults = self._faults_so_far() - faults_before
         if self.fault_injector is None:
-            faults = scheduler.faults_seen + scheduler.remote_faults
+            faults = scheduler.faults_seen
         if faults or scheduler.fallbacks_taken:
             reason = (
                 "transient-fault fallback: %d task(s) re-ran on the cold "
-                "single-threaded path" % scheduler.fallbacks_taken
+                "path" % scheduler.fallbacks_taken
                 if scheduler.fallbacks_taken
                 else None
             )
@@ -582,11 +502,6 @@ class PersonalizationService:
                     fallbacks_taken=scheduler.fallbacks_taken,
                     degradation_reason=reason,
                 )
-        # One telemetry block per batch, shared read-only by every
-        # member (counters are batch-level state anyway).
-        telemetry = self.cache_telemetry()
-        for response in responses:
-            response.cache_telemetry = telemetry
         return responses  # type: ignore[return-value]
 
     # -- learning -----------------------------------------------------------------

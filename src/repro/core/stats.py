@@ -57,7 +57,7 @@ class SearchStats:
     # Resilience counters, folded in by the service (see
     # repro.testing.faults and repro.core.algorithms.scheduler): faults
     # an injector fired during this request, and scheduler tasks that
-    # had to degrade to the cold single-threaded fallback path.
+    # had to degrade to the cold fallback path.
     faults_injected: int = 0
     fallbacks_taken: int = 0
     _containers: Dict[str, Callable[[], int]] = field(default_factory=dict, repr=False)

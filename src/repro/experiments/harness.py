@@ -160,20 +160,7 @@ class Workbench:
         solution: Optional[CQPSolution] = adapters.solve(
             pspace, CQPProblem.problem2(cmax), algorithm
         )
-        return self._record(
-            solution, algorithm, pspace.k, cmax, profile_index, query_index
-        )
-
-    @staticmethod
-    def _record(
-        solution: Optional[CQPSolution],
-        algorithm: str,
-        k: int,
-        cmax: float,
-        profile_index: int,
-        query_index: int,
-    ) -> RunRecord:
-        """A :class:`RunRecord` for one solved (or infeasible) cell."""
+        k = pspace.k
         if solution is None:
             return RunRecord(
                 algorithm=algorithm,
@@ -214,52 +201,11 @@ class Workbench:
         cmax: Optional[float] = None,
         cmax_fraction: Optional[float] = None,
         pairs: Optional[Sequence[Tuple[int, int]]] = None,
-        parallelism: int = 1,
-        backend: str = "auto",
     ) -> List[RunRecord]:
-        """One record per (profile, query) pair at fixed (k, cmax).
-
-        ``parallelism > 1`` fans the independent per-pair solves across
-        a bounded worker pool; records come back in pair order either
-        way. (Per-record wall times then overlap — sum them only for
-        serial grids.) ``backend`` picks the pool flavor: the
-        ``"process"`` backend ships each pair as a picklable
-        :class:`~repro.core.algorithms.scheduler.SolvePlan` to forked
-        workers (escaping the GIL); the serial backend runs
-        :meth:`solve_one` directly.
-        """
-        from repro.core.algorithms.scheduler import SolvePlan, SolveScheduler
-
-        grid = list(pairs if pairs is not None else self.run_pairs())
-        if parallelism > 1:
-            # The lazy space cache is not safe under concurrent writes;
-            # materialize every pair's space up front so workers only
-            # read it (and so plan building below sees warm spaces).
-            for p, q in grid:
-                self.preference_space(p, q)
-        scheduler = SolveScheduler(parallelism, backend=backend)
-        if scheduler._resolve_backend(len(grid), plans=True) == "process":
-            cells = []
-            for p, q in grid:
-                pspace = self.preference_space(p, q).truncated(k)
-                bound = cmax
-                if bound is None:
-                    fraction = 1.0 if cmax_fraction is None else cmax_fraction
-                    bound = fraction * pspace.supreme_cost()
-                cells.append((p, q, pspace, bound))
-            plans = [
-                SolvePlan(pspace, (CQPProblem.problem2(bound),), algorithm=algorithm)
-                for _, _, pspace, bound in cells
-            ]
-            with scheduler:
-                solved = scheduler.solve_plans(plans)
-            return [
-                self._record(solutions[0], algorithm, pspace.k, bound, p, q)
-                for (p, q, pspace, bound), solutions in zip(cells, solved)
-            ]
-        return scheduler.map(
-            lambda pair: self.solve_one(
-                algorithm, pair[0], pair[1], k, cmax=cmax, cmax_fraction=cmax_fraction
-            ),
-            grid,
-        )
+        """One record per (profile, query) pair at fixed (k, cmax), in
+        pair order."""
+        grid = pairs if pairs is not None else self.run_pairs()
+        return [
+            self.solve_one(algorithm, p, q, k, cmax=cmax, cmax_fraction=cmax_fraction)
+            for p, q in grid
+        ]

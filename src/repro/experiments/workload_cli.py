@@ -23,7 +23,6 @@ import argparse
 import time
 from typing import Dict, List, Optional, Sequence
 
-from repro.core.algorithms.scheduler import BACKENDS
 from repro.storage.snapshot import (
     CompiledWorkload,
     load_snapshot,
@@ -54,8 +53,6 @@ def build_workload_parser() -> argparse.ArgumentParser:
         "--algorithm", default="c_boundaries",
         help="doi-problem search algorithm the serving side will run",
     )
-    compile_cmd.add_argument("--parallelism", type=int, default=1)
-    compile_cmd.add_argument("--backend", default="auto", choices=BACKENDS)
     compile_cmd.add_argument(
         "--quick", action="store_true",
         help="tiny CI-sized settings (overrides the scale flags)",
@@ -157,8 +154,6 @@ def run_compile(options: argparse.Namespace) -> int:
         problems,
         algorithms=[options.algorithm] * len(problems),
         k_limit=k_limit,
-        parallelism=options.parallelism,
-        backend=options.backend,
         meta={
             "dataset": dataset,
             "fleet": {"users": users, "archetypes": archetypes, "seed": options.seed},
@@ -279,7 +274,7 @@ def run_serve_replay(options: argparse.Namespace) -> int:
         for req in requests
     ]
     warm_seconds = time.perf_counter() - started
-    telemetry = warm_responses[-1].cache_telemetry if warm_responses else {}
+    telemetry = warm.cache_telemetry()
     print(
         "# warm boot %.3fs (installed %r); replayed %d requests in %.3fs"
         % (boot_seconds, warm.snapshot_installed, len(requests), warm_seconds)

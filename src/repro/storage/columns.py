@@ -21,22 +21,19 @@ what keeps the columnar engine's rows equal to the row engine's).
 
 The module lives in the storage layer (not ``repro.sql``) because
 :class:`~repro.storage.table.Table` memoizes encoded columns next to
-its raw column arrays and the shm attach path rebuilds them from shared
-segments.
+its raw column arrays.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from repro.storage.datatypes import DataType
 
-__all__ = ["Column", "values_as_shared_array"]
-
-_SHAREABLE_KINDS = frozenset("biufU")
+__all__ = ["Column"]
 
 _NUMERIC_SCALARS = (bool, int, float, np.bool_, np.integer, np.floating)
 
@@ -50,39 +47,6 @@ _NP_OPS = {
 }
 
 _EMPTY_U = np.asarray([], dtype="U1")
-_EMPTY_I64 = np.asarray([], dtype=np.int64)
-
-
-def values_as_shared_array(values: Sequence[object]) -> Optional[np.ndarray]:
-    """``values`` as a dense shareable ndarray, or None.
-
-    Shareable means a fixed-width dtype (bool/int/uint/float/unicode)
-    with no NULLs — the contract of the shm export segments. Returns None whenever the exact values
-    cannot round-trip through such an array.
-    """
-    if isinstance(values, np.ndarray):
-        return values if values.dtype.kind in _SHAREABLE_KINDS else None
-    if any(value is None for value in values):
-        return None
-    try:
-        array = np.asarray(values)
-    except (ValueError, OverflowError):
-        return None
-    if array.dtype.kind not in _SHAREABLE_KINDS or array.ndim != 1:
-        return None
-    if array.dtype.kind in "biu" and not _roundtrips(array, values):
-        return None
-    return array
-
-
-def _roundtrips(array: np.ndarray, values: Sequence[object]) -> bool:
-    """Guard against silent int narrowing (huge Python ints)."""
-    if len(array) == 0:
-        return True
-    try:
-        return array.tolist() == list(values)
-    except (OverflowError, ValueError):
-        return False
 
 
 class Column:
@@ -116,8 +80,6 @@ class Column:
         """
         if isinstance(values, Column):
             return values
-        if isinstance(values, np.ndarray):
-            return cls.from_array(values)
         values = values if isinstance(values, list) else list(values)
         kinds = 0
         for value in values:
@@ -160,20 +122,6 @@ class Column:
         except (OverflowError, TypeError, ValueError):
             pass
         return cls._object(list(values))
-
-    @classmethod
-    def from_array(cls, array: np.ndarray) -> "Column":
-        """Wrap a dense (null-free) ndarray, e.g. an shm-backed view."""
-        if array.dtype.kind in "biuf":
-            return cls("num", values=array)
-        if array.dtype.kind == "U":
-            if len(array):
-                dictionary, inverse = np.unique(array, return_inverse=True)
-                codes = inverse.astype(np.int64, copy=False)
-            else:
-                dictionary, codes = _EMPTY_U, _EMPTY_I64
-            return cls("dict", codes=codes, dictionary=dictionary)
-        return cls._object(list(array.tolist()))
 
     @classmethod
     def from_strings(cls, values) -> "Column":

@@ -122,18 +122,14 @@ class Table:
         :class:`~repro.storage.columns.Column` objects, in attribute
         order — the vectorized engine's scan source.
 
-        Encoded once per table version (cache dropped on insert, and by
-        :mod:`repro.storage.shm` when shared views are attached) and
+        Encoded once per table version (cache dropped on insert) and
         shared between every frame built on this table.
         """
         if self._encoded_cache is None:
             from repro.storage.columns import Column
-            import numpy as _np
 
             self._encoded_cache = tuple(
-                Column.from_array(values)
-                if isinstance(values, _np.ndarray)
-                else Column.from_typed(values, attribute.data_type)
+                Column.from_typed(values, attribute.data_type)
                 for values, attribute in zip(
                     self.column_arrays(), self.relation.attributes
                 )

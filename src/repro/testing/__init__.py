@@ -9,11 +9,11 @@ future perf PR as its standing gate:
   :class:`~repro.core.stats.SearchStats` counter consistency;
 * :mod:`repro.testing.faults` — a seeded, deterministic fault injector
   (cache evictions mid-solve, statistics bumps between sweep steps,
-  transient errors inside scheduler workers) plus the
+  transient errors inside scheduler tasks) plus the
   :class:`TransientFault` drills the service's fallback path absorbs;
 * :mod:`repro.testing.differential` — the lattice runner: every Table 1
-  problem solved per algorithm across cache modes, batching, the
-  process backend, snapshot boots and async serving, cross-checked
+  problem solved per algorithm across cache modes, batching,
+  snapshot boots and async serving, cross-checked
   against the exhaustive oracle and (on the service path) the row
   engine, with printable seeds to reproduce any failing lattice point;
 * :mod:`repro.testing.reference` — the tuple-state FINDBOUNDARY sweep

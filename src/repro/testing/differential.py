@@ -1,13 +1,13 @@
 """Differential lattice runner: one oracle, every configuration.
 
 The CQP stack runs one fast path per layer — the bitmask evaluation
-kernel, the columnar engine, two caches, a serial or forked solve
-scheduler, structural batching — each proven equivalent in isolation.
-This module cross-validates them as a *lattice*: every Table 1 problem
-is solved per algorithm in {c_boundaries, c_maxbounds, exhaustive} at
-a handful of points — caches off / on / warm, the process backend,
-batched solving, a snapshot-warm boot, the async front-end — each
-running a code path no other point runs, and checked three ways:
+kernel, the columnar engine, two caches, structural batching — each
+proven equivalent in isolation. This module cross-validates them as a
+*lattice*: every Table 1 problem is solved per algorithm in
+{c_boundaries, c_maxbounds, exhaustive} at a handful of points —
+caches off / on / warm, batched solving, a snapshot-warm boot, the
+async front-end — each running a code path no other point runs, and
+checked three ways:
 
 * **against the oracle** — an independent brute-force enumeration
   (:func:`exhaustive_oracle`) that shares nothing with the search
@@ -16,8 +16,8 @@ running a code path no other point runs, and checked three ways:
   and never beat it.
 * **against each other** — within one algorithm, every lattice point
   must produce a receipt (pref indices, doi, cost, size) **bit
-  identical** to the cold single-threaded reference, and on the service
-  path identical *rows*: caches, batching and schedulers are claimed
+  identical** to the cold reference, and on the service path identical
+  *rows*: caches, batching and the serving front-end are claimed
   to be pure-reuse transformations, so any drift is a bug;
 * **against the row engine** — each service reference answer's rows
   and ``blocks_read`` receipt must equal the row-at-a-time
@@ -41,7 +41,6 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import adapters
-from repro.core.algorithms.scheduler import SolvePlan, SolveScheduler, fork_available
 from repro.core.frontier_cache import FrontierCache
 from repro.core.param_cache import ParameterCache
 from repro.core.problem import CQPProblem, Parameter
@@ -67,17 +66,13 @@ class DifferentialFailure(AssertionError):
 class LatticePoint:
     """One configuration of the correctness lattice.
 
-    ``backend`` is the scheduler pool flavor the point's solves fan out
-    on (``parallelism`` workers); ``batched`` (solver lattice only)
-    routes the point's problems through
-    :func:`repro.core.adapters.solve_many`, or
-    :class:`~repro.core.algorithms.scheduler.SolvePlan` dispatch under
-    the process backend, instead of one solve per problem. ``snapshot``
-    (service lattice only) boots the point's service warm from a
-    workload snapshot compiled on the spot
-    (:func:`repro.workloads.compiler.compile_workload`) — restored
-    pricing and frontiers must leave every response
-    bit-identical to the cold services. ``serving`` (service lattice
+    ``batched`` (solver lattice only) routes the point's problems
+    through one :func:`repro.core.adapters.solve_many` call instead of
+    one solve per problem. ``snapshot`` (service lattice only) boots
+    the point's service warm from a workload snapshot compiled on the
+    spot (:func:`repro.workloads.compiler.compile_workload`) — restored
+    pricing and frontiers must leave every response bit-identical to
+    the cold services. ``serving`` (service lattice
     only) routes the point's batch through the asyncio front-end
     (:class:`~repro.serving.server.AsyncPersonalizationServer` in
     pass-through configuration) instead of calling ``request_many``
@@ -87,25 +82,17 @@ class LatticePoint:
 
     algorithm: str
     cache: str = "off"
-    parallelism: int = 1
-    backend: str = "serial"
     batched: bool = False
     snapshot: str = "off"
     serving: str = "sync"
 
     def __str__(self) -> str:
-        return (
-            "%s/cache=%s/parallelism=%d/backend=%s/batched=%s"
-            "/snapshot=%s/serving=%s"
-            % (
-                self.algorithm,
-                self.cache,
-                self.parallelism,
-                self.backend,
-                self.batched,
-                self.snapshot,
-                self.serving,
-            )
+        return "%s/cache=%s/batched=%s/snapshot=%s/serving=%s" % (
+            self.algorithm,
+            self.cache,
+            self.batched,
+            self.snapshot,
+            self.serving,
         )
 
 
@@ -235,25 +222,14 @@ def exhaustive_oracle(pspace, problem: CQPProblem) -> Receipt:
 
 
 def solver_lattice() -> List[LatticePoint]:
-    """The solve-only lattice, six points per algorithm: the serial
-    unbatched solve under each cache mode, then with caches on the
-    batched :func:`adapters.solve_many` path and the process backend
-    (four workers), unbatched and batched."""
+    """The solve-only lattice, four points per algorithm: the unbatched
+    solve under each cache mode, then with caches on the batched
+    :func:`adapters.solve_many` path."""
     points = []
     for algorithm in DOI_ALGORITHMS + ("min_cost",):
         for cache in CACHE_MODES:
             points.append(LatticePoint(algorithm=algorithm, cache=cache))
         points.append(LatticePoint(algorithm=algorithm, cache="on", batched=True))
-        for batched in (False, True):
-            points.append(
-                LatticePoint(
-                    algorithm=algorithm,
-                    cache="on",
-                    parallelism=4,
-                    backend="process",
-                    batched=batched,
-                )
-            )
     return points
 
 
@@ -262,46 +238,19 @@ def _solve_problems(
     problems: Sequence[CQPProblem],
     algorithm: str,
     cache: Optional[FrontierCache],
-    parallelism: int,
-    backend: str = "serial",
     batched: bool = False,
 ) -> List[Optional[CQPSolution]]:
-    """The solves of one lattice point, possibly fanned out or batched.
-
-    ``batched`` routes through the structural-batching path: one
-    :func:`adapters.solve_many` call (which dedupes and primes the
-    stacked frontier kernel), or — under a multi-worker process
-    backend — two :class:`SolvePlan` halves dispatched to the forked
-    plan pool, exercising pickled plans, per-worker caches and result
-    envelopes. Unbatched points map one solve per problem through the
-    scheduler on the requested backend.
-    """
-    work = list(problems)
-
+    """The solves of one lattice point: one :func:`adapters.solve_many`
+    call when ``batched`` (which dedupes and primes the stacked frontier
+    kernel), else one :func:`adapters.solve` per problem."""
     if batched:
-        if (
-            backend == "process"
-            and parallelism > 1
-            and len(work) > 1
-            and fork_available()
-        ):
-            half = (len(work) + 1) // 2
-            plans = [
-                SolvePlan(pspace, tuple(chunk), algorithm=algorithm)
-                for chunk in (work[:half], work[half:])
-                if chunk
-            ]
-            with SolveScheduler(parallelism, backend=backend) as scheduler:
-                solved = scheduler.solve_plans(plans)
-            return [solution for chunk in solved for solution in chunk]
         return adapters.solve_many(
-            pspace, work, algorithm=algorithm, frontier_cache=cache
+            pspace, list(problems), algorithm=algorithm, frontier_cache=cache
         )
-
-    def solve_one(problem: CQPProblem) -> Optional[CQPSolution]:
-        return adapters.solve(pspace, problem, algorithm, frontier_cache=cache)
-
-    return SolveScheduler(parallelism, backend=backend).map(solve_one, work)
+    return [
+        adapters.solve(pspace, problem, algorithm, frontier_cache=cache)
+        for problem in problems
+    ]
 
 
 def _check_oracle(
@@ -356,7 +305,7 @@ def run_solver_lattice(
 
     For each seed: build a random space, compute the six oracle optima,
     then walk every lattice point. Receipts within one algorithm must be
-    bit-identical to that algorithm's cold single-threaded reference;
+    bit-identical to that algorithm's cold reference;
     exact algorithms must match the oracle.
     """
     report = DifferentialReport()
@@ -401,8 +350,6 @@ def run_solver_lattice(
                 [problems[number] for number in applicable],
                 point.algorithm,
                 cache,
-                point.parallelism,
-                backend=point.backend,
                 batched=point.batched,
             )
             for number, solution in zip(applicable, solutions):
@@ -442,19 +389,13 @@ def _algorithm_for(problem: CQPProblem, requested: str) -> str:
 
 
 def service_lattice() -> List[LatticePoint]:
-    """The end-to-end lattice, six points per algorithm: the reference
+    """The end-to-end lattice, five points per algorithm: the reference
     (caches off, answered through ``request()``), ``request_many`` with
-    caches on and warm, the process backend (four workers), a
-    snapshot-warm boot and the async front-end."""
+    caches on and warm, a snapshot-warm boot and the async front-end."""
     points = []
     for algorithm in DOI_ALGORITHMS:
         for cache in CACHE_MODES:
             points.append(LatticePoint(algorithm=algorithm, cache=cache))
-        points.append(
-            LatticePoint(
-                algorithm=algorithm, cache="on", parallelism=4, backend="process"
-            )
-        )
         points.append(
             LatticePoint(algorithm=algorithm, cache="on", snapshot="restored")
         )
@@ -533,7 +474,7 @@ def run_service_lattice(
     receipt must be identical, and exact algorithms must match the
     oracle on the extracted space. Each reference answer is also
     checked against the row engine. The reference point
-    (``LatticePoint(algorithm)``: caches off, serial) answers one
+    (``LatticePoint(algorithm)``: caches off) answers one
     problem at a time through ``service.request()``; every other point
     answers the whole batch through ``request_many`` or the async
     front-end. ``problems`` defaults to all six Table 1 instances
@@ -584,8 +525,6 @@ def run_service_lattice(
             database,
             param_cache=ParameterCache(0 if point.cache == "off" else 65536),
             frontier_cache=FrontierCache(0 if point.cache == "off" else 256),
-            parallelism=point.parallelism,
-            backend=point.backend,
             snapshot=snapshot,
         )
         service.register("lattice-user", profile)
@@ -615,7 +554,7 @@ def run_service_lattice(
                     for request in batch
                 ]
             else:
-                responses = service.request_many(batch, max_workers=point.parallelism)
+                responses = service.request_many(batch)
         for number, response in zip(numbers, responses):
             problem = problems[number]
             maximizing = problem.objective is Parameter.DOI

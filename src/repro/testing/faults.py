@@ -3,10 +3,8 @@
 A :class:`FaultPlan` names the sites faults may fire at and how often;
 a :class:`FaultInjector` executes the plan. Scheduling is **counter
 based** — site ``s`` fires on every ``period``-th call after ``phase``
-initial calls — so the *number* of faults injected is a pure function
-of the work done, independent of thread interleaving (each site counts
-its own calls; which worker draws the fault may vary, how many fire may
-not). Seeded construction (:meth:`FaultPlan.seeded`) derives the
+initial calls — so the faults injected are a pure function of the
+work done (each site counts its own calls). Seeded construction (:meth:`FaultPlan.seeded`) derives the
 periods and phases from one integer, printable alongside a failing
 scenario for exact reproduction.
 
@@ -22,9 +20,9 @@ Three fault families, matching the seams the core modules expose:
   re-ANALYZEs the database when the ``"sweep.step"`` site fires,
   changing ``Database.stats_token`` so the next validation flushes
   every token-tagged cache;
-* **transient worker errors** — :meth:`maybe_raise` (called by
-  :class:`~repro.core.algorithms.scheduler.SolveScheduler` workers at
-  site ``"scheduler.worker"``) raises
+* **transient task errors** — :meth:`maybe_raise` (called by
+  :class:`~repro.core.algorithms.scheduler.SolveScheduler` once per
+  task attempt at site ``"scheduler.worker"``) raises
   :class:`~repro.core.algorithms.scheduler.TransientFault`, exercising
   the retry and cold-fallback paths.
 

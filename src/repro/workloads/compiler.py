@@ -19,13 +19,10 @@ in two passes:
    (pricing every path through a unit-local parameter cache) and solve
    the cluster's Table 1 problems through
    :func:`repro.core.adapters.solve_many`, which dedupes and primes the
-   stacked batch kernel, into a unit-local frontier cache. Units are
-   independent, so they fan out across a
-   :class:`~repro.core.algorithms.scheduler.SolveScheduler` on any
-   backend — under the process backend each unit ships its two cache
-   ``snapshot()`` blobs home (both are picklable and
-   process-independent by construction) and the parent merges them via
-   ``restore()`` under the live statistics token. Spaces that coincide
+   stacked batch kernel, into a unit-local frontier cache. Each unit
+   returns its two cache ``snapshot()`` blobs and the compiler merges
+   them via ``restore()`` under the live statistics token, so merge
+   order never shows in the result. Spaces that coincide
    across canonical profiles collapse once more at this layer: the
    frontier store keys on the space *signature*, and the telemetry
    reports the fleet-to-signature compression.
@@ -42,7 +39,6 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import adapters
-from repro.core.algorithms.scheduler import SolveScheduler
 from repro.core.frontier_cache import FrontierCache, space_signature
 from repro.core.interning import ProfileInterner
 from repro.core.param_cache import ParameterCache
@@ -110,8 +106,6 @@ def compile_workload(
     default_algorithm: str = "c_maxbounds",
     k_limit: Optional[int] = None,
     algebra: DoiAlgebra = PRODUCT_ALGEBRA,
-    parallelism: int = 1,
-    backend: str = "auto",
     meta: Optional[Dict] = None,
 ) -> CompiledWorkload:
     """Compile a fleet's steady-state cache contents offline.
@@ -121,9 +115,6 @@ def compile_workload(
     ``problems`` the Table 1 instances requests will carry, with
     ``algorithms`` resolved exactly as the service resolves them (pass
     the same ``default_algorithm`` the serving side uses).
-    ``parallelism``/``backend`` fan the per-unit solve work out across
-    a scheduler; results are bit-identical on every backend because
-    units only memoize pure functions.
     """
     if not database.analyzed:
         database.analyze()
@@ -167,10 +158,9 @@ def compile_workload(
     def compile_unit(unit):
         """Extract + solve one (canonical profile, query, cluster).
 
-        Runs against *unit-local* caches so the work is shippable: the
-        returned blobs are exactly the caches' persistence format,
-        picklable and keyed process-independently, whether this ran on
-        the calling thread or in a forked worker.
+        Runs against *unit-local* caches, so each unit's evaluators are
+        dropped with it; the returned blobs are exactly the caches'
+        persistence format.
         """
         profile, query, cluster = unit
         unit_param = ParameterCache()
@@ -198,18 +188,16 @@ def compile_workload(
         return signature, unit_param.snapshot(), unit_frontier.snapshot()
 
     solve_started = time.perf_counter()
-    scheduler = SolveScheduler(max(1, parallelism), backend=backend)
-    results = scheduler.map(compile_unit, units, fallback=compile_unit)
-
-    # Merge every unit's blobs into the compiled caches. Duplicate
-    # signatures across units overwrite with identical frontiers
-    # (store() is idempotent for equal content), so merge order never
-    # shows in the result.
+    # Merge every unit's blobs into the compiled caches as it finishes.
+    # Duplicate signatures across units overwrite with identical
+    # frontiers (store() is idempotent for equal content), so merge
+    # order never shows in the result.
     param_cache = ParameterCache()
     frontier_cache = FrontierCache(capacity=max(256, 2 * len(units)))
     frontier_cache.validate(token)
     signatures = set()
-    for signature, param_state, frontier_state in results:
+    for unit in units:
+        signature, param_state, frontier_state = compile_unit(unit)
         if signature is not None:
             signatures.add(signature)
         param_cache.restore(param_state, token)

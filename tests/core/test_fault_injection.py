@@ -75,27 +75,26 @@ class TestFaultInjector:
 class TestSchedulerResilience:
     def test_retry_absorbs_sparse_faults(self):
         injector = FaultInjector(FaultPlan(periods={"scheduler.worker": 4}))
-        scheduler = SolveScheduler(1, retries=1, fault_injector=injector)
+        scheduler = SolveScheduler(retries=1, fault_injector=injector)
         assert scheduler.map(lambda x: x * 10, [1, 2, 3, 4]) == [10, 20, 30, 40]
         assert scheduler.fallbacks_taken == 0
         assert scheduler.faults_seen == injector.faults_injected > 0
 
-    @pytest.mark.parametrize("parallelism", [1, 4])
-    def test_persistent_faults_fall_back_in_order(self, parallelism):
+    def test_persistent_faults_fall_back_in_order(self):
         injector = FaultInjector(FaultPlan(periods={"scheduler.worker": 1}))
-        scheduler = SolveScheduler(parallelism, retries=1, fault_injector=injector)
+        scheduler = SolveScheduler(retries=1, fault_injector=injector)
         out = scheduler.map(lambda x: x * 10, [1, 2, 3], fallback=lambda x: x * 10)
         assert out == [10, 20, 30]
         assert scheduler.fallbacks_taken == 3
 
     def test_no_fallback_propagates_transient(self):
         injector = FaultInjector(FaultPlan(periods={"scheduler.worker": 1}))
-        scheduler = SolveScheduler(1, retries=0, fault_injector=injector)
+        scheduler = SolveScheduler(retries=0, fault_injector=injector)
         with pytest.raises(TransientFault):
             scheduler.map(lambda x: x, [1])
 
     def test_real_bugs_are_not_retried(self):
-        scheduler = SolveScheduler(1, retries=3)
+        scheduler = SolveScheduler(retries=3)
         with pytest.raises(ZeroDivisionError):
             scheduler.map(lambda x: 1 // x, [0], fallback=lambda x: 0)
 
@@ -194,16 +193,14 @@ class TestServiceDegradation:
             for n in sorted(problems)
         ]
 
-    @pytest.mark.parametrize("parallelism", [1, 2])
     def test_hostile_plan_leaves_answers_identical(
-        self, movie_db, movie_profile, movie_query, parallelism
+        self, movie_db, movie_profile, movie_query
     ):
         def run(injector):
             service = PersonalizationService(
                 movie_db,
                 param_cache=ParameterCache(),
                 frontier_cache=FrontierCache(),
-                parallelism=parallelism,
                 fault_injector=injector,
                 solve_retries=1,
             )
@@ -239,11 +236,7 @@ class TestServiceDegradation:
 
     def test_quiet_plan_reports_nothing(self, movie_db, movie_profile, movie_query):
         injector = FaultInjector(FaultPlan.quiet())
-        service = PersonalizationService(
-            movie_db,
-            fault_injector=injector,
-            parallelism=2,
-        )
+        service = PersonalizationService(movie_db, fault_injector=injector)
         service.register("drill", movie_profile)
         responses = service.request_many(self._batch(service, movie_query))
         assert injector.faults_injected == 0

@@ -202,65 +202,6 @@ class TestRequestMany:
         assert responses[0].outcome is responses[2].outcome
         assert responses[0].outcome is not responses[1].outcome
 
-    def test_threaded_matches_serial(self, movie_db, movie_profile):
-        serial = PersonalizationService(movie_db)
-        threaded = PersonalizationService(movie_db)
-        for svc in (serial, threaded):
-            svc.register("al", movie_profile)
-            svc.register("bo")
-        queries = ["select title from MOVIE", "select title from MOVIE where year >= 1990"]
-        batch = self._batch(["al", "bo"], queries)
-        serial_responses = serial.request_many(batch)
-        threaded_responses = threaded.request_many(batch, max_workers=4)
-        for a, b in zip(serial_responses, threaded_responses):
-            assert a.user == b.user
-            assert a.outcome.sql == b.outcome.sql
-            assert a.rows == b.rows
-
-    def test_service_parallelism_is_deterministic(self, movie_db, movie_profile):
-        """``parallelism > 1`` must be invisible in every semantic field.
-
-        Work counters and wall times may differ with scheduling (which
-        request warms the shared caches first), so the comparison covers
-        the payload: user, personalization flag, rows, rewritten SQL,
-        and the solution's indices/doi/cost/size.
-        """
-        serial = PersonalizationService(movie_db, parallelism=1)
-        parallel = PersonalizationService(movie_db, parallelism=3)
-        assert parallel.parallelism == 3
-        for svc in (serial, parallel):
-            svc.register("al", movie_profile)
-            svc.register("bo", movie_profile)
-            svc.register("cara")
-        queries = ["select title from MOVIE", "select title from MOVIE where year >= 1990"]
-        batch = self._batch(["al", "bo", "cara"], queries, repeats=2)
-        serial_responses = serial.request_many(batch)
-        parallel_responses = parallel.request_many(batch)
-        assert len(serial_responses) == len(parallel_responses) == len(batch)
-        for a, b in zip(serial_responses, parallel_responses):
-            assert a.user == b.user
-            assert a.personalized == b.personalized
-            assert a.rows == b.rows
-            assert a.outcome.sql == b.outcome.sql
-            sa, sb = a.outcome.solution, b.outcome.solution
-            if sa is None:
-                assert sb is None
-            else:
-                assert sa.pref_indices == sb.pref_indices
-                assert sa.doi == sb.doi
-                assert sa.cost == sb.cost
-                assert sa.size == sb.size
-
-    def test_invalid_parallelism_rejected(self, movie_db):
-        with pytest.raises(ValueError):
-            PersonalizationService(movie_db, parallelism=0)
-
-    def test_unknown_backend_rejected_at_construction(self, movie_db):
-        # Fails fast, not at the first request_many.
-        for backend in ("typo", "thread"):
-            with pytest.raises(ValueError, match="backend"):
-                PersonalizationService(movie_db, backend=backend)
-
     def test_execute_false_skips_rows(self, movie_db, movie_profile):
         service = PersonalizationService(movie_db)
         service.register("al", movie_profile)

@@ -1,11 +1,12 @@
 """The published work counters are pinned byte for byte.
 
 ``--figure counters`` (states examined), ``13a`` and ``13b`` (peak
-memory) print deterministic figures: they depend only on which states
-each algorithm visits, in which order, and what its queues hold. The
-golden tables under ``golden/`` are that output; a search-layer change
-that moves any of them changes the paper's Figs. 12/13 and must
-regenerate them deliberately.
+memory), ``14a`` and ``14b`` (doi gap to the exact optimum) print
+deterministic figures: they depend only on which states each algorithm
+visits, in which order, and what its queues hold. The golden tables
+under ``golden/`` are that output; a search-layer change that moves any
+of them changes the paper's Figs. 12–14 and must regenerate them
+deliberately.
 """
 
 import os
@@ -21,7 +22,7 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 @pytest.mark.tier2
-@pytest.mark.parametrize("figure", ["counters", "13a", "13b"])
+@pytest.mark.parametrize("figure", ["counters", "13a", "13b", "14a", "14b"])
 def test_figure_matches_golden_table(figure):
     env = dict(os.environ)
     src = str(Path(repro.__file__).resolve().parent.parent)

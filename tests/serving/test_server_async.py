@@ -247,7 +247,6 @@ class TestFaultDrillThroughAsyncPath:
             movie_db,
             param_cache=ParameterCache(),
             frontier_cache=FrontierCache(),
-            parallelism=2,
             fault_injector=injector,
             solve_retries=1,
         )

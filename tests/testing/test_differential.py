@@ -42,24 +42,22 @@ class TestLatticeShape:
             "c_boundaries", "c_maxbounds", "exhaustive", "min_cost"
         }
         assert {p.cache for p in points} == {"off", "on", "warm"}
-        assert {p.parallelism for p in points} == {1, 4}
-        assert len(points) == 4 * 6
+        assert len(points) == 4 * 4
 
     def test_service_lattice_adds_the_engine_axis(self):
         # The engine axis is a check, not a point: each algorithm's
-        # reference point (caches off, serial, answered via request())
+        # reference point (caches off, answered via request())
         # is compared against the row engine.
         points = service_lattice()
         for algorithm in ("c_boundaries", "c_maxbounds", "exhaustive"):
             assert points.count(LatticePoint(algorithm)) == 1
-        assert len(points) == 3 * 6
+        assert len(points) == 3 * 5
 
     def test_service_lattice_spans_the_serving_axis(self):
         points = service_lattice()
         assert {p.serving for p in points} == {"sync", "async"}
         asynchronous = [p for p in points if p.serving == "async"]
         # One async front-end point per algorithm.
-        assert {(p.parallelism, p.backend) for p in asynchronous} == {(1, "serial")}
         assert len(asynchronous) == 3
 
     def test_service_lattice_spans_the_snapshot_axis(self):
@@ -67,30 +65,21 @@ class TestLatticeShape:
         assert {p.snapshot for p in points} == {"off", "restored"}
         restored = [p for p in points if p.snapshot == "restored"]
         # One warm boot per algorithm.
-        assert {(p.parallelism, p.backend) for p in restored} == {(1, "serial")}
         assert len(restored) == 3
 
-    def test_solver_lattice_spans_backends_and_batching(self):
+    def test_solver_lattice_spans_batching(self):
         points = solver_lattice()
-        assert {p.backend for p in points} == {"serial", "process"}
         assert {p.batched for p in points} == {False, True}
 
     def test_every_point_runs_its_own_code_path(self):
-        # Parallelism only matters on the process backend: a serial
-        # point with parallelism > 1 would duplicate its parallelism=1
-        # twin, and duplicate points would run the same code twice.
+        # Duplicate points would run the same code twice.
         for points in (solver_lattice(), service_lattice()):
             assert len(set(points)) == len(points)
-            for point in points:
-                assert (point.parallelism > 1) == (point.backend == "process")
 
     def test_point_renders_a_reproduction_recipe(self):
-        point = LatticePoint(
-            "c_boundaries", cache="warm", parallelism=4, backend="process"
-        )
+        point = LatticePoint("c_boundaries", cache="warm", batched=True)
         assert str(point) == (
-            "c_boundaries/cache=warm/parallelism=4"
-            "/backend=process/batched=False/snapshot=off/serving=sync"
+            "c_boundaries/cache=warm/batched=True/snapshot=off/serving=sync"
         )
 
 
@@ -102,12 +91,11 @@ class TestSolverLattice:
         assert report.oracle_checks > 0
         assert report.receipt_checks > 0
 
-    def test_receipts_are_compared_across_cache_and_parallelism(self):
-        # 6 points per algorithm (3 cache modes, batched, process
-        # unbatched and batched) → 5 receipt comparisons per
-        # (algorithm, problem) beyond the reference.
+    def test_receipts_are_compared_across_cache_and_batching(self):
+        # 4 points per algorithm (3 cache modes, batched) → 3 receipt
+        # comparisons per (algorithm, problem) beyond the reference.
         report = run_solver_lattice([0])
-        assert report.receipt_checks == report.solves - report.solves // 6
+        assert report.receipt_checks == report.solves - report.solves // 4
 
 
 class TestServiceLattice:

@@ -120,56 +120,40 @@ class TestCompileWorkload:
         workload, fleet, queries, problems = compiled
         service = PersonalizationService(movie_db, snapshot=workload)
         service.register("u9", fleet[9])
-        response = service.request(
+        service.request(
             "u9", queries[0], problem=problems[0],
             algorithm="c_boundaries", k_limit=8,
         )
-        telemetry = response.cache_telemetry
+        telemetry = service.cache_telemetry()
         for cache in ("param_cache", "frontier_cache"):
             assert telemetry[cache]["hits"] > 0, cache
             assert telemetry[cache]["misses"] == 0, cache
 
-    def test_parallel_compile_is_bit_identical(self, movie_db, compiled):
+    def test_recompile_is_bit_identical(self, movie_db, compiled):
         workload, fleet, queries, problems = compiled
-        parallel = compile_workload(
+        again = compile_workload(
             movie_db, fleet, queries, problems,
             algorithms=["c_boundaries"], k_limit=8,
-            parallelism=4, backend="serial",
         )
-        assert parallel.param_state["entries"] == workload.param_state["entries"]
-        assert parallel.frontier_state["memos"] == workload.frontier_state["memos"]
-        assert parallel.fingerprint == workload.fingerprint
+        assert again.param_state["entries"] == workload.param_state["entries"]
+        assert again.frontier_state["memos"] == workload.frontier_state["memos"]
+        assert again.fingerprint == workload.fingerprint
 
-    def test_response_telemetry_present_on_cold_services_too(
+    def test_telemetry_present_on_cold_services_too(
         self, movie_db, compiled
     ):
         _, fleet, queries, problems = compiled
         service = PersonalizationService(movie_db)
         service.register("cold", fleet[0])
-        response = service.request(
+        service.request(
             "cold", queries[0], problem=problems[0], k_limit=8
         )
-        assert set(response.cache_telemetry) >= {"param_cache", "frontier_cache"}
+        telemetry = service.cache_telemetry()
+        assert set(telemetry) >= {"param_cache", "frontier_cache"}
         shape = {
             "hits", "misses", "lookups", "invalidations", "evictions",
             "entries", "bytes_estimate",
         }
-        for counters in response.cache_telemetry.values():
+        for counters in telemetry.values():
             assert shape <= set(counters)
 
-
-class TestCompileCli:
-    def test_unknown_backend_is_an_argparse_error(self, capsys):
-        from repro.experiments.workload_cli import build_workload_parser
-
-        parser = build_workload_parser()
-        with pytest.raises(SystemExit) as exit_info:
-            parser.parse_args(
-                ["compile", "--out", "unused", "--backend", "thread"]
-            )
-        assert exit_info.value.code == 2
-        assert "invalid choice: 'thread'" in capsys.readouterr().err
-        options = parser.parse_args(
-            ["compile", "--out", "unused", "--backend", "process"]
-        )
-        assert options.backend == "process"
