@@ -1,9 +1,11 @@
 """The end-to-end façade wiring Figure 2's architecture together.
 
-``Personalizer.personalize`` runs the full pipeline for one request:
+``Personalizer.personalize_many`` runs the full pipeline for one query
+under a group of problems that share an extraction, and
+``Personalizer.personalize`` is that pipeline for a single problem:
 
 1. *Preference Space* — extract P (and D/C/S) from the profile;
-2. *CQP State Space Search* — solve the given Table 1 problem;
+2. *CQP State Space Search* — solve each Table 1 problem;
 3. *Personalized Query Construction* — rewrite Q with the chosen
    preferences;
 4. optionally *Query Execution* — run the result on the database engine.
@@ -23,7 +25,11 @@ from typing import List, Optional, Union
 from repro.core import adapters
 from repro.core.frontier_cache import FrontierCache
 from repro.core.param_cache import ParameterCache
-from repro.core.preference_space import PreferenceSpace, extract_preference_space
+from repro.core.preference_space import (
+    PreferenceSpace,
+    extract_preference_space,
+    extraction_key,
+)
 from repro.core.problem import CQPProblem
 from repro.core.rewriter import QueryRewriter
 from repro.core.solution import CQPSolution
@@ -76,7 +82,6 @@ class Personalizer:
         self,
         database: Database,
         algebra: DoiAlgebra = PRODUCT_ALGEBRA,
-        default_algorithm: str = "c_maxbounds",
         param_cache: Optional[ParameterCache] = None,
         frontier_cache: Optional[FrontierCache] = None,
     ) -> None:
@@ -93,7 +98,6 @@ class Personalizer:
             database.analyze()
         self.database = database
         self.algebra = algebra
-        self.default_algorithm = default_algorithm
         self.param_cache = param_cache if param_cache is not None else ParameterCache()
         self.frontier_cache = (
             frontier_cache if frontier_cache is not None else FrontierCache()
@@ -115,70 +119,17 @@ class Personalizer:
         algorithm: Optional[str] = None,
         k_limit: Optional[int] = None,
     ) -> PersonalizationOutcome:
-        """Personalize ``query`` for ``profile`` under ``problem``.
+        """Personalize ``query`` for ``profile`` under ``problem``: a
+        one-problem :meth:`personalize_many`.
 
         When no personalized query satisfies the constraints, the
         outcome carries the original query unchanged
         (``outcome.personalized`` is False) rather than failing: an
         unpersonalized answer beats no answer.
         """
-        if isinstance(query, str):
-            query = parse_select(query)
-        hits_before = self.param_cache.hits
-        misses_before = self.param_cache.misses
-        # Stale search-layer entries die with the statistics snapshot,
-        # exactly like the parameter cache's per-entry token check.
-        self.frontier_cache.validate(self.database.stats_token)
-        pspace = extract_preference_space(
-            self.database,
-            query,
-            profile,
-            constraints=problem.constraints,
-            algebra=self.algebra,
-            k_limit=k_limit,
-            param_cache=self.param_cache,
-        )
-        if algorithm is None:
-            # Problem-aware default: the greedy default is unreliable on
-            # size-window problems (see adapters.recommended_algorithm).
-            algorithm = (
-                self.default_algorithm
-                if not problem.constraints.has_size_bounds
-                else adapters.recommended_algorithm(problem)
-            )
-        solution = (
-            adapters.solve(
-                pspace,
-                problem,
-                algorithm,
-                frontier_cache=self.frontier_cache,
-            )
-            if pspace.k > 0
-            else None
-        )
-        if solution is not None:
-            # Surface this request's share of the cross-request cache
-            # traffic on the solution's stats record.
-            solution.stats.param_cache_hits += self.param_cache.hits - hits_before
-            solution.stats.param_cache_misses += (
-                self.param_cache.misses - misses_before
-            )
-        paths = (
-            [pspace.paths[i] for i in solution.pref_indices]
-            if solution is not None
-            else []
-        )
-        personalized_query = QueryRewriter(
-            query, schema=self.database.schema
-        ).personalized_query(paths)
-        return PersonalizationOutcome(
-            problem=problem,
-            original_query=query,
-            personalized_query=personalized_query,
-            solution=solution,
-            paths=paths,
-            preference_space=pspace,
-        )
+        return self.personalize_many(
+            query, profile, [problem], [algorithm], k_limit=k_limit
+        )[0]
 
     def personalize_many(
         self,
@@ -190,19 +141,18 @@ class Personalizer:
     ) -> List[PersonalizationOutcome]:
         """Personalize one query under many problems, extracting once.
 
-        The batched twin of :meth:`personalize` for same-space request
-        groups: extraction (the expensive profile walk) runs once, and
-        the solves go through :func:`repro.core.adapters.solve_many`,
-        which dedupes identical requests and primes the frontier memo
-        from the stacked batch kernel. Every outcome is bit-identical
-        to what a :meth:`personalize` loop would return.
+        Extraction (the expensive profile walk) runs once, and the
+        solves go through :func:`repro.core.adapters.solve_many`, which
+        dedupes identical requests and primes the frontier memo from
+        the stacked batch kernel (a lone problem is one plain solve).
+        A ``None`` algorithm defaults to
+        :func:`~repro.core.adapters.recommended_algorithm`.
 
-        All problems must agree on the constraint fields extraction
-        prunes on (``cmax`` and ``smin`` — see
-        :func:`~repro.core.preference_space.extract_preference_space`);
-        callers group requests accordingly. The batch's parameter-cache
-        delta is attributed to the first solved outcome (per-member
-        attribution is meaningless once pricing is shared).
+        All problems must share one
+        :func:`~repro.core.preference_space.extraction_key`; callers
+        group requests accordingly. The batch's parameter-cache delta is
+        attributed to the first solved outcome (per-member attribution
+        is meaningless once pricing is shared).
         """
         from repro.errors import PreferenceError
 
@@ -210,29 +160,23 @@ class Personalizer:
             query = parse_select(query)
         if not problems:
             return []
-        pruning_keys = {
-            (problem.constraints.cmax, problem.constraints.smin)
-            for problem in problems
-        }
-        if len(pruning_keys) > 1:
+        keys = {extraction_key(problem.constraints) for problem in problems}
+        if len(keys) > 1:
             raise PreferenceError(
                 "personalize_many needs one extraction, but the problems "
-                "disagree on (cmax, smin): %r" % sorted(pruning_keys)
+                "disagree on their extraction keys: %r" % sorted(keys)
             )
         if algorithms is None:
             algorithms = [None] * len(problems)
-        resolved: List[str] = []
-        for problem, algorithm in zip(problems, algorithms):
-            if algorithm is None:
-                algorithm = (
-                    self.default_algorithm
-                    if not problem.constraints.has_size_bounds
-                    else adapters.recommended_algorithm(problem)
-                )
-            resolved.append(algorithm)
+        resolved = [
+            algorithm if algorithm is not None else adapters.recommended_algorithm(problem)
+            for problem, algorithm in zip(problems, algorithms)
+        ]
 
         hits_before = self.param_cache.hits
         misses_before = self.param_cache.misses
+        # Stale search-layer entries die with the statistics snapshot,
+        # exactly like the parameter cache's per-entry token check.
         self.frontier_cache.validate(self.database.stats_token)
         pspace = extract_preference_space(
             self.database,
@@ -252,12 +196,14 @@ class Personalizer:
             )
         else:
             solutions = [None] * len(problems)
-        delta_hits = self.param_cache.hits - hits_before
-        delta_misses = self.param_cache.misses - misses_before
+        # Surface this batch's share of the cross-request cache traffic
+        # on the first solution's stats record.
         for solution in solutions:
             if solution is not None:
-                solution.stats.param_cache_hits += delta_hits
-                solution.stats.param_cache_misses += delta_misses
+                solution.stats.param_cache_hits += self.param_cache.hits - hits_before
+                solution.stats.param_cache_misses += (
+                    self.param_cache.misses - misses_before
+                )
                 break
 
         outcomes: List[PersonalizationOutcome] = []

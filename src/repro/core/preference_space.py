@@ -139,6 +139,13 @@ def _prunable(
     return False
 
 
+def extraction_key(constraints: Constraints) -> Tuple[Optional[float], Optional[float]]:
+    """The constraint fields :func:`_prunable` reads: problems that agree
+    on them extract the same preference space from one (query, profile),
+    so they can share one extraction."""
+    return (constraints.cmax, constraints.smin)
+
+
 def extract_preference_space(
     database: Database,
     query: SelectQuery,

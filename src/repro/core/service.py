@@ -15,14 +15,13 @@ as the search context at the time of the request."
 * the full pipeline per request (extract → search → rewrite → execute),
   returning rows plus the solution metadata.
 
-Two entry points, one path each: :meth:`~PersonalizationService.request`
-answers one request group at a time through
-:meth:`Personalizer.personalize`, and
-:meth:`~PersonalizationService.request_many` always clusters
-same-extraction groups into :meth:`Personalizer.personalize_many`
-calls (structural batching), run one after another with retry and
-cold fallback. Both return bit-identical answers, and execution always
-runs on the columnar engine.
+One pipeline serves both entry points:
+:meth:`~PersonalizationService.request_many` groups duplicate requests,
+clusters same-extraction groups into :meth:`Personalizer.personalize_many`
+calls (structural batching) and runs them one after another with retry
+and cold fallback; :meth:`~PersonalizationService.request` is a
+one-request batch on that same pipeline. Execution always runs on the
+columnar engine.
 """
 
 from __future__ import annotations
@@ -35,6 +34,7 @@ from repro.core.context import SearchContext, problem_for_context
 from repro.core.frontier_cache import FrontierCache
 from repro.core.param_cache import ParameterCache
 from repro.core.personalizer import PersonalizationOutcome, Personalizer
+from repro.core.preference_space import extraction_key
 from repro.core.problem import CQPProblem
 from repro.errors import PreferenceError
 from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
@@ -53,12 +53,10 @@ class ServiceResponse:
 
     ``rows`` is an immutable tuple; duplicate requests in one
     ``request_many`` batch share the *same* tuple rather than copying
-    the result per member. The trailing counters surface the execution
-    engine's rows filtered vectorized vs row-at-a-time (see
-    :mod:`repro.sql.columnar`) plus the search-layer reuse counters (see
-    :mod:`repro.core.frontier_cache`): frontier memo traffic, states the
-    boundary sweep was warm-started from, and batched neighbor
-    evaluations.
+    the result per member. Search-layer counters (pricing and frontier
+    cache traffic, warm starts, batched neighbor evaluations) are read
+    from ``outcome.solution.stats``; the response itself carries only
+    the resilience counters and the degradation reason.
     """
 
     user: str
@@ -68,12 +66,6 @@ class ServiceResponse:
     # Always 0 (there is no frame cache); kept for perfbench/workloads.py.
     frame_cache_hits: int = 0
     frame_cache_misses: int = 0
-    rows_filtered_vectorized: int = 0
-    rows_filtered_rowwise: int = 0
-    frontier_cache_hits: int = 0
-    frontier_cache_misses: int = 0
-    states_warm_started: int = 0
-    neighbor_batches: int = 0
     # Resilience counters: faults the wired injector fired while this
     # request (or its whole batch — see request_many) was answered, and
     # scheduler tasks that degraded to the cold fallback. Both stay 0 in
@@ -275,7 +267,8 @@ class PersonalizationService:
         k_limit: Optional[int] = None,
         execute: bool = True,
     ) -> ServiceResponse:
-        """Answer one request for ``user``.
+        """Answer one request for ``user``: a one-request batch on the
+        :meth:`request_many` pipeline, with its retry and cold fallback.
 
         The Table 1 problem comes from ``problem`` when given, else from
         the ``context`` via the policy. The query is logged for learning
@@ -284,80 +277,13 @@ class PersonalizationService:
         response carries no rows) — useful when only the rewritten query
         or the solution metadata is wanted.
         """
-        state = self._state(user)
-        if isinstance(query, str):
-            query = parse_select(query)
-        if problem is None:
-            if context is None:
-                raise PreferenceError("a request needs a context or a problem")
-            problem = problem_for_context(context)
-
-        state.query_log.append(query)
-        state.requests_since_relearn += 1
-        if self.relearn_every and state.requests_since_relearn >= self.relearn_every:
-            self._relearn(user)
-
-        faults_before = self._faults_so_far()
-        outcome = self.personalizer.personalize(
-            query, state.profile, problem, algorithm=algorithm, k_limit=k_limit
-        )
-        if not execute:
-            return ServiceResponse(
-                user=user, outcome=outcome, rows=(), elapsed_ms=0.0,
-                faults_injected=self._faults_so_far() - faults_before,
-                **self._search_counters(outcome),
-            )
-        result = self.personalizer.execute(outcome)
-        self._fold_exec_stats(outcome, result)
-        return self._response(
-            user, outcome, result,
-            faults_injected=self._faults_so_far() - faults_before,
-        )
+        request = BatchRequest(user, query, context, problem, algorithm, k_limit)
+        return self._answer([request], execute)[0]
 
     def _faults_so_far(self) -> int:
         """The wired injector's running fault tally (0 when none)."""
         injector = self.fault_injector
         return injector.faults_injected if injector is not None else 0
-
-    @staticmethod
-    def _search_counters(outcome: PersonalizationOutcome) -> Dict[str, int]:
-        """The solution's search-layer reuse counters, as response kwargs
-        (all zero for unpersonalized outcomes)."""
-        if outcome.solution is None:
-            return {}
-        stats = outcome.solution.stats
-        return {
-            "frontier_cache_hits": stats.frontier_cache_hits,
-            "frontier_cache_misses": stats.frontier_cache_misses,
-            "states_warm_started": stats.states_warm_started,
-            "neighbor_batches": stats.neighbor_batches,
-        }
-
-    @classmethod
-    def _response(
-        cls, user, outcome, result, faults_injected: int = 0, fallbacks_taken: int = 0
-    ) -> ServiceResponse:
-        return ServiceResponse(
-            user=user,
-            outcome=outcome,
-            rows=tuple(result.rows),
-            elapsed_ms=result.elapsed_ms,
-            rows_filtered_vectorized=result.rows_filtered_vectorized,
-            rows_filtered_rowwise=result.rows_filtered_rowwise,
-            faults_injected=faults_injected,
-            fallbacks_taken=fallbacks_taken,
-            **cls._search_counters(outcome),
-        )
-
-    @staticmethod
-    def _fold_exec_stats(outcome: PersonalizationOutcome, result) -> None:
-        """Mirror the execution counters onto the solution's stats record
-        so search- and execution-side instrumentation travel together."""
-        if outcome.solution is None:
-            return
-        stats = outcome.solution.stats
-        stats.rows_filtered_vectorized += result.rows_filtered_vectorized
-        stats.rows_filtered_rowwise += result.rows_filtered_rowwise
 
     # -- the batched request path --------------------------------------------------
 
@@ -388,6 +314,13 @@ class PersonalizationService:
         members of a group share one immutable rows tuple (no per-member
         copies).
         """
+        return self._answer(requests, execute)
+
+    def _answer(
+        self, requests: Iterable[BatchRequest], execute: bool
+    ) -> List[ServiceResponse]:
+        """The one request pipeline behind :meth:`request` and
+        :meth:`request_many`."""
         specs: List[Tuple[str, SelectQuery, CQPProblem, Optional[str], Optional[int]]] = []
         for req in requests:
             query = parse_select(req.query) if isinstance(req.query, str) else req.query
@@ -417,20 +350,15 @@ class PersonalizationService:
         member_lists = list(groups.values())
 
         # Structural batching clusters groups that share an extraction —
-        # same user, query, k_limit, and the constraint fields the
-        # extractor prunes on (cmax/smin) — into supergroups; each
-        # supergroup is one scheduler task running personalize_many
-        # (extract once, stacked solves) and returning the outcome list
-        # of its member groups.
+        # same user, query, k_limit and extraction key — into
+        # supergroups; each supergroup is one scheduler task running
+        # personalize_many (extract once, stacked solves) and returning
+        # the outcome list of its member groups.
         clusters: Dict[Tuple, List[int]] = {}
         for index, members in enumerate(member_lists):
             user, query, problem, _, k_limit = specs[members[0]]
             cluster_key = (
-                user,
-                to_sql(query),
-                k_limit,
-                problem.constraints.cmax,
-                problem.constraints.smin,
+                user, to_sql(query), k_limit, extraction_key(problem.constraints)
             )
             clusters.setdefault(cluster_key, []).append(index)
         super_lists = list(clusters.values())
@@ -473,8 +401,12 @@ class PersonalizationService:
             user = specs[members[0]][0]
             if execute:
                 result = self.personalizer.execute(outcome)
-                self._fold_exec_stats(outcome, result)
-                template = self._response(user, outcome, result)
+                template = ServiceResponse(
+                    user=user,
+                    outcome=outcome,
+                    rows=tuple(result.rows),
+                    elapsed_ms=result.elapsed_ms,
+                )
             else:
                 template = ServiceResponse(
                     user=user, outcome=outcome, rows=(), elapsed_ms=0.0

@@ -40,12 +40,6 @@ class SearchStats:
     # extraction (see repro.core.param_cache); 0/0 when no cache is wired.
     param_cache_hits: int = 0
     param_cache_misses: int = 0
-    # Execution-side counters, folded in by the service after the
-    # personalized query runs (see repro.sql.columnar): rows pushed
-    # through filters vectorized vs one at a time. Both zero until
-    # execution.
-    rows_filtered_vectorized: int = 0
-    rows_filtered_rowwise: int = 0
     # Search-layer reuse counters (see repro.core.frontier_cache and
     # repro.core.algorithms.scheduler): frontier memo traffic, states the
     # sweep was seeded with instead of re-deriving from the root, and
@@ -149,8 +143,6 @@ class SearchStats:
         self.wall_time_s += other.wall_time_s
         self.param_cache_hits += other.param_cache_hits
         self.param_cache_misses += other.param_cache_misses
-        self.rows_filtered_vectorized += other.rows_filtered_vectorized
-        self.rows_filtered_rowwise += other.rows_filtered_rowwise
         self.frontier_cache_hits += other.frontier_cache_hits
         self.frontier_cache_misses += other.frontier_cache_misses
         self.states_warm_started += other.states_warm_started

@@ -76,17 +76,13 @@ class DegradationPolicy:
         always relative to what the sync path would have picked."""
         if pending.requested_algorithm is not None:
             return pending.requested_algorithm
-        problem = pending.request.problem
-        if problem is None:  # context-routed; resolved at solve time
-            return "c_maxbounds"
-        return recommended_algorithm(problem)
+        return recommended_algorithm(pending.request.problem)
 
     def resolve(self, pending: PendingRequest, queue_depth: int, now: float) -> Degradation:
         requested = pending.requested_algorithm
         if not self.config.degradation:
             return Degradation(algorithm=requested)
-        problem = pending.request.problem
-        if problem is not None and not _can_degrade(problem):
+        if not _can_degrade(pending.request.problem):
             return Degradation(algorithm=requested)
 
         tier = pending.tier

@@ -157,7 +157,9 @@ class AsyncPersonalizationServer:
         if request.problem is None:
             if request.context is None:
                 raise PreferenceError("a request needs a context or a problem")
-            problem_for_context(request.context)  # unknown contexts fail here
+            # Unknown contexts fail here; the resolved problem rides on
+            # the request so the degradation policy sees what will run.
+            request = replace(request, problem=problem_for_context(request.context))
         rejection = self.admission.try_admit(tier_cfg)
         if rejection is not None:
             self.scoreboard.record_rejection(tier_cfg.name)

@@ -20,44 +20,3 @@ future perf PR as its standing gate:
   and ``Horizontal2`` growth the mask-native search loops replaced,
   kept as their call-for-call oracle.
 """
-
-from repro.testing.differential import (
-    DifferentialFailure,
-    LatticePoint,
-    run_service_lattice,
-    run_solver_lattice,
-    solver_lattice,
-    service_lattice,
-    table1_problems,
-)
-from repro.testing.faults import FaultInjector, FaultPlan
-from repro.testing.invariants import (
-    InvariantViolation,
-    check_canonical_frontier,
-    check_cost_monotone,
-    check_doi_monotone,
-    check_search_stats,
-    check_size_antitone,
-    check_stats_token_soundness,
-    check_vertical_budget_decreases,
-)
-
-__all__ = [
-    "DifferentialFailure",
-    "FaultInjector",
-    "FaultPlan",
-    "InvariantViolation",
-    "LatticePoint",
-    "check_canonical_frontier",
-    "check_cost_monotone",
-    "check_doi_monotone",
-    "check_search_stats",
-    "check_size_antitone",
-    "check_stats_token_soundness",
-    "check_vertical_budget_decreases",
-    "run_service_lattice",
-    "run_solver_lattice",
-    "service_lattice",
-    "solver_lattice",
-    "table1_problems",
-]

@@ -23,7 +23,9 @@ checked three ways:
   and ``blocks_read`` receipt must equal the row-at-a-time
   :class:`~repro.sql.executor.Executor` running the same personalized
   query. The reference point answers through ``service.request()``
-  one problem at a time, every other point through ``request_many``.
+  (a one-request batch on the ``request_many`` pipeline) one problem
+  at a time with caches off, every other point through
+  ``request_many``.
 
 Every scenario is generated from one integer seed and every failure
 message carries ``(seed, problem, lattice point)`` — rerunning the
@@ -390,8 +392,10 @@ def _algorithm_for(problem: CQPProblem, requested: str) -> str:
 
 def service_lattice() -> List[LatticePoint]:
     """The end-to-end lattice, five points per algorithm: the reference
-    (caches off, answered through ``request()``), ``request_many`` with
-    caches on and warm, a snapshot-warm boot and the async front-end."""
+    (caches off, answered one ``request()`` — a one-request batch — at
+    a time), ``request_many`` with caches on and warm, a snapshot-warm
+    boot and the async front-end. Receipts come from each response's
+    ``outcome.solution``, whose ``stats`` carry the search counters."""
     points = []
     for algorithm in DOI_ALGORITHMS:
         for cache in CACHE_MODES:

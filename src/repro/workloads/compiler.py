@@ -15,17 +15,18 @@ in two passes:
    once per user.
 
 2. **Precompute the search layer** — one *unit* per (canonical profile,
-   query template, extraction cluster): extract the preference space
-   (pricing every path through a unit-local parameter cache) and solve
-   the cluster's Table 1 problems through
-   :func:`repro.core.adapters.solve_many`, which dedupes and primes the
-   stacked batch kernel, into a unit-local frontier cache. Each unit
-   returns its two cache ``snapshot()`` blobs and the compiler merges
-   them via ``restore()`` under the live statistics token, so merge
-   order never shows in the result. Spaces that coincide
-   across canonical profiles collapse once more at this layer: the
-   frontier store keys on the space *signature*, and the telemetry
-   reports the fleet-to-signature compression.
+   query template, extraction cluster): the serving pipeline,
+   :meth:`~repro.core.personalizer.Personalizer.personalize_many`,
+   extracts the preference space once (pricing every path through a
+   unit-local parameter cache) and solves the cluster's Table 1
+   problems through :func:`repro.core.adapters.solve_many`, which
+   dedupes and primes the stacked batch kernel, into a unit-local
+   frontier cache. Each unit returns its two cache ``snapshot()`` blobs
+   and the compiler merges them via ``restore()`` under the live
+   statistics token, so merge order never shows in the result. Spaces
+   that coincide across canonical profiles collapse once more at this
+   layer: the frontier store keys on the space *signature*, and the
+   telemetry reports the fleet-to-signature compression.
 
 The result is a :class:`~repro.storage.snapshot.CompiledWorkload` —
 persist it with :func:`~repro.storage.snapshot.save_snapshot` and boot
@@ -42,7 +43,8 @@ from repro.core import adapters
 from repro.core.frontier_cache import FrontierCache, space_signature
 from repro.core.interning import ProfileInterner
 from repro.core.param_cache import ParameterCache
-from repro.core.preference_space import extract_preference_space
+from repro.core.personalizer import Personalizer
+from repro.core.preference_space import extraction_key
 from repro.core.problem import Constraints, CQPProblem, Parameter
 from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
 from repro.preferences.profile import UserProfile
@@ -82,18 +84,6 @@ def problem_from_spec(spec: Dict) -> CQPProblem:
     )
 
 
-def _resolve_algorithm(
-    problem: CQPProblem, requested: Optional[str], default_algorithm: str
-) -> str:
-    """The same problem-aware defaulting :class:`Personalizer` applies,
-    so compiled frontiers match what serving will actually run."""
-    if requested is not None:
-        return requested
-    if not problem.constraints.has_size_bounds:
-        return default_algorithm
-    return adapters.recommended_algorithm(problem)
-
-
 # -- the compiler --------------------------------------------------------------------
 
 
@@ -103,7 +93,6 @@ def compile_workload(
     queries: Sequence[Union[str, SelectQuery]],
     problems: Sequence[CQPProblem],
     algorithms: Optional[Sequence[Optional[str]]] = None,
-    default_algorithm: str = "c_maxbounds",
     k_limit: Optional[int] = None,
     algebra: DoiAlgebra = PRODUCT_ALGEBRA,
     meta: Optional[Dict] = None,
@@ -113,8 +102,8 @@ def compile_workload(
     ``profiles`` is the full fleet (with repetition — interning is the
     compiler's first job); ``queries`` the template workload;
     ``problems`` the Table 1 instances requests will carry, with
-    ``algorithms`` resolved exactly as the service resolves them (pass
-    the same ``default_algorithm`` the serving side uses).
+    ``algorithms`` defaulted exactly as the service defaults them
+    (:func:`~repro.core.adapters.recommended_algorithm`).
     """
     if not database.analyzed:
         database.analyze()
@@ -128,7 +117,7 @@ def compile_workload(
     if algorithms is None:
         algorithms = [None] * len(problems)
     resolved = [
-        _resolve_algorithm(problem, requested, default_algorithm)
+        requested if requested is not None else adapters.recommended_algorithm(problem)
         for problem, requested in zip(problems, algorithms)
     ]
 
@@ -139,13 +128,12 @@ def compile_workload(
     canonical = interner.canonical_profiles()
     intern_seconds = time.perf_counter() - started
 
-    # Extraction clusters: the extractor prunes on (cmax, smin), so
-    # problems sharing that key share one extraction (the same grouping
-    # the service's structural batching applies).
+    # Extraction clusters: problems sharing an extraction key share one
+    # extraction (the same grouping the service's structural batching
+    # applies).
     clusters: Dict[Tuple, List[int]] = {}
     for index, problem in enumerate(problems):
-        key = (problem.constraints.cmax, problem.constraints.smin)
-        clusters.setdefault(key, []).append(index)
+        clusters.setdefault(extraction_key(problem.constraints), []).append(index)
     cluster_lists = list(clusters.values())
 
     units: List[Tuple[UserProfile, SelectQuery, Tuple[int, ...]]] = [
@@ -158,33 +146,28 @@ def compile_workload(
     def compile_unit(unit):
         """Extract + solve one (canonical profile, query, cluster).
 
-        Runs against *unit-local* caches, so each unit's evaluators are
-        dropped with it; the returned blobs are exactly the caches'
-        persistence format.
+        Runs the service's own pipeline against *unit-local* caches, so
+        each unit's evaluators are dropped with it; the returned blobs
+        are exactly the caches' persistence format.
         """
         profile, query, cluster = unit
         unit_param = ParameterCache()
         unit_frontier = FrontierCache()
-        unit_frontier.validate(token)
-        cluster_problems = [problems[i] for i in cluster]
-        pspace = extract_preference_space(
+        personalizer = Personalizer(
             database,
+            algebra=algebra,
+            param_cache=unit_param,
+            frontier_cache=unit_frontier,
+        )
+        outcomes = personalizer.personalize_many(
             query,
             profile,
-            constraints=cluster_problems[0].constraints,
-            algebra=algebra,
+            [problems[i] for i in cluster],
+            [resolved[i] for i in cluster],
             k_limit=k_limit,
-            param_cache=unit_param,
         )
-        signature = None
-        if pspace.k > 0:
-            signature = space_signature(pspace)
-            adapters.solve_many(
-                pspace,
-                cluster_problems,
-                algorithms=[resolved[i] for i in cluster],
-                frontier_cache=unit_frontier,
-            )
+        pspace = outcomes[0].preference_space
+        signature = space_signature(pspace) if pspace.k > 0 else None
         return signature, unit_param.snapshot(), unit_frontier.snapshot()
 
     solve_started = time.perf_counter()
@@ -229,7 +212,6 @@ def compile_workload(
     compiled_meta.setdefault("problems", [problem_to_spec(p) for p in problems])
     compiled_meta.setdefault("algorithms", list(resolved))
     compiled_meta.setdefault("k_limit", k_limit)
-    compiled_meta.setdefault("default_algorithm", default_algorithm)
 
     return CompiledWorkload(
         fingerprint=database.fingerprint,

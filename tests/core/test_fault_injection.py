@@ -234,6 +234,34 @@ class TestServiceDegradation:
         assert any(r.degraded for r in degraded)
         assert not any(r.degraded for r in clean)
 
+    def test_single_request_falls_back_like_a_batch(
+        self, movie_db, movie_profile, movie_query
+    ):
+        # request() is a one-request batch, so a worker that always
+        # fails sends it down the same retry-then-cold-fallback path.
+        def run(injector):
+            service = PersonalizationService(movie_db, fault_injector=injector)
+            service.register("drill", movie_profile)
+            return service.request(
+                "drill",
+                movie_query,
+                problem=CQPProblem.problem2(cmax=float("inf")),
+                algorithm="c_boundaries",
+                k_limit=7,
+            )
+
+        clean = run(None)
+        injector = FaultInjector(FaultPlan(periods={"scheduler.worker": 1}))
+        degraded = run(injector)
+        assert Receipt.of(degraded.outcome.solution) == Receipt.of(
+            clean.outcome.solution
+        )
+        assert degraded.rows == clean.rows
+        assert degraded.faults_injected > 0
+        assert degraded.fallbacks_taken == 1
+        assert "transient-fault fallback" in degraded.degradation_reason
+        assert not clean.degraded
+
     def test_quiet_plan_reports_nothing(self, movie_db, movie_profile, movie_query):
         injector = FaultInjector(FaultPlan.quiet())
         service = PersonalizationService(movie_db, fault_injector=injector)

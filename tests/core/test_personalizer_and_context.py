@@ -2,11 +2,18 @@
 
 import pytest
 
+from repro.core.adapters import recommended_algorithm
 from repro.core.context import SearchContext, problem_for_context
 from repro.core.personalizer import Personalizer
 from repro.core.problem import CQPProblem
+from repro.core.service import BatchRequest
 from repro.errors import ProblemSpecError
 from repro.preferences.profile import UserProfile
+from repro.serving.batcher import PendingRequest
+from repro.serving.config import ServingConfig
+from repro.serving.degradation import DegradationPolicy
+from repro.testing.differential import table1_problems
+from repro.workloads.compiler import compile_workload
 from repro.workloads.scenarios import figure1_profile
 
 
@@ -103,6 +110,53 @@ class TestPersonalizer:
         )
         assert outcome.solution is not None
         assert outcome.solution.doi >= 0.5 - 1e-9
+
+
+class TestOneDefaultingRule:
+    """``recommended_algorithm`` is the only defaulting rule: the
+    personalizer, the workload compiler and the serving layer's
+    degradation policy all resolve an unset algorithm through it."""
+
+    def test_every_layer_defaults_like_recommended_algorithm(
+        self, movie_db, movie_profile, movie_query
+    ):
+        personalizer = Personalizer(movie_db)
+        probe = personalizer.personalize(
+            movie_query,
+            movie_profile,
+            CQPProblem.problem2(cmax=float("inf")),
+            k_limit=7,
+        )
+        problems = [
+            problem
+            for _, problem in sorted(table1_problems(probe.preference_space).items())
+        ]
+        expected = [recommended_algorithm(problem) for problem in problems]
+        assert set(expected) == {"c_boundaries", "c_maxbounds", "min_cost"}
+
+        for problem, algorithm in zip(problems, expected):
+            outcome = personalizer.personalize(
+                movie_query, movie_profile, problem, k_limit=7
+            )
+            assert outcome.solution is not None
+            assert outcome.solution.algorithm == algorithm
+
+        compiled = compile_workload(
+            movie_db, [movie_profile], [movie_query], problems, k_limit=7
+        )
+        assert compiled.meta["algorithms"] == expected
+
+        config = ServingConfig()
+        policy = DegradationPolicy(config)
+        for problem, algorithm in zip(problems, expected):
+            pending = PendingRequest(
+                seq=0,
+                request=BatchRequest(user="al", query=movie_query, problem=problem),
+                tier=config.tier("gold"),
+                arrived_at=0.0,
+                flush_by=0.0,
+            )
+            assert policy._requested(pending) == algorithm
 
 
 class TestContextPolicy:

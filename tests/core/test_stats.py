@@ -109,8 +109,8 @@ class TestResilienceCounters:
 
 
 class TestPerRequestCounterReset:
-    """Service responses report per-request deltas, never cumulative
-    cache totals leaked across requests."""
+    """A response's solution stats report per-request deltas, never
+    cumulative cache totals leaked across requests."""
 
     def test_second_request_reports_only_its_own_traffic(self):
         from repro.core.frontier_cache import FrontierCache
@@ -140,8 +140,8 @@ class TestPerRequestCounterReset:
                 algorithm="c_boundaries", k_limit=6,
             )
 
-        first = ask()
-        second = ask()
+        first = ask().outcome.solution.stats
+        second = ask().outcome.solution.stats
         # The repeat request rides the first one's frontier: its own
         # traffic is exactly one memo hit, and had the counters been
         # cumulative it would also carry the first request's miss.

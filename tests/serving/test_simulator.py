@@ -9,13 +9,18 @@ accounting — with zero real sleeps.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.core.adapters import recommended_algorithm
+from repro.core.context import SearchContext, problem_for_context
+from repro.core.service import BatchRequest
 from repro.serving.admission import AdmissionRejected
 from repro.serving.server import ServedResponse
 from repro.testing.differential import Receipt
 
-from tests.serving.conftest import serve_timeline, tiny_config
+from tests.serving.conftest import K_LIMIT, serve_timeline, tiny_config
 
 
 class TestFlushTiming:
@@ -119,6 +124,39 @@ class TestDegradation:
             assert served.response.degraded
             assert served.response.fallbacks_taken == 0
             assert "c_boundaries -> c_maxbounds" in served.response.degradation_reason
+
+    def test_context_routed_requests_degrade_like_explicit_ones(
+        self, serving_service, movie_query
+    ):
+        # A phone context routes to Problem 3, whose recommended
+        # algorithm is c_boundaries; under the same queue depth the
+        # context-routed request must step down exactly like one that
+        # names the problem itself.
+        context = SearchContext(device="phone")
+        problem = problem_for_context(context)
+        assert recommended_algorithm(problem) == "c_boundaries"
+        routed = BatchRequest(
+            user="pat", query=movie_query, context=context, k_limit=K_LIMIT
+        )
+        explicit = replace(routed, context=None, problem=problem)
+        for request in (routed, explicit):
+            arrivals = [(0.0, request, "bronze") for _ in range(3)]
+            outcomes, server = serve_timeline(serving_service, arrivals, tiny_config())
+            assert server.policy.downgrades == 3
+            for served in outcomes:
+                assert served.algorithm == "c_maxbounds"
+                assert (
+                    "c_boundaries -> c_maxbounds"
+                    in served.response.degradation_reason
+                )
+        reference = serving_service.request(
+            "pat", movie_query, problem=problem, algorithm="c_maxbounds",
+            k_limit=K_LIMIT,
+        )
+        assert Receipt.of(outcomes[0].response.outcome.solution) == Receipt.of(
+            reference.outcome.solution
+        )
+        assert outcomes[0].response.rows == reference.rows
 
     def test_degradation_off_pins_the_algorithm_under_load(
         self, serving_service, serving_requests
