@@ -216,10 +216,16 @@ def main() -> int:
 
     compression = telemetry["signature_compression"]
     cold_start = uncompiled["p95_ms"] / warm["p95_ms"]
-    print("\nfleet-to-signature compression: %.1fx (floor %.1fx)"
-          % (compression, COMPRESSION_FLOOR))
-    print("cold-start p95 improvement:     %.1fx (floor %.1fx)"
-          % (cold_start, COLD_START_FLOOR))
+    enforced = ", not enforced on --quick" if args.quick else ""
+    print("\nfleet-to-signature compression: %.1fx (floor %.1fx%s)"
+          % (compression, COMPRESSION_FLOOR, enforced))
+    print("cold-start p95 improvement:     %.1fx (floor %.1fx%s)"
+          % (cold_start, COLD_START_FLOOR, enforced))
+    if args.quick:
+        print("quick run: both floors are enforced on full runs only; this "
+              "run's guard is the deterministic check that the snapshot-warm "
+              "caches never miss, which fails if the compiler and the "
+              "service key a space differently")
 
     entry = {
         "date": time.strftime("%Y-%m-%d"),

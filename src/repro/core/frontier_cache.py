@@ -4,19 +4,21 @@ For a fixed (query, profile, statistics) triple the mapping from a
 state to its (doi, cost, size) parameters is constant — only the
 constraint test changes between CQP problems and between constraint
 values (Formulas 4, 7, 8; Table 1). :class:`FrontierCache` exploits
-that at two levels:
+that at two levels, both keyed on the space *digest*
+(:func:`~repro.core.preference_space.space_digest`: a SHA-256 of the
+parameter arrays — the resultant of query, profile, and statistics —
+computed once per extracted space):
 
 * **Shared state evaluation** — one
-  :class:`~repro.core.estimation.CachedStateEvaluator` per preference-
-  space *signature* (the parameter arrays themselves — the resultant of
-  query, profile, and statistics), reused by every solve against that
-  space. A later solve with a different ``cmax``/``smin``/``smax``/
-  ``dmin`` re-derives no per-state parameter: every mask it touches is
-  already priced. This benefits **all** algorithms, including the
-  cost-minimization search of Problems 4–6.
+  :class:`~repro.core.estimation.CachedStateEvaluator` per space
+  digest, reused by every solve against that space. A later solve with
+  a different ``cmax``/``smin``/``smax``/``dmin`` re-derives no
+  per-state parameter: every mask it touches is already priced. This
+  benefits **all** algorithms, including the cost-minimization search
+  of Problems 4–6. ``capacity`` bounds how many evaluators are held.
 
 * **Frontier memoization** — the boundary frontier discovered by a
-  finished C-BOUNDARIES sweep is stored per (signature, rank vector,
+  finished C-BOUNDARIES sweep is stored per (digest, rank vector,
   budget axis, limit). A later solve with the *same* limit skips phase
   1 entirely; a solve with a **tighter** limit warm-starts: the sweep
   resumes downward from the cached boundaries instead of from the root,
@@ -28,7 +30,11 @@ that at two levels:
   limit — exactly the states the resumed sweep expands. A looser limit
   finds no seed (its boundaries lie *above* the cached ones, outside
   the cached frontier's cones) and falls back to a cold sweep that
-  still rides the shared evaluator.
+  still rides the shared evaluator. Memos are bounded by accounted
+  bytes (:attr:`FrontierCache.byte_budget`), not by ``capacity``: a
+  memo costs about a kilobyte plus its frontiers, so a round-robin
+  working set far larger than the evaluator bound stays resident and
+  keeps warm-starting.
 
 Frontiers are stored in **canonical** form — dominance-reduced to the
 true minimal boundary set and ordered by (group, rank tuple) — so the
@@ -54,10 +60,15 @@ import numpy as np
 
 from repro.cache_stats import CacheStatsMixin
 from repro.core.estimation import CachedStateEvaluator
+from repro.core.preference_space import space_digest
 from repro.core.state import State
 
 DEFAULT_EVALUATORS = 256
-DEFAULT_FRONTIERS = 256
+# The default byte budget of the frontier memos, and the fixed cost each
+# held memo is accounted on top of its frontiers (its digest key, rank
+# vector, limit dict and LRU slot).
+FRONTIER_BYTES = 4 << 20
+MEMO_OVERHEAD_BYTES = 1024
 FRONTIER_LIMITS_PER_MEMO = 32
 
 Frontier = Tuple[State, ...]
@@ -101,30 +112,8 @@ def canonical_frontier(boundaries: Iterable[State]) -> Frontier:
     return tuple(kept)
 
 
-def space_signature(pspace) -> Tuple:
-    """The identity a preference space's parameters define.
-
-    The arrays *are* the resultant of (query, profile, statistics):
-    identical arrays evaluate identically whatever produced them, so
-    keying on them is always safe — and it also unifies e.g. truncated
-    spaces that happen to coincide.
-    """
-    return (
-        tuple(pspace.doi_values),
-        tuple(pspace.cost_values),
-        tuple(pspace.reductions),
-        pspace.base_size,
-        pspace.base_cost,
-        # The algebra's *semantic* signature, not its object identity:
-        # stable across processes, so signatures recorded in a persisted
-        # workload snapshot key the same entries after a restart.
-        pspace.algebra.signature,
-        tuple(sorted(tuple(sorted(pair)) for pair in pspace.conflicts)),
-    )
-
-
 class FrontierMemo:
-    """Per-(signature, vector, axis) store of limit → canonical frontier.
+    """Per-(space digest, vector, axis) store of limit → canonical frontier.
 
     ``attached`` is true while the cache maps this memo. An in-flight
     solve may still hold (and store into) a memo the cache has since
@@ -184,6 +173,8 @@ class FrontierMemo:
                     cache._frontier_bytes -= _frontier_nbytes(evicted)
                     cache._frontier_count -= 1
                 cache.evictions += 1
+            if counted:
+                cache._shrink_locked()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -199,13 +190,30 @@ def _frontier_nbytes(frontier: Frontier) -> int:
     return 56 + sum(56 + 8 * len(state) for state in frontier)
 
 
-class FrontierCache(CacheStatsMixin):
-    """Shared evaluators + boundary frontiers across solves.
+def state_nbytes(state: Dict) -> int:
+    """The accounted bytes a :meth:`FrontierCache.snapshot` blob takes
+    once restored: what a restoring cache's byte budget must hold so
+    the restore evicts none of its own entries."""
+    return sum(
+        MEMO_OVERHEAD_BYTES + sum(_frontier_nbytes(frontier) for _, frontier in entries)
+        for _, entries in state["memos"]
+    )
 
-    ``capacity`` bounds the number of distinct space signatures held
-    (evaluators and frontier memos evict LRU independently); a capacity
-    of 0 disables the cache entirely — every ``evaluator_for`` returns
-    a fresh evaluator and no frontier is remembered — which is how the
+
+class FrontierCache(CacheStatsMixin):
+    """Shared evaluators + boundary frontiers across solves, under two
+    bounds.
+
+    ``capacity`` bounds the number of shared evaluators (one per
+    distinct space digest, evicted LRU). Frontier memos are cheap to
+    hold — a memo's key is a digest, not the parameter arrays — so they
+    evict LRU against an accounted-byte budget instead,
+    :attr:`byte_budget` (seeded from :data:`FRONTIER_BYTES`): the
+    frontiers' estimated sizes plus :data:`MEMO_OVERHEAD_BYTES` per
+    memo. A working set that outgrows the evaluator bound therefore
+    still warm-starts its constraint sweeps. A capacity of 0 disables
+    the cache entirely — every ``evaluator_for`` returns a fresh
+    evaluator and no frontier is remembered — which is how the
     benchmarks model cold solves.
     """
 
@@ -213,7 +221,8 @@ class FrontierCache(CacheStatsMixin):
         if capacity < 0:
             raise ValueError("capacity must be >= 0, got %r" % (capacity,))
         self.capacity = capacity
-        self._evaluators: "OrderedDict[Tuple, CachedStateEvaluator]" = OrderedDict()
+        self.byte_budget = FRONTIER_BYTES
+        self._evaluators: "OrderedDict[str, CachedStateEvaluator]" = OrderedDict()
         self._memos: "OrderedDict[Tuple, FrontierMemo]" = OrderedDict()
         self._stats_token: Hashable = None
         self._lock = threading.Lock()
@@ -274,31 +283,46 @@ class FrontierCache(CacheStatsMixin):
         self._frontier_bytes = 0
         self._evaluator_bytes = 0
 
+    def _memo_bytes_locked(self) -> int:
+        """The accounted bytes of the held memos (caller holds the lock)."""
+        return self._frontier_bytes + MEMO_OVERHEAD_BYTES * len(self._memos)
+
+    def _shrink_locked(self) -> None:
+        """Evict least recently used memos until the accounted bytes fit
+        :attr:`byte_budget` (caller holds the lock)."""
+        while self._memos and self._memo_bytes_locked() > self.byte_budget:
+            _, dropped = self._memos.popitem(last=False)
+            dropped.attached = False
+            for frontier in dropped._entries.values():
+                self._frontier_bytes -= _frontier_nbytes(frontier)
+                self._frontier_count -= 1
+                self.evictions += 1
+
     # -- the two entry points ------------------------------------------------------
 
     def evaluator_for(self, pspace) -> CachedStateEvaluator:
         """The shared caching evaluator for a preference space.
 
-        Every solve against an identical parameter signature receives
-        the *same* evaluator, so per-state doi/cost/size figures carry
+        Every solve against an identical parameter digest receives the
+        *same* evaluator, so per-state doi/cost/size figures carry
         across constraint values, problems, and algorithms.
         """
         if self.fault_hook is not None:
             self.fault_hook("frontier_cache.evaluator")
         if self.capacity == 0:
             return CachedStateEvaluator.wrap(pspace.evaluator())
-        signature = space_signature(pspace)
+        digest = space_digest(pspace)
         with self._lock:
-            evaluator = self._evaluators.get(signature)
+            evaluator = self._evaluators.get(digest)
             if evaluator is not None:
-                self._evaluators.move_to_end(signature)
+                self._evaluators.move_to_end(digest)
                 return evaluator
         evaluator = CachedStateEvaluator.wrap(pspace.evaluator())
         with self._lock:
-            existing = self._evaluators.get(signature)
+            existing = self._evaluators.get(digest)
             if existing is not None:
                 return existing
-            self._evaluators[signature] = evaluator
+            self._evaluators[digest] = evaluator
             self._evaluator_bytes += _evaluator_nbytes(evaluator)
             while len(self._evaluators) > self.capacity:
                 _, dropped = self._evaluators.popitem(last=False)
@@ -306,24 +330,18 @@ class FrontierCache(CacheStatsMixin):
                 self.evictions += 1
         return evaluator
 
-    def memo_for(self, signature: Tuple, vector: Tuple[int, ...], axis: str
+    def memo_for(self, digest: str, vector: Tuple[int, ...], axis: str
                  ) -> Optional[FrontierMemo]:
-        """The frontier memo for one (space signature, vector, axis)."""
+        """The frontier memo for one (space digest, vector, axis)."""
         if self.capacity == 0:
             return None
-        key = (signature, vector, axis)
+        key = (digest, vector, axis)
         with self._lock:
             memo = self._memos.get(key)
             if memo is None:
                 memo = FrontierMemo(self)
                 self._memos[key] = memo
-                while len(self._memos) > self.capacity:
-                    _, dropped = self._memos.popitem(last=False)
-                    dropped.attached = False
-                    for frontier in dropped._entries.values():
-                        self._frontier_bytes -= _frontier_nbytes(frontier)
-                        self._frontier_count -= 1
-                        self.evictions += 1
+                self._shrink_locked()
             else:
                 self._memos.move_to_end(key)
             return memo
@@ -336,10 +354,9 @@ class FrontierCache(CacheStatsMixin):
         Evaluators are deliberately *not* captured: they rebuild from a
         preference space in microseconds, and their mask caches are
         process-local numpy state. What is expensive to recompute — the
-        canonical frontiers per (signature, vector, axis, limit) — is
-        exactly what travels (signatures are process-independent now
-        that :func:`space_signature` keys on the algebra's semantic
-        signature).
+        canonical frontiers per (digest, vector, axis, limit) — is
+        exactly what travels (:func:`~repro.core.preference_space.space_digest`
+        is process-independent).
         """
         with self._lock:
             return {
@@ -358,14 +375,17 @@ class FrontierCache(CacheStatsMixin):
         :mod:`repro.storage.snapshot`) is responsible for proving the
         snapshot was taken against equivalent statistics before handing
         the live token over. Returns the number of frontiers installed.
+        The blob lands under the ordinary byte budget; a caller that
+        must keep all of it grows :attr:`byte_budget` by
+        :func:`state_nbytes` first.
         """
         if state.get("kind") != "frontier_cache":
             raise ValueError("not a FrontierCache snapshot: %r" % (state.get("kind"),))
         self.validate(stats_token)
         installed = 0
         for key, entries in state["memos"]:
-            signature, vector, axis = key
-            memo = self.memo_for(signature, tuple(vector), axis)
+            digest, vector, axis = key
+            memo = self.memo_for(digest, tuple(vector), axis)
             if memo is None:
                 break  # capacity 0: a disabled cache restores nothing
             for limit, frontier in entries:
@@ -379,7 +399,7 @@ class FrontierCache(CacheStatsMixin):
         return self._frontier_count
 
     def _stats_bytes(self) -> int:
-        return self._frontier_bytes + self._evaluator_bytes
+        return self._memo_bytes_locked() + self._evaluator_bytes
 
     def _stats_extra(self) -> Dict[str, int]:
         return {

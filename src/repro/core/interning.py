@@ -19,7 +19,7 @@ algorithm walks ``anchored_at`` lists in insertion order, so the
 extracted ``P`` (and therefore every solution's ``pref_indices``) is a
 function of that order. Equal fingerprints ⇒ identical extraction ⇒
 bit-identical solves; the interner never unifies two profiles that any
-downstream stage could distinguish. (Space-signature unification — the
+downstream stage could distinguish. (Space-digest unification — the
 stronger, parameter-level collapse — happens one layer down, in the
 :class:`~repro.core.frontier_cache.FrontierCache` keying and the
 compiler's frontier dedupe.)

@@ -23,8 +23,10 @@ doi order, which cost and size are not.
 
 from __future__ import annotations
 
+import hashlib
 import heapq
 import itertools
+import struct
 from bisect import insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
@@ -62,6 +64,9 @@ class PreferenceSpace:
     vector_s: List[int]
     selection_times: Dict[str, float] = field(default_factory=dict)
     conflicts: List[Tuple[int, int]] = field(default_factory=list)
+    # space_digest's memo. Not an __init__ field, so neither
+    # dataclasses.replace nor truncated() carries it to a new space.
+    _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def k(self) -> int:
@@ -110,6 +115,46 @@ class PreferenceSpace:
             selection_times=dict(self.selection_times),
             conflicts=[(a, b) for a, b in self.conflicts if a in keep and b in keep],
         )
+
+
+def space_digest(pspace: PreferenceSpace) -> str:
+    """The identity a preference space's parameters define, as a hex
+    SHA-256 computed once per space.
+
+    The arrays *are* the resultant of (query, profile, statistics):
+    identical arrays evaluate identically whatever produced them, so
+    keying caches on them is always safe, and it also unifies e.g.
+    truncated spaces that happen to coincide. The digest covers the
+    IEEE doubles of ``doi_values``, ``cost_values`` and ``reductions``,
+    ``base_size``, ``base_cost``, the algebra's *semantic* signature
+    (not its object identity) and the sorted conflict pairs. Every part
+    is encoded canonically, so the digest is stable across processes
+    and persisted workload snapshots key the same entries after a
+    restart.
+    """
+    digest = pspace._digest
+    if digest is None:
+        k = len(pspace.doi_values)
+        arrays = struct.pack(
+            "<q%dd" % (3 * k + 2),
+            k,
+            *pspace.doi_values,
+            *pspace.cost_values,
+            *pspace.reductions,
+            pspace.base_size,
+            pspace.base_cost,
+        )
+        algebra = repr(pspace.algebra.signature).encode("utf-8")
+        pairs = sorted(tuple(sorted(pair)) for pair in pspace.conflicts)
+        conflicts = struct.pack(
+            "<q%dq" % (2 * len(pairs)), len(pairs), *itertools.chain(*pairs)
+        )
+        hasher = hashlib.sha256(arrays)
+        hasher.update(struct.pack("<q", len(algebra)))
+        hasher.update(algebra)
+        hasher.update(conflicts)
+        digest = pspace._digest = hasher.hexdigest()
+    return digest
 
 
 def _prunable(
@@ -251,23 +296,30 @@ def extract_preference_space(
 
 def _path_conflicts(paths: List[PreferencePath]) -> List[Tuple[int, int]]:
     """Pairs of paths whose selections are provably unsatisfiable together
-    (e.g. two different equality values on the same attribute)."""
+    (e.g. two different equality values on the same attribute), in
+    ascending ``(i, j)`` order.
+
+    :func:`selection_conflicts` is false unless both conditions share
+    ``(relation, attribute)``, so only pairs of paths that meet in such
+    a bucket are tested; every other pair of the all-pairs scan is
+    conflict-free without a call. A path ends in at most one selection,
+    so each pair of paths is tested at most once.
+    """
     from repro.preferences.model import SelectionCondition, selection_conflicts
 
-    selections = [
-        [c for c in path.conditions if isinstance(c, SelectionCondition)]
-        for path in paths
-    ]
-    conflicts: List[Tuple[int, int]] = []
-    for i in range(len(paths)):
-        for j in range(i + 1, len(paths)):
-            if any(
-                selection_conflicts(a, b)
-                for a in selections[i]
-                for b in selections[j]
-            ):
-                conflicts.append((i, j))
-    return conflicts
+    buckets: Dict[Tuple[str, str], List[Tuple[int, SelectionCondition]]] = {}
+    for index, path in enumerate(paths):
+        for condition in path.conditions:
+            if isinstance(condition, SelectionCondition):
+                key = (condition.relation, condition.attribute)
+                buckets.setdefault(key, []).append((index, condition))
+    conflicts: Set[Tuple[int, int]] = set()
+    for members in buckets.values():
+        for position, (i, a) in enumerate(members):
+            for j, b in members[position + 1:]:
+                if selection_conflicts(a, b):
+                    conflicts.add((i, j))
+    return sorted(conflicts)
 
 
 def _try_extend(

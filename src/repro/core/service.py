@@ -31,7 +31,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from repro.core.algorithms.scheduler import SolveScheduler
 from repro.core.context import SearchContext, problem_for_context
-from repro.core.frontier_cache import FrontierCache
+from repro.core.frontier_cache import FrontierCache, state_nbytes
 from repro.core.param_cache import ParameterCache
 from repro.core.personalizer import PersonalizationOutcome, Personalizer
 from repro.core.preference_space import extraction_key
@@ -181,8 +181,10 @@ class PersonalizationService:
             # Size every cache to hold the whole snapshot: restoring
             # into a cache smaller than the compiled set would evict
             # entries during boot and silently serve a half-warm
-            # service. Capacities only ever grow; a deliberately
-            # disabled cache (capacity 0) stays disabled.
+            # service. The pricing cache grows its entry capacity, the
+            # frontier cache its memo byte budget; bounds only ever
+            # grow, and a deliberately disabled cache (capacity 0)
+            # stays disabled.
             param = self.personalizer.param_cache
             if param is not None and param.capacity > 0:
                 param.capacity = max(
@@ -190,9 +192,9 @@ class PersonalizationService:
                 )
             frontier = self.personalizer.frontier_cache
             if frontier is not None and frontier.capacity > 0:
-                frontier.capacity = max(
-                    frontier.capacity,
-                    2 * len(snapshot.frontier_state.get("memos", ())),
+                frontier.byte_budget = max(
+                    frontier.byte_budget,
+                    2 * state_nbytes(snapshot.frontier_state),
                 )
             self.snapshot_installed = snapshot.restore_into(
                 database,

@@ -19,7 +19,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core import transitions as tr
 from repro.core.estimation import StateEvaluator
-from repro.core.preference_space import PreferenceSpace
+from repro.core.preference_space import PreferenceSpace, space_digest
 from repro.core.problem import CQPProblem, Parameter
 from repro.core.solution import CQPSolution
 from repro.core.state import Mask, State, make_state
@@ -214,17 +214,14 @@ class SpaceBundle:
             self.evaluator = CachedStateEvaluator.wrap(pspace.evaluator())
         else:
             self.evaluator = pspace.evaluator()
-        self._signature = None
 
     def _frontier_memo(self, space: SearchSpace):
         """The frontier memo for a budget-aligned space, if cached."""
         if self.frontier_cache is None or not space.budget_aligned:
             return None
-        from repro.core.frontier_cache import space_signature
-
-        if self._signature is None:
-            self._signature = space_signature(self.pspace)
-        return self.frontier_cache.memo_for(self._signature, space.vector, space.name)
+        return self.frontier_cache.memo_for(
+            space_digest(self.pspace), space.vector, space.name
+        )
 
     @property
     def k(self) -> int:

@@ -48,12 +48,6 @@ class SearchStats:
     frontier_cache_misses: int = 0
     states_warm_started: int = 0
     neighbor_batches: int = 0
-    # Resilience counters, folded in by the service (see
-    # repro.testing.faults and repro.core.algorithms.scheduler): faults
-    # an injector fired during this request, and scheduler tasks that
-    # had to degrade to the cold fallback path.
-    faults_injected: int = 0
-    fallbacks_taken: int = 0
     _containers: Dict[str, Callable[[], int]] = field(default_factory=dict, repr=False)
     _released: bool = field(default=False, repr=False)
 
@@ -147,8 +141,6 @@ class SearchStats:
         self.frontier_cache_misses += other.frontier_cache_misses
         self.states_warm_started += other.states_warm_started
         self.neighbor_batches += other.neighbor_batches
-        self.faults_injected += other.faults_injected
-        self.fallbacks_taken += other.fallbacks_taken
 
 
 def container_bytes(container: Sequence[Tuple[int, ...]]) -> int:

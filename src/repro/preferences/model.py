@@ -228,6 +228,21 @@ class PreferencePath:
         return "PreferencePath(%s)" % self
 
 
+def _bounds(cond: SelectionCondition):
+    """(low, low_strict, high, high_strict) for range reasoning."""
+    if cond.op is Operator.EQ:
+        return cond.value, False, cond.value, False
+    if cond.op is Operator.GE:
+        return cond.value, False, None, False
+    if cond.op is Operator.GT:
+        return cond.value, True, None, False
+    if cond.op is Operator.LE:
+        return None, False, cond.value, False
+    if cond.op is Operator.LT:
+        return None, False, cond.value, True
+    return None, False, None, False  # NE constrains nothing here
+
+
 def selection_conflicts(a: SelectionCondition, b: SelectionCondition) -> bool:
     """True when two selection conditions are provably unsatisfiable together.
 
@@ -245,28 +260,14 @@ def selection_conflicts(a: SelectionCondition, b: SelectionCondition) -> bool:
     if (a.relation, a.attribute) != (b.relation, b.attribute):
         return False
 
-    def bounds(cond: SelectionCondition):
-        """(low, low_strict, high, high_strict) for range reasoning."""
-        if cond.op is Operator.EQ:
-            return cond.value, False, cond.value, False
-        if cond.op is Operator.GE:
-            return cond.value, False, None, False
-        if cond.op is Operator.GT:
-            return cond.value, True, None, False
-        if cond.op is Operator.LE:
-            return None, False, cond.value, False
-        if cond.op is Operator.LT:
-            return None, False, cond.value, True
-        return None, False, None, False  # NE constrains nothing here
-
     # Equality vs inequality on the same value.
     pairs = ((a, b), (b, a))
     for eq, other in pairs:
         if eq.op is Operator.EQ and other.op is Operator.NE and eq.value == other.value:
             return True
 
-    low_a, strict_la, high_a, strict_ha = bounds(a)
-    low_b, strict_lb, high_b, strict_hb = bounds(b)
+    low_a, strict_la, high_a, strict_ha = _bounds(a)
+    low_b, strict_lb, high_b, strict_hb = _bounds(b)
     low = low_a if low_b is None else low_b if low_a is None else max(low_a, low_b)
     high = high_a if high_b is None else high_b if high_a is None else min(high_a, high_b)
     if low is None or high is None:

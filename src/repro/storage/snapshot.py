@@ -43,7 +43,9 @@ from typing import Dict, Optional
 from repro.errors import StorageError
 from repro.storage.database import Database
 
-SNAPSHOT_FORMAT_VERSION = 1
+# Version 2: frontier memos key on the space digest
+# (repro.core.preference_space.space_digest), not the parameter tuples.
+SNAPSHOT_FORMAT_VERSION = 2
 
 MANIFEST_NAME = "manifest.json"
 CACHES_NAME = "caches.pkl"

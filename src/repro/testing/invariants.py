@@ -197,8 +197,6 @@ def check_search_stats(stats: SearchStats) -> None:
         stats.peak_memory_bytes,
         stats.states_warm_started,
         stats.neighbor_batches,
-        stats.faults_injected,
-        stats.fallbacks_taken,
     ):
         if counter < 0:
             raise InvariantViolation("negative counter in %r" % (stats,))

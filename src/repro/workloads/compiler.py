@@ -25,8 +25,10 @@ in two passes:
    and the compiler merges them via ``restore()`` under the live
    statistics token, so merge order never shows in the result. Spaces
    that coincide across canonical profiles collapse once more at this
-   layer: the frontier store keys on the space *signature*, and the
-   telemetry reports the fleet-to-signature compression.
+   layer: the frontier store keys on the space *digest*
+   (:func:`~repro.core.preference_space.space_digest`), and the
+   telemetry reports the fleet-to-signature compression (distinct
+   digests).
 
 The result is a :class:`~repro.storage.snapshot.CompiledWorkload` —
 persist it with :func:`~repro.storage.snapshot.save_snapshot` and boot
@@ -40,11 +42,11 @@ import time
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core import adapters
-from repro.core.frontier_cache import FrontierCache, space_signature
+from repro.core.frontier_cache import FrontierCache, state_nbytes
 from repro.core.interning import ProfileInterner
 from repro.core.param_cache import ParameterCache
 from repro.core.personalizer import Personalizer
-from repro.core.preference_space import extraction_key
+from repro.core.preference_space import extraction_key, space_digest
 from repro.core.problem import Constraints, CQPProblem, Parameter
 from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
 from repro.preferences.profile import UserProfile
@@ -167,23 +169,25 @@ def compile_workload(
             k_limit=k_limit,
         )
         pspace = outcomes[0].preference_space
-        signature = space_signature(pspace) if pspace.k > 0 else None
-        return signature, unit_param.snapshot(), unit_frontier.snapshot()
+        digest = space_digest(pspace) if pspace.k > 0 else None
+        return digest, unit_param.snapshot(), unit_frontier.snapshot()
 
     solve_started = time.perf_counter()
     # Merge every unit's blobs into the compiled caches as it finishes.
-    # Duplicate signatures across units overwrite with identical
-    # frontiers (store() is idempotent for equal content), so merge
-    # order never shows in the result.
+    # Duplicate digests across units overwrite with identical frontiers
+    # (store() is idempotent for equal content), so merge order never
+    # shows in the result. The byte budget grows by each blob before it
+    # lands, so the merge never evicts a compiled frontier.
     param_cache = ParameterCache()
-    frontier_cache = FrontierCache(capacity=max(256, 2 * len(units)))
+    frontier_cache = FrontierCache()
     frontier_cache.validate(token)
-    signatures = set()
+    digests = set()
     for unit in units:
-        signature, param_state, frontier_state = compile_unit(unit)
-        if signature is not None:
-            signatures.add(signature)
+        digest, param_state, frontier_state = compile_unit(unit)
+        if digest is not None:
+            digests.add(digest)
         param_cache.restore(param_state, token)
+        frontier_cache.byte_budget += state_nbytes(frontier_state)
         frontier_cache.restore(frontier_state, token)
     solve_seconds = time.perf_counter() - solve_started
 
@@ -192,11 +196,11 @@ def compile_workload(
         "units": len(units),
         "clusters": len(cluster_lists),
         "queries": len(parsed),
-        "distinct_signatures": len(signatures),
+        "distinct_signatures": len(digests),
         "fleet_requests": fleet_requests,
         "profile_compression": interner.compression,
         "signature_compression": (
-            fleet_requests / len(signatures) if signatures else 1.0
+            fleet_requests / len(digests) if digests else 1.0
         ),
         "param_cache": param_cache.counters(),
         "frontier_cache": frontier_cache.counters(),

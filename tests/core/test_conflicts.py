@@ -8,12 +8,20 @@ effect: size-constrained problems stop choosing contradictory sets.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.estimation import StateEvaluator
-from repro.core.preference_space import extract_preference_space
+from repro.core.preference_space import _path_conflicts, extract_preference_space
 from repro.core.problem import CQPProblem
 from repro.core import adapters
-from repro.preferences.model import SelectionCondition, selection_conflicts
+from repro.preferences.model import (
+    AtomicPreference,
+    JoinCondition,
+    PreferencePath,
+    SelectionCondition,
+    selection_conflicts,
+)
 from repro.preferences.profile import UserProfile
 from repro.sql.ast_nodes import Operator
 from repro.sql.parser import parse_select
@@ -70,6 +78,50 @@ class TestSelectionConflicts:
         a = sel("abc", op=Operator.GE, attribute="x", relation="R")
         b = sel(5, op=Operator.LE, attribute="x", relation="R")
         assert not selection_conflicts(a, b)
+
+
+def _all_pairs_conflicts(paths):
+    """The reference scan: every pair of paths, every pair of selections."""
+    selections = [
+        [c for c in path.conditions if isinstance(c, SelectionCondition)]
+        for path in paths
+    ]
+    return [
+        (i, j)
+        for i in range(len(paths))
+        for j in range(i + 1, len(paths))
+        if any(selection_conflicts(a, b) for a in selections[i] for b in selections[j])
+    ]
+
+
+def _path(relation, attribute, op, value, joined):
+    """A selection path on ``relation``, optionally reached through a join."""
+    step = AtomicPreference(SelectionCondition(relation, attribute, value, op), 0.7)
+    if not joined:
+        return PreferencePath([step])
+    join = AtomicPreference(JoinCondition("MOVIE", "mid", relation, "mid"), 0.8)
+    return PreferencePath([join, step])
+
+
+# A few relations, attributes and values, so that buckets collide often
+# and every operator pairing (conflicting or not) occurs.
+random_paths = st.lists(
+    st.builds(
+        _path,
+        st.sampled_from(["GENRE", "CAST"]),
+        st.sampled_from(["a", "b", "c"]),
+        st.sampled_from(list(Operator)),
+        st.integers(min_value=0, max_value=4),
+        st.booleans(),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_paths)
+def test_bucketed_conflicts_match_the_all_pairs_scan(paths):
+    assert _path_conflicts(paths) == _all_pairs_conflicts(paths)
 
 
 class TestEvaluatorConflicts:

@@ -9,6 +9,8 @@ deterministic tests pin the cache mechanics (exact hits skip phase 1,
 warm resumes do less work, invalidation flushes).
 """
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,14 +18,12 @@ from hypothesis import strategies as st
 from repro.core import adapters
 from repro.core.algorithms.base import get_algorithm
 from repro.core.algorithms.c_boundaries import find_boundaries
-from repro.core.frontier_cache import (
-    FrontierCache,
-    canonical_frontier,
-    space_signature,
-)
+from repro.core.frontier_cache import FrontierCache, canonical_frontier
+from repro.core.preference_space import space_digest
 from repro.core.problem import CQPProblem
 from repro.core.space import SpaceBundle
 from repro.core.stats import SearchStats
+from repro.preferences.composition import MIN_SUM_ALGEBRA
 from repro.workloads.scenarios import make_synthetic_pspace
 
 sweep_instances = st.integers(min_value=1, max_value=8).flatmap(
@@ -249,20 +249,26 @@ cache_operations = st.lists(
 
 
 @settings(max_examples=100, deadline=None)
-@given(cache_operations)
-def test_frontier_count_tracks_the_memos(operations):
+@given(cache_operations, st.integers(min_value=0, max_value=6))
+def test_frontier_count_tracks_the_memos(operations, budget_memos):
     """The O(1) ``frontiers`` counter equals the summed memo lengths
     after any mix of stores, per-memo eviction (more limits than a memo
-    holds), memo eviction (more memos than the capacity), flushes,
-    snapshot restores and stores into a memo the cache already dropped."""
-    from repro.core.frontier_cache import FRONTIER_LIMITS_PER_MEMO, _frontier_nbytes
+    holds), byte-bounded memo eviction (a budget of a few memos),
+    flushes, snapshot restores and stores into a memo the cache already
+    dropped; and the accounted bytes never exceed the budget."""
+    from repro.core.frontier_cache import (
+        FRONTIER_LIMITS_PER_MEMO,
+        MEMO_OVERHEAD_BYTES,
+        _frontier_nbytes,
+    )
 
     cache = FrontierCache(capacity=3)
+    cache.byte_budget = budget_memos * (MEMO_OVERHEAD_BYTES + 600)
     held = []  # memos an in-flight solve would still hold
     snapshot = cache.snapshot()
 
     def memo(index):
-        found = cache.memo_for(("sig", index), (0, 1), "cost")
+        found = cache.memo_for("sig%d" % index, (0, 1), "cost")
         held.append(found)
         return found
 
@@ -290,6 +296,61 @@ def test_frontier_count_tracks_the_memos(operations):
         assert cache._frontier_bytes == sum(
             _frontier_nbytes(f) for m in memos for f in m._entries.values()
         )
+        assert all(m.attached for m in memos)
+        accounted = cache._frontier_bytes + MEMO_OVERHEAD_BYTES * len(memos)
+        assert counters["bytes_estimate"] == accounted
+        assert accounted <= cache.byte_budget
+
+
+class TestByteBoundedMemos:
+    def test_memos_outlive_the_evaluator_capacity(self):
+        from repro.core.frontier_cache import MEMO_OVERHEAD_BYTES, _frontier_nbytes
+
+        cache = FrontierCache(capacity=1)
+        frontier = ((0, 1), (2,))
+        for index in range(5):
+            cache.memo_for("space%d" % index, (0, 1, 2), "cost").store(1.0, frontier)
+        # The evaluator bound does not bound the memos.
+        assert len(cache._memos) == 5
+        assert cache.counters()["frontiers"] == 5
+        # Shrinking the byte budget evicts least recently used memos
+        # first, detaching them.
+        cache.memo_for("space0", (0, 1, 2), "cost")  # touch: now most recent
+        cache.byte_budget = 2 * (MEMO_OVERHEAD_BYTES + _frontier_nbytes(frontier))
+        newest = cache.memo_for("space5", (0, 1, 2), "cost")
+        assert list(key[0] for key in cache._memos) == ["space0", "space5"]
+        assert newest.attached
+        assert cache.counters()["frontiers"] == 1
+        assert cache.counters()["bytes_estimate"] <= cache.byte_budget
+
+    def test_round_robin_beyond_capacity_still_warm_starts(self):
+        """More distinct spaces than the evaluator capacity, solved
+        round-robin with a tighter limit on every pass: each later pass
+        warm-starts from the pass before, with cold answers."""
+        capacity = 4
+        spaces = [
+            make_synthetic_pspace(
+                (0.9, 0.8, 0.7, 0.6, 0.5),
+                tuple(cost * (1.0 + index / 50.0)
+                      for cost in (110.0, 80.0, 60.0, 45.0, 35.0)),
+            )
+            for index in range(capacity + 3)
+        ]
+        cache = FrontierCache(capacity=capacity)
+        for cmax_base, expect_warm in ((185.0, False), (170.0, True), (160.0, True)):
+            for index, pspace in enumerate(spaces):
+                cmax = cmax_base * (1.0 + index / 50.0)
+                problem = CQPProblem.problem2(cmax)
+                warm = adapters.solve(
+                    pspace, problem, "c_boundaries", frontier_cache=cache
+                )
+                cold = adapters.solve(pspace, problem, "c_boundaries")
+                assert warm.pref_indices == cold.pref_indices
+                assert warm.doi == cold.doi
+                assert warm.cost == cold.cost
+                if expect_warm:
+                    assert warm.stats.states_warm_started > 0, index
+        assert cache.counters()["evaluators"] == capacity
 
 
 class TestCanonicalFrontier:
@@ -315,8 +376,48 @@ def test_signature_distinguishes_parameter_arrays():
     a = make_synthetic_pspace((0.9, 0.5), (10.0, 5.0))
     b = make_synthetic_pspace((0.9, 0.5), (10.0, 6.0))
     same = make_synthetic_pspace((0.9, 0.5), (10.0, 5.0))
-    assert space_signature(a) != space_signature(b)
-    assert space_signature(a) == space_signature(same)
+    assert space_digest(a) != space_digest(b)
+    assert space_digest(a) == space_digest(same)
+    conflicted = replace(a, conflicts=[(1, 0)])
+    assert space_digest(conflicted) != space_digest(a)
+    assert space_digest(conflicted) == space_digest(replace(a, conflicts=[(0, 1)]))
+    other_algebra = make_synthetic_pspace(
+        (0.9, 0.5), (10.0, 5.0), algebra=MIN_SUM_ALGEBRA
+    )
+    assert space_digest(other_algebra) != space_digest(a)
+
+
+def test_digest_is_never_copied_to_a_derived_space():
+    pspace = make_synthetic_pspace((0.9, 0.5, 0.4), (10.0, 5.0, 3.0))
+    full = space_digest(pspace)
+    assert space_digest(pspace.truncated(2)) != full
+    assert space_digest(replace(pspace, base_size=2000.0)) != full
+    assert space_digest(pspace) == full
+
+
+# The digest of _PINNED_SPACE, computed in a fresh interpreter: snapshots
+# persist digests, so a change to the encoding must show here.
+_PINNED_SPACE = """
+from repro.core.preference_space import space_digest
+from repro.workloads.scenarios import make_synthetic_pspace
+from dataclasses import replace
+pspace = make_synthetic_pspace((0.9, 0.8, 0.5), (110.0, 80.0, 35.5), (500.0, 250.0, 100.0))
+print(space_digest(replace(pspace, conflicts=[(2, 0)])))
+"""
+_PINNED_DIGEST = "d1ff6717dd9577fc88c44af60fc61c543bb26637e15233d27e0efe7f1aad2c86"
+
+
+def test_digest_is_stable_across_processes():
+    import os
+    import subprocess
+    import sys
+
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run(
+        [sys.executable, "-c", _PINNED_SPACE],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    assert done.stdout.strip() == _PINNED_DIGEST
 
 
 def test_personalizer_invalidates_frontier_cache(movie_db, movie_profile, movie_query):

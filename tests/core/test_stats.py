@@ -94,20 +94,6 @@ class TestReleaseIdempotency:
         assert stats.peak_memory_bytes == 0
 
 
-class TestResilienceCounters:
-    def test_fresh_stats_report_no_degradation(self):
-        stats = SearchStats()
-        assert stats.faults_injected == 0
-        assert stats.fallbacks_taken == 0
-
-    def test_merge_folds_resilience_counters(self):
-        a = SearchStats(faults_injected=2, fallbacks_taken=1)
-        b = SearchStats(faults_injected=3, fallbacks_taken=0)
-        a.merge(b)
-        assert a.faults_injected == 5
-        assert a.fallbacks_taken == 1
-
-
 class TestPerRequestCounterReset:
     """A response's solution stats report per-request deltas, never
     cumulative cache totals leaked across requests."""

@@ -98,6 +98,26 @@ class TestRoundTrip:
             assert telemetry[cache]["hits"] > 0, cache
             assert telemetry[cache]["misses"] == 0, cache
 
+    def test_boot_grows_the_frontier_byte_budget(self):
+        # A cache whose budget holds no memo at all still boots with
+        # every compiled frontier: the boot grows the budget, never the
+        # evaluator capacity.
+        from repro.core.frontier_cache import FrontierCache, state_nbytes
+
+        database = _build()
+        compiled, _, _, _ = _compile(database)
+        frontier = FrontierCache(capacity=2)
+        frontier.byte_budget = 0
+        warm = PersonalizationService(
+            database, frontier_cache=frontier, snapshot=compiled
+        )
+        installed = warm.snapshot_installed["frontiers"]
+        assert installed > 0
+        assert frontier.counters()["frontiers"] == installed
+        assert frontier.evictions == 0
+        assert frontier.capacity == 2
+        assert frontier.byte_budget == 2 * state_nbytes(compiled.frontier_state)
+
     def test_older_frame_sections_are_ignored(self, tmp_path):
         # An older writer also stored a ``frame`` blob in caches.pkl and
         # its arrays under columns/; the reader skips both.
@@ -169,6 +189,26 @@ class TestRestoreSafety:
             json.dump(manifest, handle)
         with pytest.raises(SnapshotMismatch, match="format"):
             load_snapshot(path)
+
+    def test_format_1_snapshot_is_refused(self, tmp_path):
+        # Format 1 keyed frontier memos on the raw parameter tuples; its
+        # keys would never match a digest-keyed lookup.
+        database = _build()
+        compiled, _, _, _ = _compile(database)
+        path = str(tmp_path / "snap")
+        save_snapshot(compiled, path)
+        manifest_path = os.path.join(path, "manifest.json")
+        with open(manifest_path) as handle:
+            manifest = json.load(handle)
+        assert manifest["format_version"] == 2
+        manifest["format_version"] = 1
+        with open(manifest_path, "w") as handle:
+            json.dump(manifest, handle)
+        with pytest.raises(SnapshotMismatch, match="format v1"):
+            load_snapshot(path)
+        compiled.format_version = 1
+        with pytest.raises(SnapshotMismatch, match="format v1"):
+            compiled.restore_into(database)
 
     def test_restore_into_is_selective(self):
         database = _build()

@@ -111,6 +111,25 @@ class TestCompileWorkload:
         for cache in ("param_cache", "frontier_cache"):
             assert telemetry[cache]["entries"] > 0
 
+    def test_merge_never_evicts_a_compiled_frontier(self, movie_db, compiled,
+                                                    monkeypatch):
+        # From a default budget that holds just one unit's memo (so the
+        # unit-local caches keep theirs), the merge still keeps every
+        # unit's: it grows the budget by each blob before installing it.
+        import repro.core.frontier_cache as frontier_cache
+
+        workload, fleet, queries, problems = compiled
+        memos = workload.frontier_state["memos"]
+        assert len(memos) > 1
+        one_memo = max(frontier_cache.state_nbytes({"memos": [m]}) for m in memos)
+        monkeypatch.setattr(frontier_cache, "FRONTIER_BYTES", one_memo)
+        tight = compile_workload(
+            movie_db, fleet, queries, problems,
+            algorithms=["c_boundaries"], k_limit=8,
+        )
+        assert tight.telemetry["frontier_cache"]["evictions"] == 0
+        assert tight.frontier_state["memos"] == workload.frontier_state["memos"]
+
     def test_compiled_state_is_populated(self, compiled):
         workload, _, _, _ = compiled
         assert workload.param_state["entries"]
