@@ -1,8 +1,8 @@
 """Benchmarks for the query-planning path.
 
 Compares the two execution routes on the same personalized query — the
-reference executor (plans inline) and the planner + plan-executor pair
-(Figure 2's optimizer box) — plus the planning step alone.
+reference row executor (plans inline) and the planner + columnar engine
+pair (Figure 2's optimizer box) — plus the planning step alone.
 """
 
 from __future__ import annotations
@@ -11,8 +11,8 @@ import pytest
 
 from benchmarks.conftest import BENCH_CONFIG
 from repro.core.rewriter import QueryRewriter
+from repro.sql.columnar import ColumnarExecutor
 from repro.sql.executor import Executor
-from repro.sql.plan_executor import PlanExecutor
 from repro.sql.planner import Planner
 
 K = 12
@@ -34,7 +34,7 @@ def test_bench_planning_only(benchmark, bench_workbench):
     benchmark.extra_info["operators"] = plan.explain().count("\n") + 1
 
 
-@pytest.mark.parametrize("route", ["inline-executor", "plan-executor"])
+@pytest.mark.parametrize("route", ["inline-executor", "planned-columnar"])
 def test_bench_execution_routes(benchmark, bench_workbench, route):
     database = bench_workbench.database
     query = _personalized(bench_workbench)
@@ -43,8 +43,8 @@ def test_bench_execution_routes(benchmark, bench_workbench, route):
         result = benchmark(executor.execute, query)
     else:
         plan = Planner(database).plan(query)
-        plan_executor = PlanExecutor(database)
-        result = benchmark(plan_executor.execute, plan)
+        columnar = ColumnarExecutor(database)
+        result = benchmark(columnar.execute_plan, plan)
     benchmark.extra_info["route"] = route
     benchmark.extra_info["blocks_read"] = result.blocks_read
     benchmark.extra_info["rows"] = len(result.rows)

@@ -252,8 +252,7 @@ def test_columnar_shared_beats_row_engine():
     from repro.core.personalizer import Personalizer
     from repro.sql.columnar import ColumnarExecutor
     from repro.sql.executor import Executor
-    from repro.sql.plan_executor import PlanExecutor
-    from repro.sql.planner import Planner
+    from repro.testing.reference import in_plan_order
 
     database, profile, _ = _workload()
     problem = CQPProblem.problem2(cmax=400.0)
@@ -267,18 +266,19 @@ def test_columnar_shared_beats_row_engine():
     columnar = ColumnarExecutor(database)
 
     # Deterministic part first: same rows and blocks as the reference
-    # executor, bit-identical receipt vs the plan interpreter (the
-    # FROM-order reference may join in a different order, which moves
-    # rows_processed but never blocks or results).
+    # executor, and rows in order plus the full receipt of the row
+    # engine run in the plan's join order (the FROM-order reference may
+    # join in a different order, which moves rows_processed but never
+    # blocks or results).
     for target in targets:
         row_result = row_engine.execute(target)
-        planned = PlanExecutor(database).execute(Planner(database).plan(target))
+        planned = row_engine.execute(in_plan_order(database, target))
         col_result = columnar.execute(target)
         assert Counter(col_result.rows) == Counter(row_result.rows)
         assert col_result.blocks_read == row_result.blocks_read
         assert col_result.rows == planned.rows
-        assert col_result.blocks_read == planned.blocks_read
-        assert col_result.rows_processed == planned.rows_processed
+        for name in ("blocks_read", "io_ms", "cpu_ms", "rows_processed"):
+            assert getattr(col_result, name) == getattr(planned, name), name
 
     def run_row():
         for target in targets:

@@ -18,10 +18,11 @@ as the search context at the time of the request."
 One pipeline serves both entry points:
 :meth:`~PersonalizationService.request_many` groups duplicate requests,
 clusters same-extraction groups into :meth:`Personalizer.personalize_many`
-calls (structural batching) and runs them one after another with retry
-and cold fallback; :meth:`~PersonalizationService.request` is a
-one-request batch on that same pipeline. Execution always runs on the
-columnar engine.
+calls (structural batching) and runs them one after another in one
+ordered loop; :meth:`~PersonalizationService.request` is a one-request
+batch on that same pipeline. Solves are pure functions of their inputs,
+so nothing is retried: an exception raised inside a solve reaches the
+caller as its own type. Execution always runs on the columnar engine.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ class ServiceResponse:
     the result per member. Search-layer counters (pricing and frontier
     cache traffic, warm starts, batched neighbor evaluations) are read
     from ``outcome.solution.stats``; the response itself carries only
-    the resilience counters and the degradation reason.
+    the degradation reason.
     """
 
     user: str
@@ -66,16 +67,10 @@ class ServiceResponse:
     # Always 0 (there is no frame cache); kept for perfbench/workloads.py.
     frame_cache_hits: int = 0
     frame_cache_misses: int = 0
-    # Resilience counters: faults the wired injector fired while this
-    # request (or its whole batch — see request_many) was answered, and
-    # scheduler tasks that degraded to the cold fallback. Both stay 0 in
-    # normal, fault-free operation.
-    faults_injected: int = 0
-    fallbacks_taken: int = 0
-    # Why this response is degraded, when it is: transient-fault
-    # fallbacks set it here, SLA-driven algorithm downgrades set it in
-    # the serving layer (see repro.serving.degradation). None whenever
-    # the response is the full-fidelity answer.
+    # Why this response is degraded, when it is: the serving layer sets
+    # it when it downgrades the algorithm to meet an SLA budget (see
+    # repro.serving.degradation). None whenever the response is the
+    # full-fidelity answer.
     degradation_reason: Optional[str] = None
 
     @property
@@ -84,12 +79,9 @@ class ServiceResponse:
 
     @property
     def degraded(self) -> bool:
-        """True when this response is anything less than the
-        full-fidelity answer: a transient-fault fallback re-ran it on
-        the cold path, **or** the serving layer downgraded the
-        algorithm to meet an SLA budget (``degradation_reason`` says
-        which)."""
-        return self.fallbacks_taken > 0 or self.degradation_reason is not None
+        """True when the serving layer downgraded the algorithm to meet
+        an SLA budget (``degradation_reason`` says how)."""
+        return self.degradation_reason is not None
 
 
 @dataclass
@@ -124,7 +116,6 @@ class PersonalizationService:
         param_cache: Optional[ParameterCache] = None,
         frontier_cache: Optional[FrontierCache] = None,
         fault_injector=None,
-        solve_retries: int = 1,
         snapshot=None,
     ) -> None:
         """``relearn_every``: after that many requests a user's profile is
@@ -134,12 +125,9 @@ class PersonalizationService:
         ``frontier_cache`` are forwarded to the :class:`Personalizer`.
 
         ``fault_injector`` (the :class:`repro.testing.faults.FaultInjector`
-        protocol) arms the resilience drills: the service's caches get
-        eviction hooks, scheduler tasks get transient-error sites, and
-        every response reports ``faults_injected``/``fallbacks_taken``.
-        ``solve_retries`` is how many times a transiently failed group
-        solve is retried in place before the cold fallback runs it (see
-        :class:`~repro.core.algorithms.scheduler.SolveScheduler`).
+        protocol) arms the cache-eviction drills: the service's caches
+        get eviction hooks. Evictions only make a cache colder, so no
+        response payload changes.
 
         ``snapshot`` boots the service warm from a compiled workload: a
         :class:`~repro.storage.snapshot.CompiledWorkload` or the path
@@ -153,10 +141,6 @@ class PersonalizationService:
         how fast the first requests are answered."""
         if relearn_every < 0:
             raise ValueError("relearn_every must be >= 0")
-        if solve_retries < 0:
-            raise ValueError("solve_retries must be >= 0")
-        self.solve_retries = solve_retries
-        self.fault_injector = fault_injector
         self.personalizer = Personalizer(
             database,
             algebra=algebra,
@@ -270,7 +254,7 @@ class PersonalizationService:
         execute: bool = True,
     ) -> ServiceResponse:
         """Answer one request for ``user``: a one-request batch on the
-        :meth:`request_many` pipeline, with its retry and cold fallback.
+        :meth:`request_many` pipeline.
 
         The Table 1 problem comes from ``problem`` when given, else from
         the ``context`` via the policy. The query is logged for learning
@@ -281,11 +265,6 @@ class PersonalizationService:
         """
         request = BatchRequest(user, query, context, problem, algorithm, k_limit)
         return self._answer([request], execute)[0]
-
-    def _faults_so_far(self) -> int:
-        """The wired injector's running fault tally (0 when none)."""
-        injector = self.fault_injector
-        return injector.faults_injected if injector is not None else 0
 
     # -- the batched request path --------------------------------------------------
 
@@ -304,13 +283,15 @@ class PersonalizationService:
         still shares per-path pricing, so even an all-distinct batch
         beats the request-at-a-time loop once warm.
 
-        The per-supergroup personalization runs through a serial
-        :class:`~repro.core.algorithms.scheduler.SolveScheduler`, which
-        retries transient faults and re-runs an exhausted supergroup on
-        the cold path. Learning bookkeeping happens at the batch
-        boundary: all queries are logged first and due relearns run once
-        per user *before* any group is solved, so a batch observes one
-        consistent profile per user.
+        The supergroups are solved in order by
+        :class:`~repro.core.algorithms.scheduler.SolveScheduler`; an
+        exception raised inside a solve reaches the caller as its own
+        type, and since every cache entry is a finished result of a
+        pure function, the next request answers exactly as a fresh
+        service would. Learning bookkeeping happens at the batch
+        boundary: all queries are logged first and due relearns run
+        once per user *before* any group is solved, so a batch observes
+        one consistent profile per user.
 
         Returns responses in the order of ``requests``; duplicate
         members of a group share one immutable rows tuple (no per-member
@@ -353,9 +334,9 @@ class PersonalizationService:
 
         # Structural batching clusters groups that share an extraction —
         # same user, query, k_limit and extraction key — into
-        # supergroups; each supergroup is one scheduler task running
-        # personalize_many (extract once, stacked solves) and returning
-        # the outcome list of its member groups.
+        # supergroups; each supergroup is one personalize_many call
+        # (extract once, stacked solves) returning the outcome list of
+        # its member groups.
         clusters: Dict[Tuple, List[int]] = {}
         for index, members in enumerate(member_lists):
             user, query, problem, _, k_limit = specs[members[0]]
@@ -377,22 +358,7 @@ class PersonalizationService:
                 k_limit=k_limit,
             )
 
-        def personalize_super_cold(group_indices: Sequence[int]) -> List[PersonalizationOutcome]:
-            # Degraded path after exhausted retries: drop every shared
-            # memo (any of them could have been mid-write when the fault
-            # hit) and re-solve. The caches only memoize pure functions,
-            # so the cold re-solve's payload is bit-identical to what the
-            # clean run would have returned.
-            self.personalizer.invalidate_caches()
-            return personalize_super(group_indices)
-
-        faults_before = self._faults_so_far()
-        scheduler = SolveScheduler(
-            retries=self.solve_retries, fault_injector=self.fault_injector
-        )
-        super_outcomes = scheduler.map(
-            personalize_super, super_lists, fallback=personalize_super_cold
-        )
+        super_outcomes = SolveScheduler().map(personalize_super, super_lists)
         outcomes: List[Optional[PersonalizationOutcome]] = [None] * len(member_lists)
         for group_indices, outcome_list in zip(super_lists, super_outcomes):
             for index, outcome in zip(group_indices, outcome_list):
@@ -417,25 +383,6 @@ class PersonalizationService:
             # (replaces the old per-member list(rows) copies).
             for position in members:
                 responses[position] = replace(template)
-        # Resilience counters are batch totals: what callers act on ("did
-        # this batch degrade, and how often?") is the aggregate.
-        faults = self._faults_so_far() - faults_before
-        if self.fault_injector is None:
-            faults = scheduler.faults_seen
-        if faults or scheduler.fallbacks_taken:
-            reason = (
-                "transient-fault fallback: %d task(s) re-ran on the cold "
-                "path" % scheduler.fallbacks_taken
-                if scheduler.fallbacks_taken
-                else None
-            )
-            for position, response in enumerate(responses):
-                responses[position] = replace(
-                    response,
-                    faults_injected=faults,
-                    fallbacks_taken=scheduler.fallbacks_taken,
-                    degradation_reason=reason,
-                )
         return responses  # type: ignore[return-value]
 
     # -- learning -----------------------------------------------------------------

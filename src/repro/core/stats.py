@@ -40,10 +40,10 @@ class SearchStats:
     # extraction (see repro.core.param_cache); 0/0 when no cache is wired.
     param_cache_hits: int = 0
     param_cache_misses: int = 0
-    # Search-layer reuse counters (see repro.core.frontier_cache and
-    # repro.core.algorithms.scheduler): frontier memo traffic, states the
-    # sweep was seeded with instead of re-deriving from the root, and
-    # Vertical neighbor sets priced through one batched estimator call.
+    # Search-layer reuse counters (see repro.core.frontier_cache):
+    # frontier memo traffic, states the sweep was seeded with instead
+    # of re-deriving from the root, and Vertical neighbor sets priced
+    # through one batched estimator call.
     frontier_cache_hits: int = 0
     frontier_cache_misses: int = 0
     states_warm_started: int = 0

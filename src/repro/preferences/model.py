@@ -268,11 +268,11 @@ def selection_conflicts(a: SelectionCondition, b: SelectionCondition) -> bool:
 
     low_a, strict_la, high_a, strict_ha = _bounds(a)
     low_b, strict_lb, high_b, strict_hb = _bounds(b)
-    low = low_a if low_b is None else low_b if low_a is None else max(low_a, low_b)
-    high = high_a if high_b is None else high_b if high_a is None else min(high_a, high_b)
-    if low is None or high is None:
-        return False
     try:
+        low = low_a if low_b is None else low_b if low_a is None else max(low_a, low_b)
+        high = high_a if high_b is None else high_b if high_a is None else min(high_a, high_b)
+        if low is None or high is None:
+            return False
         if low > high:
             return True
         if low == high:

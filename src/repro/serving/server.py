@@ -13,15 +13,15 @@ need an event loop and nothing more:
   immediately; flush-on-deadline bounds its wait), stamps the dispatch
   time and resolves degradation at that moment — so the wait behind the
   previous solve counts as queue time and burns the degradation budget
-  — then awaits the scheduler-backed
+  — then awaits
   :meth:`~repro.core.service.PersonalizationService.request_many`
   through ``loop.run_in_executor`` so the event loop never blocks, and
   classifies, accounts, and completes the futures.
 
 One solve is in flight at a time: the service's batch path is not
-reentrant, and the scheduler already fans each supergroup across
-workers, so concurrency lives in the queue, exactly where admission
-control and degradation can see it. Every timestamp is the event
+reentrant and solves its supergroups one after another, so concurrency
+lives in the queue, exactly where admission control and degradation
+can see it. Every timestamp is the event
 loop's ``time()``, so tests drive this same server on a virtual-time
 loop.
 """

@@ -10,8 +10,8 @@ Status       Meaning for one served response
 WIN          met its tier deadline with margin (≤ half the deadline),
              undegraded
 IMPROVED     met the deadline, undegraded
-NEUTRAL      met the deadline but degraded (algorithm downgrade or
-             transient-fault fallback) — the graceful-degradation
+NEUTRAL      met the deadline but degraded (the algorithm was
+             downgraded to fit the budget) — the graceful-degradation
              bargain working as designed
 REGRESSION   missed its tier deadline
 ===========  =======================================================

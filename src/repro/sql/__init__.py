@@ -24,7 +24,6 @@ from repro.sql.cost import CostModel, IndexAwareCostModel
 from repro.sql.executor import ExecutionResult, Executor
 from repro.sql.parser import parse_select
 from repro.sql.plan import PlanNode
-from repro.sql.plan_executor import PlanExecutor
 from repro.sql.planner import Planner
 from repro.sql.printer import to_sql
 
@@ -42,7 +41,6 @@ __all__ = [
     "Literal",
     "Operator",
     "parse_select",
-    "PlanExecutor",
     "PlanNode",
     "Planner",
     "SelectQuery",

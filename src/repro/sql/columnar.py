@@ -1,7 +1,7 @@
 """Vectorized columnar execution kernel.
 
-The row engines (:mod:`repro.sql.executor`, :mod:`repro.sql.plan_executor`)
-evaluate one tuple at a time. This module runs the same
+The row engine (:mod:`repro.sql.executor`) evaluates one tuple at a
+time and is the reference. This module runs the planner's
 :class:`~repro.sql.plan.PlanNode` trees with the bulk operators on numpy:
 
 * :class:`~repro.storage.columns.Column` — typed column encodings:
@@ -16,7 +16,8 @@ evaluate one tuple at a time. This module runs the same
 * :class:`ColumnarExecutor` — vectorized scan / filter / hash-join /
   project / distinct / sort / limit / group-having operators driven by
   the existing plan tree, so planning is unchanged and the block-I/O
-  cost receipts stay identical to the row engine: the same
+  cost receipts stay identical to the row engine run in the plan's
+  join order (:func:`repro.testing.reference.in_plan_order`): the same
   ``blocks_read`` / ``io_ms`` / ``cpu_ms`` / ``rows_processed``, with
   ``cpu_ms_per_row`` charged per selected row exactly as today. Filter
   predicates compile once per plan node into mask programs (resolved
@@ -317,8 +318,8 @@ _OP_LABEL = {
 class ColumnarExecutor:
     """Vectorized plan evaluation with receipt-identical cost metering.
 
-    Drop-in alternative to :class:`~repro.sql.executor.Executor` /
-    :class:`~repro.sql.plan_executor.PlanExecutor`: ``execute`` takes
+    Drop-in alternative to :class:`~repro.sql.executor.Executor`'s
+    row engine: ``execute`` takes
     any query node (planned through the ordinary
     :class:`~repro.sql.planner.Planner`), ``execute_plan`` takes a
     prepared plan. ``profile_ops=True`` accumulates exclusive wall-clock seconds per
@@ -544,16 +545,8 @@ class ColumnarExecutor:
         columns = left.columns + right.columns
         left_sel = left.selection()
         right_sel = right.selection()
-        if not node.conditions:
-            left_take = np.repeat(left_sel, len(right_sel))
-            right_take = np.tile(right_sel, len(left_sel))
-        else:
-            takes = _nested_loop_takes(node, left, right, columns, left_sel, right_sel)
-            if takes is None:
-                takes = _nested_loop_takes_py(
-                    node, left, right, columns, left_sel, right_sel
-                )
-            left_take, right_take = takes
+        left_take = np.repeat(left_sel, len(right_sel))
+        right_take = np.tile(right_sel, len(left_sel))
         data = [column.gather(left_take) for column in left.data]
         data.extend(column.gather(right_take) for column in right.data)
         self._charge_work(len(left_take))
@@ -774,122 +767,3 @@ def _group_columns_py(frame: ColumnFrame, node: GroupHavingCountNode) -> List[Co
         Column.from_values([row[position] for row in kept])
         for position in range(len(frame.columns))
     ]
-
-
-def _nested_loop_takes(
-    node: NestedLoopJoinNode,
-    left: ColumnFrame,
-    right: ColumnFrame,
-    columns: Tuple[str, ...],
-    left_sel: np.ndarray,
-    right_sel: np.ndarray,
-) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-    """Vectorized theta join over the materialized cross product (the
-    row engine's i-major/j-minor order), or None for the fallback."""
-    n_left = len(left.columns)
-    li = np.repeat(left_sel, len(right_sel))
-    rj = np.tile(right_sel, len(left_sel))
-    keep = np.ones(len(li), dtype=bool)
-
-    def operand(ref) -> Optional[Tuple[str, object, Optional[np.ndarray]]]:
-        if isinstance(ref, Literal):
-            value = ref.value
-            if value is None:
-                return ("null", None, None)
-            if isinstance(value, str):
-                return ("str", value, None)
-            if isinstance(value, (bool, int, float, np.bool_, np.integer, np.floating)):
-                return ("num", value, None)
-            return None
-        position = resolve_column(columns, ref)
-        if position < n_left:
-            column, idx = left.data[position], li
-        else:
-            column, idx = right.data[position - n_left], rj
-        if column.kind == "obj":
-            return None
-        tag, values, valid = column.compare_keys(idx)
-        return (tag, values, valid)
-
-    for condition in node.conditions:
-        lhs = operand(condition.left)
-        rhs = operand(condition.right)
-        if lhs is None or rhs is None:
-            return None
-        ltag, lvalues, lvalid = lhs
-        rtag, rvalues, rvalid = rhs
-        if ltag == "null" or rtag == "null":
-            keep[:] = False
-            continue
-        if ltag != rtag:
-            # Cross-type pairs: == is False, != is True (for non-NULL
-            # operands), ordering raises — exactly Python's semantics.
-            if condition.op is Operator.EQ:
-                keep[:] = False
-            elif condition.op is Operator.NE:
-                if lvalid is not None:
-                    keep &= lvalid
-                if rvalid is not None:
-                    keep &= rvalid
-            else:
-                return None  # fallback raises like the row engine
-            continue
-        try:
-            matches = _symbol_op(condition.op.value)(lvalues, rvalues)
-        except (TypeError, OverflowError):
-            return None
-        keep &= matches
-        if lvalid is not None:
-            keep &= lvalid
-        if rvalid is not None:
-            keep &= rvalid
-    return li[keep], rj[keep]
-
-
-def _nested_loop_takes_py(
-    node: NestedLoopJoinNode,
-    left: ColumnFrame,
-    right: ColumnFrame,
-    columns: Tuple[str, ...],
-    left_sel: np.ndarray,
-    right_sel: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """The original per-pair loop, for operands the kernels punt on."""
-    n_left = len(left.columns)
-    accessors = []
-    for condition in node.conditions:
-        lpos = resolve_column(columns, condition.left)
-        lookup_left = (True, lpos) if lpos < n_left else (False, lpos - n_left)
-        if isinstance(condition.right, Literal):
-            rhs = ("lit", condition.right.value)
-        else:
-            rpos = resolve_column(columns, condition.right)
-            rhs = ("col", (True, rpos) if rpos < n_left else (False, rpos - n_left))
-        accessors.append((lookup_left, _OPERATOR_FN[condition.op], rhs))
-
-    def value_of(side: Tuple[bool, int], i: int, j: int) -> object:
-        on_left, position = side
-        return (
-            left.data[position].value_at(i)
-            if on_left
-            else right.data[position].value_at(j)
-        )
-
-    left_take: List[int] = []
-    right_take: List[int] = []
-    for i in left_sel.tolist():
-        for j in right_sel.tolist():
-            ok = True
-            for left_side, compare, rhs in accessors:
-                lv = value_of(left_side, i, j)
-                rv = rhs[1] if rhs[0] == "lit" else value_of(rhs[1], i, j)
-                if lv is None or rv is None or not compare(lv, rv):
-                    ok = False
-                    break
-            if ok:
-                left_take.append(i)
-                right_take.append(j)
-    return (
-        np.asarray(left_take, dtype=np.int64),
-        np.asarray(right_take, dtype=np.int64),
-    )

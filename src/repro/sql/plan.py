@@ -3,7 +3,7 @@
 Figure 2 of the paper hands the constructed personalized query to "the
 query optimizer of the underlying database system". This module is that
 gray box: an explicit operator tree the planner (:mod:`repro.sql.planner`)
-builds and the plan executor evaluates, with an EXPLAIN-style renderer.
+builds and the columnar engine evaluates, with an EXPLAIN-style renderer.
 
 Operators follow a simple materialized model: each node produces a
 column-name list and a list of rows. I/O is charged by the leaf access
@@ -14,10 +14,10 @@ stay comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Tuple
 
-from repro.sql.ast_nodes import Comparison, Operator
+from repro.sql.ast_nodes import Comparison
 
 
 @dataclass
@@ -96,18 +96,15 @@ class HashJoinNode(PlanNode):
 
 @dataclass
 class NestedLoopJoinNode(PlanNode):
-    """Cross product with optional join conjuncts applied inline."""
+    """Cross product; the planner filters above it as predicates bind."""
 
     left: PlanNode
     right: PlanNode
-    conditions: Tuple[Comparison, ...] = ()
 
     def children(self) -> List[PlanNode]:
         return [self.left, self.right]
 
     def label(self) -> str:
-        if self.conditions:
-            return "NestedLoopJoin(%s)" % " and ".join(str(c) for c in self.conditions)
         return "CrossProduct"
 
 

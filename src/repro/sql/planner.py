@@ -8,14 +8,16 @@ Builds a physical plan for any query node:
   smallest filtered input, then repeatedly join the connected input with
   the smallest filtered estimate (cross product only when nothing
   connects) — a deliberately lightweight take on System R [15];
-* residual predicates become filters as soon as both sides are bound;
+* join and residual predicates become filters as soon as both sides
+  are bound — the moment the row executor applies them;
 * DISTINCT / ORDER BY / LIMIT / UNION ALL / the HAVING COUNT wrapper map
   to their operators.
 
-The planner is an alternative execution path to
-:class:`repro.sql.executor.Executor` (which plans inline); the two are
-property-tested for identical semantics, and the plan executor charges
-the same per-block I/O so costs stay comparable.
+The planned tree runs on :class:`repro.sql.columnar.ColumnarExecutor`.
+:class:`repro.sql.executor.Executor` plans inline in FROM order; given
+the planner's join order (:func:`repro.testing.reference.in_plan_order`)
+it returns the planned tree's rows in order and its full cost receipt,
+which is how the columnar engine is checked.
 """
 
 from __future__ import annotations
@@ -124,15 +126,8 @@ class Planner:
 
         # Greedy join order.
         order = self._join_order(list(bindings), estimates, joins)
-        plan, bound = self._join_plan(order, inputs, joins)
-
-        # Residual predicates (theta joins, same-table comparisons, ...).
-        pending = [c for c in residual]
-        if pending:
-            plan = FilterNode(child=plan, conditions=tuple(pending))
-
-        plan = self._finish(query, plan)
-        return plan
+        plan = self._join_plan(order, inputs, joins, residual)
+        return self._finish(query, plan)
 
     def _classify(self, query: SelectQuery, bindings: Dict[str, str]):
         """Split WHERE into per-binding selections, equality joins, rest.
@@ -256,9 +251,13 @@ class Planner:
         order: List[str],
         inputs: Dict[str, PlanNode],
         joins: List[Comparison],
-    ) -> Tuple[PlanNode, List[str]]:
-        plan = inputs[order[0]]
+        residual: List[Comparison],
+    ) -> PlanNode:
+        """Left-deep joins in ``order``; every predicate not consumed by
+        a hash join becomes a filter as soon as its bindings are bound
+        (residual ones — theta joins, same-table comparisons — included)."""
         bound = [order[0]]
+        plan, residual = self._filter_bound(inputs[order[0]], bound, residual)
         pending = list(joins)
         for binding in order[1:]:
             # First equality join condition connecting the new binding.
@@ -284,24 +283,28 @@ class Planner:
             else:
                 plan = NestedLoopJoinNode(left=plan, right=inputs[binding])
             bound.append(binding)
-            # Any further join conditions now fully bound become filters.
-            still_pending = []
-            ready = []
-            for condition in pending:
-                left, right = self._join_sides(condition)
-                if {left, right} <= set(bound):
-                    ready.append(condition)
-                else:
-                    still_pending.append(condition)
-            pending = still_pending
-            if ready:
-                plan = FilterNode(child=plan, conditions=tuple(ready))
+            plan, pending, residual = self._filter_bound(plan, bound, pending, residual)
         if pending:
             raise SQLError(
                 "join conditions never became bound: %s"
                 % ", ".join(str(c) for c in pending)
             )
-        return plan, bound
+        return plan
+
+    def _filter_bound(self, plan: PlanNode, bound: List[str], *groups: List[Comparison]):
+        """Filter ``plan`` by every condition in ``groups`` whose bindings
+        are all in ``bound``; returns the plan, then each group's rest."""
+        ready: List[Comparison] = []
+        rests = []
+        for group in groups:
+            rest: List[Comparison] = []
+            for condition in group:
+                sides = set(self._join_sides(condition))
+                (ready if sides <= set(bound) else rest).append(condition)
+            rests.append(rest)
+        if ready:
+            plan = FilterNode(child=plan, conditions=tuple(ready))
+        return (plan, *rests)
 
     def _finish(self, query: SelectQuery, plan: PlanNode) -> PlanNode:
         if query.select:

@@ -160,17 +160,6 @@ class Column:
 
     # -- access ----------------------------------------------------------------------
 
-    def value_at(self, index: int) -> object:
-        """The exact Python value at storage position ``index``."""
-        if self.kind == "obj":
-            return self.values[index]
-        if self.kind == "num":
-            if self.mask is not None and self.mask[index]:
-                return None
-            return self.values[index].item()
-        code = self.codes[index]
-        return None if code < 0 else self.dictionary[code].item()
-
     def gather(self, indices: np.ndarray) -> "Column":
         """A new column holding ``self[i] for i in indices``."""
         if self.kind == "num":

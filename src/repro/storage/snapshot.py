@@ -53,8 +53,8 @@ CACHES_NAME = "caches.pkl"
 
 class SnapshotMismatch(StorageError):
     """A snapshot does not belong to the database it was restored into
-    (content fingerprint or statistics version differ), or its on-disk
-    format is from an incompatible writer."""
+    (content fingerprint or statistics version differ), its on-disk
+    format is from an incompatible writer, or its files are unreadable."""
 
 
 @dataclass
@@ -158,12 +158,24 @@ def save_snapshot(compiled: CompiledWorkload, path: str) -> Dict[str, int]:
 
 
 def load_snapshot(path: str) -> CompiledWorkload:
-    """Read a snapshot directory back into a :class:`CompiledWorkload`."""
+    """Read a snapshot directory back into a :class:`CompiledWorkload`.
+
+    A missing, torn or otherwise unreadable manifest or cache file
+    raises :class:`SnapshotMismatch`, like any other snapshot this
+    reader cannot serve from.
+    """
     manifest_path = os.path.join(path, MANIFEST_NAME)
     if not os.path.isfile(manifest_path):
         raise SnapshotMismatch("no snapshot manifest at %s" % manifest_path)
-    with open(manifest_path, "r", encoding="utf-8") as handle:
-        manifest = json.load(handle)
+    try:
+        with open(manifest_path, "r", encoding="utf-8") as handle:
+            manifest = json.load(handle)
+    except ValueError as error:  # JSONDecodeError, UnicodeDecodeError
+        raise SnapshotMismatch(
+            "unreadable snapshot manifest at %s: %s" % (manifest_path, error)
+        ) from error
+    if not isinstance(manifest, dict):
+        raise SnapshotMismatch("snapshot manifest at %s is not an object" % manifest_path)
     if manifest.get("kind") != "workload_snapshot":
         raise SnapshotMismatch(
             "not a workload snapshot: kind=%r" % (manifest.get("kind"),)
@@ -173,8 +185,19 @@ def load_snapshot(path: str) -> CompiledWorkload:
             "snapshot format v%r, this reader expects v%r"
             % (manifest.get("format_version"), SNAPSHOT_FORMAT_VERSION)
         )
-    with open(os.path.join(path, CACHES_NAME), "rb") as handle:
-        states = pickle.load(handle)
+    caches_path = os.path.join(path, CACHES_NAME)
+    try:
+        with open(caches_path, "rb") as handle:
+            states = pickle.load(handle)
+    except Exception as error:
+        # A damaged pickle raises UnpicklingError, EOFError, ValueError,
+        # TypeError, AttributeError, OverflowError, MemoryError, ...
+        raise SnapshotMismatch(
+            "unreadable snapshot caches at %s: %s: %s"
+            % (caches_path, type(error).__name__, error)
+        ) from error
+    if not isinstance(states, dict):
+        raise SnapshotMismatch("unreadable snapshot caches at %s" % caches_path)
 
     return CompiledWorkload(
         fingerprint=manifest["fingerprint"],

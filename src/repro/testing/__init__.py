@@ -8,9 +8,7 @@ future perf PR as its standing gate:
   correctness of canonical frontiers, cache-invalidation soundness, and
   :class:`~repro.core.stats.SearchStats` counter consistency;
 * :mod:`repro.testing.faults` — a seeded, deterministic fault injector
-  (cache evictions mid-solve, statistics bumps between sweep steps,
-  transient errors inside scheduler tasks) plus the
-  :class:`TransientFault` drills the service's fallback path absorbs;
+  (cache evictions mid-solve, statistics bumps between sweep steps);
 * :mod:`repro.testing.differential` — the lattice runner: every Table 1
   problem solved per algorithm across cache modes, batching,
   snapshot boots and async serving, cross-checked
@@ -18,5 +16,7 @@ future perf PR as its standing gate:
   engine, with printable seeds to reproduce any failing lattice point;
 * :mod:`repro.testing.reference` — the tuple-state FINDBOUNDARY sweep
   and ``Horizontal2`` growth the mask-native search loops replaced,
-  kept as their call-for-call oracle.
+  kept as their call-for-call oracle, and :func:`in_plan_order`, which
+  runs the row executor in the planner's join order as the oracle of
+  the planned (columnar) engine.
 """

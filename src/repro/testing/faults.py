@@ -8,7 +8,9 @@ work done (each site counts its own calls). Seeded construction (:meth:`FaultPla
 periods and phases from one integer, printable alongside a failing
 scenario for exact reproduction.
 
-Three fault families, matching the seams the core modules expose:
+Two fault families, matching the seams the core modules expose; both
+model events that happen in a running system (LRU eviction, a
+re-ANALYZE):
 
 * **cache eviction mid-solve** — :meth:`FaultInjector.arm_cache` hangs
   the injector on a cache's ``fault_hook``; when the site fires, the
@@ -19,16 +21,11 @@ Three fault families, matching the seams the core modules expose:
 * **statistics bumps between sweep steps** — :meth:`between_steps`
   re-ANALYZEs the database when the ``"sweep.step"`` site fires,
   changing ``Database.stats_token`` so the next validation flushes
-  every token-tagged cache;
-* **transient task errors** — :meth:`maybe_raise` (called by
-  :class:`~repro.core.algorithms.scheduler.SolveScheduler` once per
-  task attempt at site ``"scheduler.worker"``) raises
-  :class:`~repro.core.algorithms.scheduler.TransientFault`, exercising
-  the retry and cold-fallback paths.
+  every token-tagged cache.
 
-Faults only ever remove memoized state or interrupt a retryable task —
-never corrupt data — so a correct system returns bit-identical payloads
-under any plan; the drills assert exactly that.
+Faults only ever remove memoized state — never corrupt data — so a
+correct system returns bit-identical payloads under any plan; the
+drills assert exactly that.
 """
 
 from __future__ import annotations
@@ -38,16 +35,13 @@ import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.algorithms.scheduler import TransientFault
-
-__all__ = ["FaultInjector", "FaultPlan", "TransientFault", "SITES"]
+__all__ = ["FaultInjector", "FaultPlan", "SITES"]
 
 # Every site the core modules pulse. A plan may name any subset.
 SITES = (
     "param_cache.price",
     "frontier_cache.lookup",
     "frontier_cache.evaluator",
-    "scheduler.worker",
     "sweep.step",
 )
 
@@ -103,8 +97,7 @@ class FaultInjector:
 
     Thread-safe; all counters are totals since construction. The
     injector is **armed** by default — :meth:`disarm` silences every
-    site (used by fallback paths and clean reference runs),
-    :meth:`rearm` restores the plan.
+    site, :meth:`rearm` restores the plan.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
@@ -112,7 +105,7 @@ class FaultInjector:
         self._lock = threading.Lock()
         self._calls: Dict[str, int] = {}
         self._armed = True
-        self.faults_injected = 0
+        self.fired = 0
         self.log: List[Tuple[str, str, int]] = []  # (site, action, call#)
 
     # -- arming --------------------------------------------------------------------
@@ -139,7 +132,7 @@ class FaultInjector:
             due = calls - self.plan.phases.get(site, 0)
             if due < 1 or due % period != 0:
                 return False
-            self.faults_injected += 1
+            self.fired += 1
             self.log.append((site, action, calls))
             return True
 
@@ -147,7 +140,7 @@ class FaultInjector:
         with self._lock:
             return self._calls.get(site, 0)
 
-    # -- the three fault families --------------------------------------------------
+    # -- the two fault families ----------------------------------------------------
 
     def arm_cache(self, cache) -> None:
         """Hang this injector on a cache's ``fault_hook`` seam.
@@ -164,11 +157,6 @@ class FaultInjector:
 
         cache.fault_hook = hook
 
-    def maybe_raise(self, site: str) -> None:
-        """Raise :class:`TransientFault` when ``site`` fires."""
-        if self._fires(site, "raise"):
-            raise TransientFault("injected at %s (call %d)" % (site, self.calls_at(site)))
-
     def between_steps(self, database) -> bool:
         """One ``"sweep.step"`` pulse: re-ANALYZE when the site fires.
 
@@ -184,13 +172,6 @@ class FaultInjector:
 
     # -- reporting -----------------------------------------------------------------
 
-    def counters(self) -> Dict[str, int]:
-        with self._lock:
-            report = {"faults_injected": self.faults_injected}
-            for site, calls in sorted(self._calls.items()):
-                report["calls@" + site] = calls
-            return report
-
     def describe(self) -> str:
         """A one-line reproduction recipe for failure reports."""
         if self.plan.seed is not None:
@@ -200,4 +181,4 @@ class FaultInjector:
                 self.plan.periods,
                 self.plan.phases,
             )
-        return "%s, %d fault(s) fired: %r" % (plan, self.faults_injected, self.log)
+        return "%s, %d fault(s) fired: %r" % (plan, self.fired, self.log)

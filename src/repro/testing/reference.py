@@ -7,17 +7,27 @@ the mask loops are checked against call for call: same boundary list in
 the same order, same work counters (states examined, transitions,
 neighbor batches, peak memory) and same evaluator traffic (evaluations,
 cache hits and misses). See ``tests/core/test_mask_search.py``.
+
+:func:`in_plan_order` is the execution oracle's half of this module:
+it hands the row :class:`~repro.sql.executor.Executor` the planner's
+join order, so the executor's rows and cost receipt pin those of any
+engine that runs the planned tree (see ``tests/sql/test_columnar.py``).
 """
 
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import replace
 from typing import List, Optional, Sequence, Set
 
 from repro.core.algorithms.base import PruneBook
 from repro.core.space import SearchSpace
 from repro.core.state import State
 from repro.core.stats import SearchStats, container_bytes
+from repro.sql.ast_nodes import GroupByHavingCount, QueryNode, SelectQuery, UnionAllQuery
+from repro.sql.plan import IndexProbeNode, PlanNode, ScanNode
+from repro.sql.planner import Planner
+from repro.storage.database import Database
 
 
 def vertical_by_budget(
@@ -118,3 +128,33 @@ def greedy_extend(
                 grown = True
                 break
     return current
+
+
+def _leaf_bindings(plan: PlanNode) -> List[str]:
+    """The bindings of ``plan``'s access paths, left to right."""
+    if isinstance(plan, (ScanNode, IndexProbeNode)):
+        return [plan.binding]
+    return [binding for child in plan.children() for binding in _leaf_bindings(child)]
+
+
+def in_plan_order(database: Database, query: QueryNode) -> QueryNode:
+    """``query`` with every SELECT's FROM list in the planner's join order.
+
+    The row :class:`~repro.sql.executor.Executor` joins in FROM order
+    and applies each predicate as soon as its tables are bound, like
+    the planned tree, so ``Executor(database).execute(in_plan_order(
+    database, query))`` returns the planned engine's rows in order and
+    its full receipt, ``rows_processed`` included. UNION ALL branches
+    are reordered one by one; the HAVING COUNT wrapper is kept.
+    """
+    if isinstance(query, SelectQuery):
+        tables = {table.binding_name: table for table in query.from_tables}
+        order = _leaf_bindings(Planner(database).plan(query))
+        return replace(query, from_tables=tuple(tables[b] for b in order))
+    if isinstance(query, UnionAllQuery):
+        return UnionAllQuery(
+            tuple(in_plan_order(database, sub) for sub in query.subqueries)
+        )
+    if isinstance(query, GroupByHavingCount):
+        return replace(query, source=in_plan_order(database, query.source))
+    raise TypeError("cannot reorder %r" % (query,))

@@ -79,6 +79,15 @@ class TestSelectionConflicts:
         b = sel(5, op=Operator.LE, attribute="x", relation="R")
         assert not selection_conflicts(a, b)
 
+    @pytest.mark.parametrize("op", [Operator.GE, Operator.GT, Operator.LE, Operator.LT])
+    def test_unorderable_bounds_on_one_side_assumed_satisfiable(self, op):
+        # Both conditions bound the same side, so combining them compares
+        # the two values themselves ('abc' against 5).
+        a = sel("abc", op=op, attribute="year", relation="MOVIE")
+        b = sel(5, op=op, attribute="year", relation="MOVIE")
+        assert not selection_conflicts(a, b)
+        assert not selection_conflicts(b, a)
+
 
 def _all_pairs_conflicts(paths):
     """The reference scan: every pair of paths, every pair of selections."""

@@ -1,11 +1,12 @@
 """Resilience drills: injected faults never change any answer.
 
 The deterministic injector (:mod:`repro.testing.faults`) evicts caches
-mid-solve, bumps database statistics between sweep steps, and raises
-transient errors inside scheduler workers. Every drill asserts the same
-thing: the degraded system returns results **bit identical** to a clean
-cold run, and only the ``faults_injected`` / ``fallbacks_taken``
-counters betray that anything happened.
+mid-solve and bumps database statistics between sweep steps. Every
+drill asserts the same thing: the drilled system returns results **bit
+identical** to a clean cold run, and only the injector's ``fired``
+counter betrays that anything happened. A genuine exception inside a
+solve is not absorbed: it reaches the caller as its own type, and the
+service keeps answering exactly like a fresh one.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import adapters
-from repro.core.algorithms.scheduler import SolveScheduler, TransientFault
+from repro.core.algorithms.scheduler import SolveScheduler
 from repro.core.frontier_cache import FrontierCache
 from repro.core.param_cache import ParameterCache
 from repro.core.personalizer import Personalizer
@@ -21,6 +22,7 @@ from repro.core.problem import CQPProblem
 from repro.core.service import BatchRequest, PersonalizationService
 from repro.datasets.movies import MovieDatasetConfig, build_movie_database
 from repro.sql.parser import parse_select
+from repro.sql.printer import to_sql
 from repro.testing.differential import Receipt, synthetic_scenario, table1_problems
 from repro.testing.faults import SITES, FaultInjector, FaultPlan
 from repro.workloads.profiles import generate_profile
@@ -38,14 +40,15 @@ class TestFaultPlan:
     def test_quiet_plan_never_fires(self):
         injector = FaultInjector(FaultPlan.quiet())
         for _ in range(50):
-            injector.maybe_raise("scheduler.worker")
-        assert injector.faults_injected == 0
+            for site in SITES:
+                assert not injector._fires(site, "x")
+        assert injector.fired == 0
 
     def test_rejects_bad_periods_and_phases(self):
         with pytest.raises(ValueError):
-            FaultPlan(periods={"scheduler.worker": 0})
+            FaultPlan(periods={"sweep.step": 0})
         with pytest.raises(ValueError):
-            FaultPlan(periods={"scheduler.worker": 2}, phases={"scheduler.worker": -1})
+            FaultPlan(periods={"sweep.step": 2}, phases={"sweep.step": -1})
 
 
 class TestFaultInjector:
@@ -57,7 +60,7 @@ class TestFaultInjector:
         # i.e. calls 4, 7, 10.
         assert fired == [False, False, False, True, False, False, True,
                          False, False, True]
-        assert injector.faults_injected == 3
+        assert injector.fired == 3
 
     def test_disarm_silences_but_keeps_counting(self):
         injector = FaultInjector(FaultPlan(periods={"s": 1}))
@@ -73,30 +76,16 @@ class TestFaultInjector:
 
 
 class TestSchedulerResilience:
-    def test_retry_absorbs_sparse_faults(self):
-        injector = FaultInjector(FaultPlan(periods={"scheduler.worker": 4}))
-        scheduler = SolveScheduler(retries=1, fault_injector=injector)
-        assert scheduler.map(lambda x: x * 10, [1, 2, 3, 4]) == [10, 20, 30, 40]
-        assert scheduler.fallbacks_taken == 0
-        assert scheduler.faults_seen == injector.faults_injected > 0
-
-    def test_persistent_faults_fall_back_in_order(self):
-        injector = FaultInjector(FaultPlan(periods={"scheduler.worker": 1}))
-        scheduler = SolveScheduler(retries=1, fault_injector=injector)
-        out = scheduler.map(lambda x: x * 10, [1, 2, 3], fallback=lambda x: x * 10)
-        assert out == [10, 20, 30]
-        assert scheduler.fallbacks_taken == 3
-
-    def test_no_fallback_propagates_transient(self):
-        injector = FaultInjector(FaultPlan(periods={"scheduler.worker": 1}))
-        scheduler = SolveScheduler(retries=0, fault_injector=injector)
-        with pytest.raises(TransientFault):
-            scheduler.map(lambda x: x, [1])
-
     def test_real_bugs_are_not_retried(self):
-        scheduler = SolveScheduler(retries=3)
+        calls = []
+
+        def task(x):
+            calls.append(x)
+            return 1 // x
+
         with pytest.raises(ZeroDivisionError):
-            scheduler.map(lambda x: 1 // x, [0], fallback=lambda x: 0)
+            SolveScheduler().map(task, [2, 0, 1])
+        assert calls == [2, 0]  # ran in order, once each, and stopped
 
 
 class TestSolverUnderCacheEviction:
@@ -118,7 +107,7 @@ class TestSolverUnderCacheEviction:
                 pspace, problems[n], "c_boundaries", frontier_cache=cache
             )
             assert Receipt.of(solution) == clean[n], injector.describe()
-        assert injector.faults_injected > 0, "drill never fired; tighten the plan"
+        assert injector.fired > 0, "drill never fired; tighten the plan"
 
 
 class TestStatsBumpBetweenSweepSteps:
@@ -165,48 +154,65 @@ class TestStatsBumpBetweenSweepSteps:
         injector = FaultInjector(FaultPlan(periods={"sweep.step": 2}))
         bumped = sweep(small_db, injector)
         assert bumped == clean
-        assert injector.faults_injected > 0
+        assert injector.fired > 0
+
+
+def _drill_batch(service, query, k_limit=7):
+    """One request per Table 1 problem for the user ``"drill"``."""
+    probe = service.personalizer.personalize(
+        query,
+        service.profile_of("drill"),
+        CQPProblem.problem2(cmax=float("inf")),
+        algorithm="c_maxbounds",
+        k_limit=k_limit,
+    )
+    problems = table1_problems(probe.preference_space)
+    return [
+        BatchRequest(
+            user="drill",
+            query=query,
+            problem=problems[n],
+            algorithm="c_boundaries" if n <= 3 else None,
+            k_limit=k_limit,
+        )
+        for n in sorted(problems)
+    ]
+
+
+def _payloads(responses):
+    return [
+        (
+            Receipt.of(r.outcome.solution),
+            to_sql(r.outcome.personalized_query),
+            r.rows,
+            r.elapsed_ms,
+        )
+        for r in responses
+    ]
+
+
+def _drill_service(database, profile, injector=None):
+    service = PersonalizationService(
+        database,
+        param_cache=ParameterCache(),
+        frontier_cache=FrontierCache(),
+        fault_injector=injector,
+    )
+    service.register("drill", profile)
+    return service
 
 
 class TestServiceDegradation:
-    """The full service under a hostile plan: cache evictions everywhere
-    plus always-failing workers. Responses must match a clean service
-    bit for bit, with the degradation visible only in the counters."""
-
-    def _batch(self, service, query, k_limit=7):
-        probe = service.personalizer.personalize(
-            query,
-            service._users["drill"].profile,
-            CQPProblem.problem2(cmax=float("inf")),
-            algorithm="c_maxbounds",
-            k_limit=k_limit,
-        )
-        problems = table1_problems(probe.preference_space)
-        return [
-            BatchRequest(
-                user="drill",
-                query=query,
-                problem=problems[n],
-                algorithm="c_boundaries" if n <= 3 else None,
-                k_limit=k_limit,
-            )
-            for n in sorted(problems)
-        ]
+    """The full service under a hostile plan: evictions at every cache
+    site. Responses must match a clean service bit for bit; evictions
+    only make a cache colder, so no response reads as degraded."""
 
     def test_hostile_plan_leaves_answers_identical(
         self, movie_db, movie_profile, movie_query
     ):
         def run(injector):
-            service = PersonalizationService(
-                movie_db,
-                param_cache=ParameterCache(),
-                frontier_cache=FrontierCache(),
-                fault_injector=injector,
-                solve_retries=1,
-            )
-            service.register("drill", movie_profile)
-            batch = self._batch(service, movie_query)
-            return service.request_many(batch)
+            service = _drill_service(movie_db, movie_profile, injector)
+            return service.request_many(_drill_batch(service, movie_query))
 
         clean = run(None)
         plan = FaultPlan(
@@ -214,59 +220,64 @@ class TestServiceDegradation:
                 "param_cache.price": 3,
                 "frontier_cache.lookup": 2,
                 "frontier_cache.evaluator": 2,
-                    "scheduler.worker": 1,  # every attempt fails → fallback
             },
             phases={"param_cache.price": 1},
         )
         injector = FaultInjector(plan)
-        degraded = run(injector)
+        drilled = run(injector)
 
-        assert len(degraded) == len(clean)
-        for clean_response, degraded_response in zip(clean, degraded):
-            assert (
-                Receipt.of(degraded_response.outcome.solution)
-                == Receipt.of(clean_response.outcome.solution)
-            ), injector.describe()
-            assert degraded_response.rows == clean_response.rows
-        assert injector.faults_injected > 0
-        assert any(r.faults_injected > 0 for r in degraded)
-        assert any(r.fallbacks_taken > 0 for r in degraded)
-        assert any(r.degraded for r in degraded)
+        assert _payloads(drilled) == _payloads(clean), injector.describe()
+        assert injector.fired > 0
+        assert {site for site, _, _ in injector.log} == set(plan.periods)
+        assert not any(r.degraded for r in drilled)
         assert not any(r.degraded for r in clean)
-
-    def test_single_request_falls_back_like_a_batch(
-        self, movie_db, movie_profile, movie_query
-    ):
-        # request() is a one-request batch, so a worker that always
-        # fails sends it down the same retry-then-cold-fallback path.
-        def run(injector):
-            service = PersonalizationService(movie_db, fault_injector=injector)
-            service.register("drill", movie_profile)
-            return service.request(
-                "drill",
-                movie_query,
-                problem=CQPProblem.problem2(cmax=float("inf")),
-                algorithm="c_boundaries",
-                k_limit=7,
-            )
-
-        clean = run(None)
-        injector = FaultInjector(FaultPlan(periods={"scheduler.worker": 1}))
-        degraded = run(injector)
-        assert Receipt.of(degraded.outcome.solution) == Receipt.of(
-            clean.outcome.solution
-        )
-        assert degraded.rows == clean.rows
-        assert degraded.faults_injected > 0
-        assert degraded.fallbacks_taken == 1
-        assert "transient-fault fallback" in degraded.degradation_reason
-        assert not clean.degraded
 
     def test_quiet_plan_reports_nothing(self, movie_db, movie_profile, movie_query):
         injector = FaultInjector(FaultPlan.quiet())
-        service = PersonalizationService(movie_db, fault_injector=injector)
-        service.register("drill", movie_profile)
-        responses = service.request_many(self._batch(service, movie_query))
-        assert injector.faults_injected == 0
-        assert all(r.faults_injected == 0 for r in responses)
+        service = _drill_service(movie_db, movie_profile, injector)
+        responses = service.request_many(_drill_batch(service, movie_query))
+        assert injector.fired == 0
         assert all(not r.degraded for r in responses)
+
+
+class SolveCrashed(Exception):
+    """A failure no layer of the service knows about."""
+
+
+class TestErrorsInsideASolve:
+    """Nothing absorbs an exception raised inside a solve: it reaches
+    ``request_many``'s caller as its own type, and the next request on
+    the same service answers bit-identically to a fresh service."""
+
+    @pytest.mark.parametrize(
+        "site",
+        ["param_cache.price", "frontier_cache.lookup", "frontier_cache.evaluator"],
+    )
+    def test_error_reaches_the_caller_and_the_service_recovers(
+        self, movie_db, movie_profile, movie_query, site
+    ):
+        service = _drill_service(movie_db, movie_profile)
+        batch = _drill_batch(service, movie_query)
+        cache = (
+            service.param_cache
+            if site.startswith("param_cache")
+            else service.frontier_cache
+        )
+        calls = []
+
+        def crash_on_third_call(name):
+            if name == site:
+                calls.append(name)
+                if len(calls) == 3:
+                    raise SolveCrashed(name)
+
+        cache.fault_hook = crash_on_third_call
+        with pytest.raises(SolveCrashed):
+            service.request_many(batch)
+        cache.fault_hook = None
+        assert len(calls) == 3  # the crash hit mid-batch, not after it
+
+        fresh = _drill_service(movie_db, movie_profile)
+        assert _payloads(service.request_many(batch)) == _payloads(
+            fresh.request_many(batch)
+        )

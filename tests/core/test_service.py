@@ -250,10 +250,9 @@ class TestRequestMany:
 
 
 class TestDegradedSemantics:
-    """``degraded`` must cover *both* degradation channels: transient-fault
-    fallbacks (``fallbacks_taken``) and SLA-driven algorithm downgrades
-    (``degradation_reason`` set by the serving layer). Regression guard:
-    it used to reflect only the fallback counter."""
+    """``degraded`` reads exactly ``degradation_reason``, the one
+    degradation channel (SLA-driven algorithm downgrades, set by the
+    serving layer)."""
 
     PROBLEM = CQPProblem.problem2(cmax=200.0)
 
@@ -265,16 +264,8 @@ class TestDegradedSemantics:
 
     def test_pristine_response_is_not_degraded(self, service):
         response = self._response(service)
-        assert response.fallbacks_taken == 0
         assert response.degradation_reason is None
         assert not response.degraded
-
-    def test_fallbacks_alone_mark_degraded(self, service):
-        from dataclasses import replace
-
-        response = replace(self._response(service), fallbacks_taken=1)
-        assert response.degradation_reason is None
-        assert response.degraded
 
     def test_degradation_reason_alone_marks_degraded(self, service):
         from dataclasses import replace
@@ -283,5 +274,4 @@ class TestDegradedSemantics:
             self._response(service),
             degradation_reason="downgraded c_boundaries -> c_maxbounds: test",
         )
-        assert response.fallbacks_taken == 0
         assert response.degraded

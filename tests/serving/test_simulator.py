@@ -122,7 +122,7 @@ class TestDegradation:
             assert served.algorithm == "c_maxbounds"
             assert served.status == "NEUTRAL"
             assert served.response.degraded
-            assert served.response.fallbacks_taken == 0
+            assert "queue depth 3" in served.response.degradation_reason
             assert "c_boundaries -> c_maxbounds" in served.response.degradation_reason
 
     def test_context_routed_requests_degrade_like_explicit_ones(

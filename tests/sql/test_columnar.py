@@ -3,13 +3,13 @@
 The acceptance property for the columnar engine is *receipt-identical
 equivalence*: on every query of the standard workload
 (:mod:`repro.workloads.queries`), under both ``shared_scans`` settings,
-the reference executor, the plan interpreter, and the columnar kernel
-must return identical rows **and** identical cost receipts
-(``blocks_read`` / ``io_ms`` / ``cpu_ms`` / ``rows_processed``). On
-personalized queries (where the planner may pick a different join order
-than the reference executor's FROM-order), the columnar engine must
-match the plan interpreter exactly and the reference executor as a
-multiset.
+the reference executor and the columnar kernel must return identical
+rows **and** identical cost receipts (``blocks_read`` / ``io_ms`` /
+``cpu_ms`` / ``rows_processed``). On personalized queries (where the
+planner may pick a different join order than the reference executor's
+FROM-order), the columnar engine must match the reference executor run
+in the plan's join order (``in_plan_order``) exactly, and the FROM-order
+run as a multiset.
 """
 
 from collections import Counter
@@ -24,8 +24,8 @@ from repro.sql.ast_nodes import Operator
 from repro.sql.columnar import ColumnarExecutor, ColumnFrame
 from repro.sql.executor import Executor
 from repro.sql.parser import parse_select
-from repro.sql.plan_executor import PlanExecutor
 from repro.sql.planner import Planner
+from repro.testing.reference import in_plan_order
 from repro.workloads.queries import generate_queries
 
 RECEIPT_FIELDS = ("blocks_read", "io_ms", "cpu_ms", "rows_processed")
@@ -101,13 +101,13 @@ def test_engines_agree_on_every_workload_query(movie_db, workload_queries, share
         assert columnar.rows == reference.rows
         assert columnar.columns == reference.columns
         assert receipt(columnar) == receipt(reference)
-        # The plan interpreter has no scan cache; compare it on the
-        # setting it implements.
-        if not shared_scans:
-            plan = Planner(movie_db).plan(query)
-            interpreted = PlanExecutor(movie_db).execute(plan)
-            assert interpreted.rows == reference.rows
-            assert receipt(interpreted) == receipt(reference)
+        # The planner's join order is the reference's FROM order here:
+        # the row engine run in plan order changes nothing.
+        planned = Executor(movie_db, shared_scans=shared_scans).execute(
+            in_plan_order(movie_db, query)
+        )
+        assert planned.rows == reference.rows
+        assert receipt(planned) == receipt(reference)
 
 
 @pytest.mark.tier2
@@ -124,13 +124,13 @@ def test_engines_agree_on_personalized_queries(movie_db, movie_profile, shared_s
         # Join orders may differ between the FROM-order reference and the
         # planned engines, so rows compare as multisets there ...
         assert Counter(columnar.rows) == Counter(reference.rows)
-        if not shared_scans:
-            # ... while against the plan interpreter (same plan, no scan
-            # cache) rows and receipts must be bit-identical.
-            plan = Planner(movie_db).plan(target)
-            interpreted = PlanExecutor(movie_db).execute(plan)
-            assert columnar.rows == interpreted.rows
-            assert receipt(columnar) == receipt(interpreted)
+        # ... while against the row engine in the plan's join order rows
+        # and receipts must be bit-identical.
+        planned = Executor(movie_db, shared_scans=shared_scans).execute(
+            in_plan_order(movie_db, target)
+        )
+        assert columnar.rows == planned.rows
+        assert receipt(columnar) == receipt(planned)
         if outcome.paths:
             checked += 1
     assert checked > 0  # the profile actually personalized something
@@ -174,10 +174,11 @@ class TestEngineFlag:
         assert columnar.rows_filtered_rowwise == 0
 
     def test_plan_executor_engine_delegates(self, movie_db, workload_queries):
-        # The plan interpreter is the row reference; the columnar
-        # engine runs the same plan through execute_plan.
-        plan = Planner(movie_db).plan(workload_queries[1])
-        row = PlanExecutor(movie_db).execute(plan)
+        # The columnar engine runs a prepared plan through execute_plan;
+        # the row engine in the plan's join order is its reference.
+        query = workload_queries[1]
+        plan = Planner(movie_db).plan(query)
+        row = Executor(movie_db).execute(in_plan_order(movie_db, query))
         columnar = ColumnarExecutor(movie_db).execute_plan(plan)
         assert columnar.rows == row.rows
         assert receipt(columnar) == receipt(row)

@@ -3,12 +3,13 @@
 The vectorized kernels (typed numpy columns, dictionary-encoded strings,
 selection-vector filters, factorized joins — see
 ``repro.storage.columns`` / ``repro.sql.columnar``) must be
-*indistinguishable* from the tuple-at-a-time interpreter: identical rows
+*indistinguishable* from the tuple-at-a-time row engine: identical rows
 in identical order and bit-identical cost receipts, for every operand
 the type system can produce — NULLs, floats, dictionary misses, empty
 selections, cross-type keys. Hypothesis generates typed databases and
-queries; the same planned tree runs through ``PlanExecutor`` (row) and
-``ColumnarExecutor`` and both outputs are compared exactly. A second
+queries; ``ColumnarExecutor`` runs the planned tree and the row
+``Executor`` runs the query in the plan's join order
+(``in_plan_order``), and both outputs are compared exactly. A second
 block drives the personalized UNION ALL queries of all six Table 1
 problems through both engines end to end.
 """
@@ -29,18 +30,24 @@ from repro.sql.ast_nodes import (
     TableRef,
 )
 from repro.sql.columnar import ColumnarExecutor
+from repro.sql.executor import Executor
 from repro.sql.parser import parse_select
-from repro.sql.plan_executor import PlanExecutor
 from repro.sql.planner import Planner
 from repro.storage.database import Database
 from repro.storage.datatypes import DataType
 from repro.storage.schema import Attribute, Relation, Schema
+from repro.testing.reference import in_plan_order
 
 RECEIPT_FIELDS = ("blocks_read", "io_ms", "cpu_ms", "rows_processed")
 
 
 def receipt(result):
     return {name: getattr(result, name) for name in RECEIPT_FIELDS}
+
+
+def row_engine_in_plan_order(database, query):
+    """The execution oracle: the row engine on the planner's join order."""
+    return Executor(database).execute(in_plan_order(database, query))
 
 
 # -- typed database + query strategies ------------------------------------------
@@ -144,7 +151,7 @@ def test_columnar_matches_row_engine_on_typed_queries(instance):
     tables, query = instance
     database = _build_database(tables)
     plan = Planner(database).plan(query)
-    row = PlanExecutor(database).execute(plan)
+    row = row_engine_in_plan_order(database, query)
     columnar = ColumnarExecutor(database).execute_plan(plan)
     assert columnar.rows == row.rows
     assert columnar.columns == row.columns
@@ -199,8 +206,9 @@ EDGE_ROWS = [
 )
 def test_edge_cases_match_row_engine(sql):
     database = _build_database({"T0": EDGE_ROWS})
-    plan = Planner(database).plan(parse_select(sql))
-    row = PlanExecutor(database).execute(plan)
+    query = parse_select(sql)
+    plan = Planner(database).plan(query)
+    row = row_engine_in_plan_order(database, query)
     columnar = ColumnarExecutor(database).execute_plan(plan)
     assert columnar.rows == row.rows
     assert receipt(columnar) == receipt(row)
@@ -208,10 +216,9 @@ def test_edge_cases_match_row_engine(sql):
 
 def test_empty_table_is_not_a_special_case():
     database = _build_database({"T0": []})
-    plan = Planner(database).plan(
-        parse_select("select distinct i from T0 where s = 'oak' order by i")
-    )
-    row = PlanExecutor(database).execute(plan)
+    query = parse_select("select distinct i from T0 where s = 'oak' order by i")
+    plan = Planner(database).plan(query)
+    row = row_engine_in_plan_order(database, query)
     columnar = ColumnarExecutor(database).execute_plan(plan)
     assert columnar.rows == row.rows == []
     assert receipt(columnar) == receipt(row)
@@ -243,7 +250,7 @@ def test_table1_problems_row_identical_across_engines(
         query, movie_profile, PROBLEMS[number], k_limit=8
     )
     plan = Planner(movie_db).plan(outcome.personalized_query)
-    reference = PlanExecutor(movie_db).execute(plan)
+    reference = row_engine_in_plan_order(movie_db, outcome.personalized_query)
     vectorized = ColumnarExecutor(movie_db).execute_plan(plan)
     assert vectorized.rows == reference.rows
     assert receipt(vectorized) == receipt(reference)

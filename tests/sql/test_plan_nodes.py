@@ -44,11 +44,6 @@ class TestLabels:
     def test_nested_loop_variants(self):
         cross = NestedLoopJoinNode(left=scan(), right=scan("G", "GENRE"))
         assert cross.label() == "CrossProduct"
-        condition = Comparison(ColumnRef("year", "M"), Operator.LT, ColumnRef("mid", "G"))
-        theta = NestedLoopJoinNode(
-            left=scan(), right=scan("G", "GENRE"), conditions=(condition,)
-        )
-        assert theta.label().startswith("NestedLoopJoin(")
 
     def test_shaping_labels(self):
         project = ProjectNode(child=scan(), columns=("M.title",))

@@ -1,4 +1,8 @@
-"""Tests for the planner and plan executor (Figure 2's optimizer box)."""
+"""Tests for the planner (Figure 2's optimizer box) and its execution.
+
+Planned trees run on the columnar engine; the oracle is the row
+executor given the planner's join order (``in_plan_order``), which must
+match it row for row, in order, and receipt for receipt."""
 
 from collections import Counter
 
@@ -9,6 +13,7 @@ from repro.errors import BindError, ExecutionError
 from repro.sql.executor import Executor
 from repro.sql.parser import parse_select
 from repro.sql.plan import (
+    FilterNode,
     HashJoinNode,
     IndexProbeNode,
     LimitNode,
@@ -16,9 +21,10 @@ from repro.sql.plan import (
     ScanNode,
     SortNode,
 )
-from repro.sql.plan_executor import PlanExecutor
+from repro.sql.columnar import ColumnarExecutor
 from repro.sql.planner import Planner, resolve_column
 from repro.sql.ast_nodes import ColumnRef
+from repro.testing.reference import in_plan_order
 
 from tests.sql.test_executor_oracle import _build_database, spj_instances
 
@@ -32,6 +38,21 @@ def _collect(plan: PlanNode, node_type):
             found.append(node)
         stack.extend(node.children())
     return found
+
+
+RECEIPT_FIELDS = ("blocks_read", "io_ms", "cpu_ms", "rows_processed")
+
+
+def assert_matches_plan_order(database, query, plan, result, use_indexes=False):
+    """``result`` (the planned tree's execution) equals the row oracle:
+    rows in order, columns, and the full cost receipt."""
+    oracle = Executor(database, use_indexes=use_indexes).execute(
+        in_plan_order(database, query)
+    )
+    assert result.rows == oracle.rows, plan.explain()
+    assert result.columns == oracle.columns
+    for name in RECEIPT_FIELDS:
+        assert getattr(result, name) == getattr(oracle, name), name
 
 
 class TestResolveColumn:
@@ -73,6 +94,18 @@ class TestPlanShape:
         scans = _collect(join.left, ScanNode)
         assert scans and scans[0].relation == "DIRECTOR"
 
+    def test_residual_filter_applies_as_soon_as_bound(self, movie_db):
+        # DIRECTOR is joined first, so its same-table comparison filters
+        # the scan below the join (where the row executor applies it),
+        # not the join's output.
+        query = parse_select(
+            "select title from MOVIE M, DIRECTOR D "
+            "where M.did = D.did and D.did >= D.did"
+        )
+        join = _collect(Planner(movie_db).plan(query), HashJoinNode)[0]
+        below = [str(c) for f in _collect(join.left, FilterNode) for c in f.conditions]
+        assert below == ["D.did >= D.did"]
+
     def test_index_probe_when_enabled(self, movie_db):
         movie_db.create_index("GENRE", "genre")
         query = parse_select(
@@ -105,7 +138,8 @@ class TestPlanExecution:
         query = parse_select(text)
         reference = Executor(db).execute(query)
         plan = Planner(db).plan(query)
-        result = PlanExecutor(db).execute(plan)
+        result = ColumnarExecutor(db).execute_plan(plan)
+        assert_matches_plan_order(db, query, plan, result)
         return reference, result
 
     def test_join_query_matches_reference(self, movie_db):
@@ -137,9 +171,11 @@ class TestPlanExecution:
             "select title from MOVIE", movie_profile, CQPProblem.problem2(cmax=200.0)
         )
         reference = personalizer.execute(outcome)
-        plan = Planner(movie_db).plan(outcome.personalized_query)
-        result = PlanExecutor(movie_db).execute(plan)
+        target = outcome.personalized_query
+        plan = Planner(movie_db).plan(target)
+        result = ColumnarExecutor(movie_db).execute_plan(plan)
         assert sorted(result.rows) == sorted(reference.rows)
+        assert_matches_plan_order(movie_db, target, plan, result)
 
     def test_index_probe_execution(self, movie_db):
         # GENRE spans several blocks, so a probe genuinely beats the scan
@@ -148,27 +184,30 @@ class TestPlanExecution:
         genre = movie_db.table("GENRE").column("genre")[0]
         query = parse_select("select mid from GENRE where genre = '%s'" % genre)
         plan = Planner(movie_db, use_indexes=True).plan(query)
-        result = PlanExecutor(movie_db).execute(plan)
+        result = ColumnarExecutor(movie_db).execute_plan(plan)
         reference = Executor(movie_db).execute(query)
         assert sorted(result.rows) == sorted(reference.rows)
         assert result.blocks_read < reference.blocks_read
+        assert_matches_plan_order(movie_db, query, plan, result, use_indexes=True)
 
     def test_missing_index_at_execution_detected(self, movie_db):
         probe = IndexProbeNode(
             relation="MOVIE", binding="MOVIE", attribute="title", value="x"
         )
         with pytest.raises(ExecutionError):
-            PlanExecutor(movie_db).execute(probe)
+            ColumnarExecutor(movie_db).execute_plan(probe)
 
 
 @settings(max_examples=100, deadline=None)
 @given(spj_instances())
 def test_planner_matches_reference_executor(instance):
     """The planner path and the inline-planning executor agree on any
-    random SPJ query (same generator as the executor oracle)."""
+    random SPJ query (same generator as the executor oracle): as a
+    multiset in FROM order, and exactly in the plan's join order."""
     tables, query = instance
     database = _build_database(tables)
     reference = Executor(database).execute(query)
     plan = Planner(database).plan(query)
-    result = PlanExecutor(database).execute(plan)
+    result = ColumnarExecutor(database).execute_plan(plan)
     assert Counter(result.rows) == Counter(reference.rows)
+    assert_matches_plan_order(database, query, plan, result)

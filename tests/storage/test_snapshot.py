@@ -176,6 +176,36 @@ class TestRestoreSafety:
         with pytest.raises(SnapshotMismatch, match="manifest"):
             load_snapshot(str(tmp_path / "nowhere"))
 
+    def _blank_snapshot(self, tmp_path):
+        database = _build()
+        path = str(tmp_path / "snap")
+        save_snapshot(
+            CompiledWorkload(
+                fingerprint=database.fingerprint,
+                stats_version=database.stats_version,
+            ),
+            path,
+        )
+        load_snapshot(path)  # intact, it loads
+        return path
+
+    def test_torn_manifest_refuses_load(self, tmp_path):
+        path = self._blank_snapshot(tmp_path)
+        manifest_path = os.path.join(path, "manifest.json")
+        with open(manifest_path) as handle:
+            text = handle.read()
+        with open(manifest_path, "w") as handle:
+            handle.write(text[: len(text) // 2])
+        with pytest.raises(SnapshotMismatch, match="unreadable snapshot manifest"):
+            load_snapshot(path)
+
+    def test_unreadable_caches_refuse_load(self, tmp_path):
+        path = self._blank_snapshot(tmp_path)
+        with open(os.path.join(path, "caches.pkl"), "wb") as handle:
+            handle.write(b"\x80\x05not a pickle at all")
+        with pytest.raises(SnapshotMismatch, match="unreadable snapshot caches"):
+            load_snapshot(path)
+
     def test_format_version_mismatch_refuses_load(self, tmp_path):
         database = _build()
         compiled, _, _, _ = _compile(database)
