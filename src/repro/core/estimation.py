@@ -143,20 +143,16 @@ class StateEvaluator:
         # provably empty, which the independence product cannot see.
         # size() pins such states to exactly 0, and Formula (8) still
         # holds — supersets of a conflicted state stay conflicted at 0.
-        self.conflicts = frozenset(frozenset(pair) for pair in conflicts)
-        # Conflict pairs as two-bit masks: a mask state is conflicted
-        # iff it covers one of them (mask & pair == pair).
+        # Each pair is kept as a two-bit mask: a state is conflicted iff
+        # its mask covers one of them (mask & pair == pair).
         self.conflict_masks: Tuple[Mask, ...] = tuple(
-            sorted(mask_of(pair) for pair in self.conflicts)
+            sorted({(1 << a) | (1 << b) for a, b in conflicts})
         )
         self.evaluations = 0
         self._dois_descending = sorted(self.doi_values, reverse=True)
 
     def _conflicted(self, indices: Sequence[int]) -> bool:
-        if not self.conflicts:
-            return False
-        present = set(indices)
-        return any(pair <= present for pair in self.conflicts)
+        return bool(self.conflict_masks) and self._conflicted_mask(mask_of(indices))
 
     def _conflicted_mask(self, mask: Mask) -> bool:
         return any(mask & pair == pair for pair in self.conflict_masks)
@@ -352,15 +348,16 @@ class CachedStateEvaluator(StateEvaluator):
     @classmethod
     def wrap(cls, evaluator: StateEvaluator) -> "CachedStateEvaluator":
         """A caching evaluator over an existing evaluator's parameters."""
-        return cls(
+        cached = cls(
             doi_values=evaluator.doi_values,
             cost_values=evaluator.cost_values,
             reductions=evaluator.reductions,
             base_size=evaluator.base_size,
             base_cost=evaluator.base_cost,
             algebra=evaluator.algebra,
-            conflicts=[tuple(pair) for pair in evaluator.conflicts],
         )
+        cached.conflict_masks = evaluator.conflict_masks
+        return cached
 
     def _cached(self, cache: Dict[Mask, float], compute, mask: Mask) -> float:
         value = cache.get(mask)

@@ -310,14 +310,14 @@ class FrontierCache(CacheStatsMixin):
         if self.fault_hook is not None:
             self.fault_hook("frontier_cache.evaluator")
         if self.capacity == 0:
-            return CachedStateEvaluator.wrap(pspace.evaluator())
+            return pspace.evaluator(cached=True)
         digest = space_digest(pspace)
         with self._lock:
             evaluator = self._evaluators.get(digest)
             if evaluator is not None:
                 self._evaluators.move_to_end(digest)
                 return evaluator
-        evaluator = CachedStateEvaluator.wrap(pspace.evaluator())
+        evaluator = pspace.evaluator(cached=True)
         with self._lock:
             existing = self._evaluators.get(digest)
             if existing is not None:
@@ -422,8 +422,8 @@ class FrontierCache(CacheStatsMixin):
 def _evaluator_nbytes(evaluator: CachedStateEvaluator) -> int:
     """A coarse estimate of one shared evaluator's pinned parameters.
 
-    Counts the per-preference parameter arrays it was built from; the
-    demand-grown mask caches are excluded (they are unbounded work
-    memos, not snapshot state).
+    Counts the per-preference parameter arrays it was built from and
+    its conflict masks; the demand-grown mask caches are excluded (they
+    are unbounded work memos, not snapshot state).
     """
-    return 256 + 24 * 3 * len(evaluator.doi_values)
+    return 256 + 24 * 3 * len(evaluator.doi_values) + 40 * len(evaluator.conflict_masks)

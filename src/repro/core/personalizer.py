@@ -4,7 +4,9 @@
 under a group of problems that share an extraction, and
 ``Personalizer.personalize`` is that pipeline for a single problem:
 
-1. *Preference Space* — extract P (and D/C/S) from the profile;
+1. *Preference Space* — extract P (and D/C/S) from the profile: by
+   filtering the memoized unconstrained walk when the parameter cache
+   holds one for this (profile, query), else by the pruned walk;
 2. *CQP State Space Search* — solve each Table 1 problem;
 3. *Personalized Query Construction* — rewrite Q with the chosen
    preferences;
@@ -20,17 +22,19 @@ the differential lattice compare against, not options here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional, Tuple, Union
 
 from repro.core import adapters
 from repro.core.frontier_cache import FrontierCache
 from repro.core.param_cache import ParameterCache
 from repro.core.preference_space import (
+    MemoizedWalk,
     PreferenceSpace,
     extract_preference_space,
     extraction_key,
+    walk_key,
 )
-from repro.core.problem import CQPProblem
+from repro.core.problem import Constraints, CQPProblem
 from repro.core.rewriter import QueryRewriter
 from repro.core.solution import CQPSolution
 from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
@@ -178,15 +182,7 @@ class Personalizer:
         # Stale search-layer entries die with the statistics snapshot,
         # exactly like the parameter cache's per-entry token check.
         self.frontier_cache.validate(self.database.stats_token)
-        pspace = extract_preference_space(
-            self.database,
-            query,
-            profile,
-            constraints=problems[0].constraints,
-            algebra=self.algebra,
-            k_limit=k_limit,
-            param_cache=self.param_cache,
-        )
+        pspace = self._extract(query, profile, problems[0].constraints, k_limit)
         if pspace.k > 0:
             solutions = adapters.solve_many(
                 pspace,
@@ -225,6 +221,58 @@ class Personalizer:
                 )
             )
         return outcomes
+
+    def _extract(
+        self,
+        query: SelectQuery,
+        profile: UserProfile,
+        constraints: Constraints,
+        k_limit: Optional[int],
+    ) -> PreferenceSpace:
+        """The preference space of one request: filtered out of the
+        memoized walk when the parameter cache holds (or now admits)
+        it, else the pruned walk itself."""
+        walk = self.memoized_walk(query, profile, admit=False)
+        if walk is None:
+            return extract_preference_space(
+                self.database,
+                query,
+                profile,
+                constraints=constraints,
+                algebra=self.algebra,
+                k_limit=k_limit,
+                param_cache=self.param_cache,
+            )
+        return walk.extract(query, constraints, k_limit)
+
+    def memoized_walk(
+        self, query: SelectQuery, profile: UserProfile, admit: bool = True
+    ) -> Optional[MemoizedWalk]:
+        """The unconstrained walk of (``profile``, ``query``) from the
+        parameter cache's walk memo (see
+        :meth:`~repro.core.param_cache.ParameterCache.walk`): built on
+        the pair's second sight, or at once with ``admit``; ``None``
+        on a first sight."""
+        database = self.database
+
+        def build() -> MemoizedWalk:
+            chains: List[Tuple[float, float]] = []
+            space = extract_preference_space(
+                database,
+                query,
+                profile,
+                algebra=self.algebra,
+                param_cache=self.param_cache,
+                chains=chains,
+            )
+            return MemoizedWalk.of(space, chains)
+
+        return self.param_cache.walk(
+            walk_key(database, query, profile, self.algebra),
+            database.stats_token,
+            build,
+            admit=admit,
+        )
 
     def execute(self, outcome: PersonalizationOutcome) -> ExecutionResult:
         """Run the outcome's (personalized) query on the database."""

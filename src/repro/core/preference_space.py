@@ -14,11 +14,19 @@ path length (Formula 2), popping the highest-doi candidate first yields
 expanded with their adjacent atomic preferences into longer paths, the
 ``p ∧ pi`` step of Figure 3, subject to the acyclicity check.
 
-Deviations from the pseudocode (documented in DESIGN.md §4): candidates
-violating a *monotone* constraint (cost above ``cmax``, or size below
-``smin``) are pruned individually rather than aborting the whole loop —
-Figure 3's ``else exit`` is only sound for constraints aligned with the
-doi order, which cost and size are not.
+Deviations from the pseudocode (documented in DESIGN.md §4, item 7):
+candidates violating a *monotone* constraint (cost above ``cmax``, or
+size below ``smin``) are pruned individually rather than aborting the
+whole loop — Figure 3's ``else exit`` is only sound for constraints
+aligned with the doi order, which cost and size are not.
+
+The per-candidate prune makes a constrained extraction a filter over
+the unconstrained walk: the pruned walk pops exactly the unconstrained
+walk's paths whose chain (the path and its join prefixes) passes the
+prune, in the same order. :class:`MemoizedWalk` keeps one unconstrained
+walk with its chain bounds, and extracts by filtering it;
+:func:`extract_preference_space` stays the one walk, builds the memo
+and is its oracle.
 """
 
 from __future__ import annotations
@@ -29,9 +37,14 @@ import itertools
 import struct
 from bisect import insort
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-from repro.core.estimation import ParameterEstimator, StateEvaluator
+from repro.core.estimation import (
+    CachedStateEvaluator,
+    ParameterEstimator,
+    StateEvaluator,
+)
+from repro.core.interning import profile_fingerprint
 from repro.core.param_cache import ParameterCache
 from repro.core.problem import Constraints
 from repro.errors import PreferenceError, SearchError
@@ -40,6 +53,7 @@ from repro.preferences.graph import PersonalizationGraph
 from repro.preferences.model import AtomicPreference, PreferencePath
 from repro.preferences.profile import UserProfile
 from repro.sql.ast_nodes import SelectQuery
+from repro.sql.printer import to_sql
 from repro.storage.database import Database
 from repro.utils.timing import Stopwatch
 
@@ -73,9 +87,12 @@ class PreferenceSpace:
         """K — the cardinality of P."""
         return len(self.paths)
 
-    def evaluator(self) -> StateEvaluator:
-        """A fresh state evaluator over this space's parameter arrays."""
-        return StateEvaluator(
+    def evaluator(self, cached: bool = False) -> StateEvaluator:
+        """A fresh state evaluator over this space's parameter arrays:
+        a :class:`~repro.core.estimation.CachedStateEvaluator` when
+        ``cached``."""
+        factory = CachedStateEvaluator if cached else StateEvaluator
+        return factory(
             doi_values=self.doi_values,
             cost_values=self.cost_values,
             reductions=self.reductions,
@@ -89,6 +106,34 @@ class PreferenceSpace:
         """Cost of the personalized query using all K preferences."""
         return sum(self.cost_values)
 
+    def subset(self, indices: Sequence[int]) -> "PreferenceSpace":
+        """The space restricted to the preferences at ``indices``.
+
+        ``indices`` are ascending P-indices. The map from old to new
+        index preserves order, so the cut keeps P's doi order, and the
+        C and S vectors and the conflict pairs are the old ones with
+        the dropped preferences removed and the rest re-indexed.
+        """
+        rank = {old: new for new, old in enumerate(indices)}
+        return PreferenceSpace(
+            query=self.query,
+            paths=[self.paths[i] for i in indices],
+            doi_values=[self.doi_values[i] for i in indices],
+            cost_values=[self.cost_values[i] for i in indices],
+            size_values=[self.size_values[i] for i in indices],
+            reductions=[self.reductions[i] for i in indices],
+            base_cost=self.base_cost,
+            base_size=self.base_size,
+            algebra=self.algebra,
+            vector_d=[rank[i] for i in self.vector_d if i in rank],
+            vector_c=[rank[i] for i in self.vector_c if i in rank],
+            vector_s=[rank[i] for i in self.vector_s if i in rank],
+            selection_times=dict(self.selection_times),
+            conflicts=[
+                (rank[a], rank[b]) for a, b in self.conflicts if a in rank and b in rank
+            ],
+        )
+
     def truncated(self, k: int) -> "PreferenceSpace":
         """The space restricted to the top-``k`` preferences by doi.
 
@@ -98,23 +143,7 @@ class PreferenceSpace:
         """
         if k >= self.k:
             return self
-        keep = set(range(k))
-        return PreferenceSpace(
-            query=self.query,
-            paths=self.paths[:k],
-            doi_values=self.doi_values[:k],
-            cost_values=self.cost_values[:k],
-            size_values=self.size_values[:k],
-            reductions=self.reductions[:k],
-            base_cost=self.base_cost,
-            base_size=self.base_size,
-            algebra=self.algebra,
-            vector_d=[i for i in self.vector_d if i in keep],
-            vector_c=[i for i in self.vector_c if i in keep],
-            vector_s=[i for i in self.vector_s if i in keep],
-            selection_times=dict(self.selection_times),
-            conflicts=[(a, b) for a, b in self.conflicts if a in keep and b in keep],
-        )
+        return self.subset(range(k))
 
 
 def space_digest(pspace: PreferenceSpace) -> str:
@@ -200,14 +229,22 @@ def extract_preference_space(
     k_limit: Optional[int] = None,
     max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
     param_cache: Optional[ParameterCache] = None,
+    chains: Optional[List[Tuple[float, float]]] = None,
 ) -> PreferenceSpace:
     """Run the Preference Space algorithm and price every preference.
 
     ``param_cache`` (optional) memoizes per-path (cost, reduction)
     pricing across calls — see :mod:`repro.core.param_cache`.
+
+    ``chains``, when given a list, records each extracted path's chain
+    bounds in P order (see :class:`MemoizedWalk`): every pushed path is
+    then priced as it is pushed, as a pruned walk prices it. It needs
+    the unconstrained walk.
     """
     if k_limit is not None and k_limit <= 0:
         raise SearchError("k_limit must be positive, got %r" % (k_limit,))
+    if chains is not None and constraints is not None:
+        raise SearchError("chain bounds are recorded on the unconstrained walk only")
     graph = PersonalizationGraph(database.schema, profile)
     estimator = ParameterEstimator(
         database, query, algebra=algebra, param_cache=param_cache
@@ -229,8 +266,21 @@ def extract_preference_space(
 
     with extract_watch:
         counter = itertools.count()  # FIFO tie-break keeps extraction stable
-        queue: List[Tuple[float, int, PreferencePath]] = []
+        queue: List[Tuple[float, int, PreferencePath, Optional[Tuple[float, float]]]] = []
         seen: Set[Tuple[object, ...]] = set()
+
+        def push(path: PreferencePath, above: Optional[Tuple[float, float]]) -> None:
+            """Queue ``path`` unless the monotone prune kills it; when
+            recording chains, price it and carry its chain bound."""
+            if chains is None:
+                if not _prunable(estimator, path, constraints):
+                    heapq.heappush(queue, (-path.doi(algebra), next(counter), path, None))
+                return
+            cost, reduction = estimator.priced(path)
+            size = estimator.base_size * reduction
+            if above is not None:
+                cost, size = max(cost, above[0]), min(size, above[1])
+            heapq.heappush(queue, (-path.doi(algebra), next(counter), path, (cost, size)))
 
         query_relations = {table.relation for table in query.from_tables}
         for relation in sorted(query_relations):
@@ -239,11 +289,10 @@ def extract_preference_space(
                 if path.conditions in seen:
                     continue
                 seen.add(path.conditions)
-                if not _prunable(estimator, path, constraints):
-                    heapq.heappush(queue, (-path.doi(algebra), next(counter), path))
+                push(path, None)
 
         while queue:
-            negative_doi, _, path = heapq.heappop(queue)
+            negative_doi, _, path, bound = heapq.heappop(queue)
             if path.is_selection:
                 index = len(paths)
                 paths.append(path)
@@ -252,6 +301,8 @@ def extract_preference_space(
                 cost_values.append(cost)
                 reductions.append(reduction)
                 size_values.append(estimator.base_size * reduction)
+                if chains is not None:
+                    chains.append(bound)
                 with c_watch:
                     insort(c_keys, (-cost, index))
                 with s_watch:
@@ -267,10 +318,7 @@ def extract_preference_space(
                 if extension is None or extension.conditions in seen:
                     continue
                 seen.add(extension.conditions)
-                if not _prunable(estimator, extension, constraints):
-                    heapq.heappush(
-                        queue, (-extension.doi(algebra), next(counter), extension)
-                    )
+                push(extension, bound)
 
     return PreferenceSpace(
         query=query,
@@ -292,6 +340,101 @@ def extract_preference_space(
         },
         conflicts=_path_conflicts(paths),
     )
+
+
+def walk_key(
+    database: Database,
+    query: SelectQuery,
+    profile: UserProfile,
+    algebra: DoiAlgebra = PRODUCT_ALGEBRA,
+    max_path_length: int = DEFAULT_MAX_PATH_LENGTH,
+) -> Tuple[Hashable, ...]:
+    """Everything the unconstrained walk is a function of: the profile's
+    content (:func:`~repro.core.interning.profile_fingerprint`, in
+    insertion order), the query's SQL, the statistics, the algebra's
+    semantics and the path-length bound."""
+    return (
+        profile_fingerprint(profile),
+        to_sql(query),
+        database.stats_token,
+        algebra.signature,
+        max_path_length,
+    )
+
+
+# Interned conflict pairs, shared by every MemoizedWalk. It holds only
+# immutable (i, j) tuples, so sharing it cannot change any result.
+_PAIRS: Dict[Tuple[int, int], Tuple[int, int]] = {}
+
+
+@dataclass(frozen=True)
+class MemoizedWalk:
+    """One unconstrained Figure 3 walk, kept so that later requests for
+    the same (profile, query, statistics) extract by filtering it.
+
+    ``space`` is :func:`extract_preference_space` with no constraints
+    and no K cut: every selection path, in pop order. For path ``i``,
+    ``chain_cost[i]`` is the largest cost and ``chain_size[i]`` the
+    smallest ``base_size × reduction`` over the path and its join
+    prefixes: the figures :func:`_prunable` tests along the chain of
+    pushes that produced the path. :meth:`extract` is exact (DESIGN.md
+    §4, item 7).
+    """
+
+    space: PreferenceSpace
+    chain_cost: Tuple[float, ...]
+    chain_size: Tuple[float, ...]
+
+    @classmethod
+    def of(
+        cls, space: PreferenceSpace, chains: Sequence[Tuple[float, float]]
+    ) -> "MemoizedWalk":
+        """The memo of an unconstrained walk and the ``chains`` it
+        recorded (see :func:`extract_preference_space`)."""
+        # The pairs are small-int tuples that recur across memos; share
+        # one object per pair instead of pinning a copy in each memo.
+        space.conflicts = [_PAIRS.setdefault(pair, pair) for pair in space.conflicts]
+        # A chain bound is almost always the path's own figure: keep
+        # that float object rather than an equal copy.
+        return cls(
+            space,
+            tuple(own if own == cost else cost
+                  for own, (cost, _) in zip(space.cost_values, chains)),
+            tuple(own if own == size else size
+                  for own, (_, size) in zip(space.size_values, chains)),
+        )
+
+    def extract(
+        self,
+        query: SelectQuery,
+        constraints: Optional[Constraints] = None,
+        k_limit: Optional[int] = None,
+    ) -> PreferenceSpace:
+        """What :func:`extract_preference_space` returns for ``query``
+        under ``constraints`` and ``k_limit``: the first ``k_limit``
+        paths whose whole chain passes the monotone prune."""
+        if k_limit is not None and k_limit <= 0:
+            raise SearchError("k_limit must be positive, got %r" % (k_limit,))
+        cmax, smin = (None, None) if constraints is None else extraction_key(constraints)
+        limit = len(self.chain_cost) if k_limit is None else k_limit
+        indices: List[int] = []
+        for index, (cost, size) in enumerate(zip(self.chain_cost, self.chain_size)):
+            if len(indices) >= limit:
+                break
+            if cmax is not None and cost > cmax:
+                continue
+            if smin is not None and size < smin:
+                continue
+            indices.append(index)
+        space = self.space.subset(indices)
+        space.query = query
+        return space
+
+    def nbytes(self) -> int:
+        """A coarse resident-size estimate of the memo."""
+        space = self.space
+        steps = sum(len(path) for path in space.paths)
+        return 1024 + 180 * space.k + 40 * steps + 8 * len(space.conflicts)
 
 
 def _path_conflicts(paths: List[PreferencePath]) -> List[Tuple[int, int]]:

@@ -199,8 +199,6 @@ class SpaceBundle:
         cached: bool = True,
         frontier_cache=None,
     ) -> None:
-        from repro.core.estimation import CachedStateEvaluator
-
         self.pspace = pspace
         self.problem = problem
         # A FrontierCache supplies the shared evaluator (per-state
@@ -211,7 +209,7 @@ class SpaceBundle:
         if self.frontier_cache is not None:
             self.evaluator = self.frontier_cache.evaluator_for(pspace)
         elif cached:
-            self.evaluator = CachedStateEvaluator.wrap(pspace.evaluator())
+            self.evaluator = pspace.evaluator(cached=True)
         else:
             self.evaluator = pspace.evaluator()
 
@@ -271,9 +269,9 @@ class SpaceBundle:
         """
         constraints = self.problem.constraints
         evaluator = self.evaluator
-        if constraints.smax is None and not evaluator.conflicts:
+        if constraints.smax is None and not evaluator.conflict_masks:
             return None
-        if not evaluator.conflicts:
+        if not evaluator.conflict_masks:
             smax = constraints.smax
 
             def check(indices: Sequence[int]) -> bool:
@@ -286,9 +284,9 @@ class SpaceBundle:
         """Mask twin of :meth:`_smin_only_extra`."""
         constraints = self.problem.constraints
         evaluator = self.evaluator
-        if constraints.smax is None and not evaluator.conflicts:
+        if constraints.smax is None and not evaluator.conflict_masks:
             return None
-        if not evaluator.conflicts:
+        if not evaluator.conflict_masks:
             smax = constraints.smax
 
             def check(mask: Mask) -> bool:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.errors import PreferenceError
 from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
@@ -139,6 +139,13 @@ class PreferencePath:
     ``p ∧ pi is acyclic`` check).
     """
 
+    # Slots, and one shared tuple per relation chain (the table holds
+    # only immutable tuples of relation names): extraction builds a path
+    # per candidate, and memoized walks keep every selection path of a
+    # walk.
+    __slots__ = ("steps", "_visited")
+    _chains: Dict[Tuple[str, ...], Tuple[str, ...]] = {}
+
     def __init__(self, steps: Sequence[AtomicPreference]) -> None:
         if not steps:
             raise PreferenceError("a preference path needs at least one step")
@@ -163,7 +170,8 @@ class PreferencePath:
                     )
                 visited.append(target)
         self.steps: Tuple[AtomicPreference, ...] = tuple(steps)
-        self._visited: Tuple[str, ...] = tuple(visited)
+        chain = tuple(visited)
+        self._visited: Tuple[str, ...] = PreferencePath._chains.setdefault(chain, chain)
 
     # -- classification ---------------------------------------------------------
 

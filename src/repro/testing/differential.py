@@ -559,6 +559,12 @@ def run_service_lattice(
                 ]
             else:
                 responses = service.request_many(batch)
+        if point.cache == "warm" and service.param_cache.walk_counters()["hits"] < 1:
+            # The warm point asks one (user, query) pair under several
+            # extraction keys, twice over: the walk memo must serve.
+            raise DifferentialFailure(
+                "seed=%d point=%s: the walk memo served no extraction" % (seed, point)
+            )
         for number, response in zip(numbers, responses):
             problem = problems[number]
             maximizing = problem.objective is Parameter.DOI

@@ -40,6 +40,7 @@ __all__ = ["FaultInjector", "FaultPlan", "SITES"]
 # Every site the core modules pulse. A plan may name any subset.
 SITES = (
     "param_cache.price",
+    "param_cache.walk",
     "frontier_cache.lookup",
     "frontier_cache.evaluator",
     "sweep.step",

@@ -18,7 +18,9 @@ in two passes:
    query template, extraction cluster): the serving pipeline,
    :meth:`~repro.core.personalizer.Personalizer.personalize_many`,
    extracts the preference space once (pricing every path through a
-   unit-local parameter cache) and solves the cluster's Table 1
+   unit-local parameter cache, after walking the pair unconstrained so
+   the prices cover every path a served walk of it reaches) and solves
+   the cluster's Table 1
    problems through :func:`repro.core.adapters.solve_many`, which
    dedupes and primes the stacked batch kernel, into a unit-local
    frontier cache. Each unit returns its two cache ``snapshot()`` blobs
@@ -161,6 +163,12 @@ def compile_workload(
             param_cache=unit_param,
             frontier_cache=unit_frontier,
         )
+        # Walk the pair unconstrained first. The walk memo then answers
+        # the cluster's extraction, and the unit's pricing covers every
+        # path a served walk of this pair prices (join prefixes, and
+        # selections past the K cut), so a service booted from the
+        # snapshot never misses.
+        personalizer.memoized_walk(query, profile)
         outcomes = personalizer.personalize_many(
             query,
             profile,

@@ -13,6 +13,7 @@ from repro.core import adapters
 from repro.core.preference_space import extract_preference_space
 from repro.core.problem import CQPProblem
 from repro.core.space import SpaceBundle
+from repro.core.state import mask_of
 from repro.core.stats import SearchStats
 from repro.workloads.scenarios import make_synthetic_evaluator
 
@@ -184,7 +185,7 @@ class TestMinCostWithConflicts:
             )
             # Inject a random conflict pair: its conjunction has size 0.
             pair = tuple(sorted(rng.sample(range(k), 2)))
-            evaluator.conflicts = frozenset({frozenset(pair)})
+            evaluator.conflict_masks = (mask_of(pair),)
             problem = CQPProblem.problem6(
                 smin=rng.uniform(0, 20), smax=rng.uniform(100, 1000)
             )
@@ -202,7 +203,7 @@ class TestMinCostWithConflicts:
         evaluator = make_synthetic_evaluator(
             [0.9, 0.8], [10.0, 10.0], [500.0, 400.0], base_size=1000.0
         )
-        evaluator.conflicts = frozenset({frozenset({0, 1})})
+        evaluator.conflict_masks = (mask_of((0, 1)),)
         problem = CQPProblem.problem5(dmin=0.97, smin=1.0, smax=1000.0)
         # Reaching doi 0.97 needs both preferences, but together their
         # size is 0 < smin: correctly infeasible.
