@@ -30,6 +30,7 @@ from repro.core.preference_space import PreferenceSpace
 from repro.core.problem import CQPProblem, Parameter
 from repro.core.solution import CQPSolution
 from repro.core.space import SearchSpace, SpaceBundle
+from repro.core.state import Mask
 from repro.core.stats import SearchStats
 from repro.errors import SearchError
 from repro.utils.timing import Stopwatch
@@ -73,50 +74,51 @@ def space_for_algorithm(bundle: SpaceBundle, algorithm: str) -> SearchSpace:
 
 def minimal_feasible_min_cost(
     bundle: SpaceBundle, stats: SearchStats
-) -> Optional[Tuple[int, ...]]:
+) -> Optional[Mask]:
     """Exact minimum-cost search for the cost-minimization problems.
 
-    Enumerates subsets of P in lexicographic order, descending into a
-    branch only while it is still infeasible (a feasible state's proper
-    supersets cost strictly more — Formula 7 — so they are never
-    optimal) and while its cost undercuts the incumbent.
+    Enumerates subsets of P (as P-index masks) in lexicographic order,
+    descending into a branch only while it is still infeasible (a
+    feasible state's proper supersets cost strictly more — Formula 7 —
+    so they are never optimal) and while its cost undercuts the
+    incumbent. Returns the P-index mask of the cheapest feasible set.
     """
     constraints = bundle.problem.constraints
     evaluator = bundle.evaluator
     k = bundle.k
 
-    def monotone_feasible(indices: Tuple[int, ...]) -> bool:
+    def monotone_feasible(mask: Mask) -> bool:
         if constraints.dmin is not None:
-            if evaluator.doi(indices) < constraints.dmin * (1 - _TOL) - _TOL:
+            if evaluator.doi_mask(mask) < constraints.dmin * (1 - _TOL) - _TOL:
                 return False
         if constraints.smax is not None:
-            if evaluator.size(indices) > constraints.smax * (1 + _TOL) + _TOL:
+            if evaluator.size_mask(mask) > constraints.smax * (1 + _TOL) + _TOL:
                 return False
         return True
 
-    def passes_smin(indices: Tuple[int, ...]) -> bool:
+    def passes_smin(mask: Mask) -> bool:
         if constraints.smin is None:
             return True
-        return evaluator.size(indices) >= constraints.smin * (1 - _TOL) - _TOL
+        return evaluator.size_mask(mask) >= constraints.smin * (1 - _TOL) - _TOL
 
     best_cost = float("inf")
-    best: Optional[Tuple[int, ...]] = None
+    best: Optional[Mask] = None
 
-    def descend(state: Tuple[int, ...], start: int) -> None:
+    def descend(mask: Mask, start: int) -> None:
         nonlocal best_cost, best
         stats.examined()
-        cost = evaluator.cost(state)
-        if state and cost >= best_cost:
+        cost = evaluator.cost_mask(mask)
+        if mask and cost >= best_cost:
             return  # supersets only cost more
-        if monotone_feasible(state):
-            if passes_smin(state) and cost < best_cost:
+        if monotone_feasible(mask):
+            if passes_smin(mask) and cost < best_cost:
                 best_cost = cost
-                best = state
+                best = mask
             return  # minimality: supersets are never cheaper
         for index in range(start, k):
-            descend(state + (index,), index + 1)
+            descend(mask | (1 << index), index + 1)
 
-    descend((), 0)
+    descend(0, 0)
     return best
 
 
@@ -146,20 +148,13 @@ def solve(
     evaluations_before = bundle.evaluator.evaluations
     watch = Stopwatch()
     with watch:
-        indices = minimal_feasible_min_cost(bundle, stats)
+        mask = minimal_feasible_min_cost(bundle, stats)
     stats.wall_time_s = watch.elapsed
     stats.evaluated(bundle.evaluator.evaluations - evaluations_before)
-    if indices is None:
+    if mask is None:
         return None
     stats.solutions_recorded += 1
-    return CQPSolution(
-        pref_indices=tuple(sorted(indices)),
-        doi=bundle.evaluator.doi(indices),
-        cost=bundle.evaluator.cost(indices),
-        size=bundle.evaluator.size(indices),
-        algorithm="min_cost",
-        stats=stats,
-    )
+    return CQPSolution.priced(bundle.evaluator, mask, "min_cost", stats)
 
 
 def _aligned_limit(problem: CQPProblem) -> float:

@@ -2,127 +2,81 @@
 
 * :class:`CQPAlgorithm` — the ABC every algorithm implements, plus a
   registry keyed by algorithm name;
-* :class:`PruneBook` — the paper's ``prune(.)``: a visited set plus
-  dominance against recorded boundaries of the same group;
 * :func:`pointer_best_below` — the C_FINDMAXDOI inner trick: the
   maximum-doi node below a boundary, found *without evaluating dois of
   intermediate nodes* (Figure 5's ``m0`` pointers);
 * :func:`find_max_doi_below` — the shared second phase: pointer-based
   when the problem has no extra constraints, an exact bounded region
   search otherwise (Section 6's multi-constraint adaptation);
+* :func:`best_expected_doi` — Figure 10's BestExpectedDoi bound on every
+  round from a seed rank on;
 * :func:`greedy_extend` — the first-fit ``Horizontal2`` loop used by all
   greedy algorithms.
+
+Every loop runs on int masks (:mod:`repro.core.state`): a state travels
+as its rank mask and the P-index mask the evaluator prices, and the
+paper's ``prune(.)`` is a visited set of rank masks plus, where
+boundaries are recorded, a :class:`~repro.core.state.BoundaryBook` of
+packed rank words. The visit order is the paper's; the tuple-state loops
+in :mod:`repro.testing.reference` are the call-for-call oracle
+(``tests/core/test_mask_search.py``). Peak memory charges each queued or
+recorded node ``node_bytes(range(group))``, as a rank tuple of its group
+would be charged.
 """
 
 from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
-
-import numpy as np
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Type
 
 from repro.core.solution import CQPSolution
 from repro.core.space import SearchSpace
-from repro.core.state import State, state_of
-from repro.core.stats import SearchStats, container_bytes
+from repro.core.state import Mask, State, mask_of, vertical_moves
+from repro.core.stats import SearchStats, node_bytes
 from repro.errors import SearchError
 from repro.utils.timing import Stopwatch
 
 
-class PruneBook:
-    """Visited-set + below-boundary dominance pruning (``prune(.)``).
-
-    The dominance test (is this state componentwise ≥ some recorded
-    boundary of its group?) runs once per enqueue *and* dequeue, so it is
-    vectorized: boundaries of a group live in a preallocated numpy
-    matrix that grows by doubling — appending a boundary writes one row
-    instead of re-stacking the group (which made boundary-heavy sweeps
-    rebuild O(boundaries²) rows). A state equal to a recorded boundary
-    counts as "below" (covered).
-    """
-
-    _INITIAL_ROWS = 8
-
-    def __init__(self) -> None:
-        self._visited: Set[State] = set()
-        self._matrices: Dict[int, np.ndarray] = {}
-        self._counts: Dict[int, int] = {}
-
-    def mark(self, state: State) -> None:
-        self._visited.add(state)
-
-    def seen(self, state: State) -> bool:
-        return state in self._visited
-
-    def add_boundary(self, state: State) -> None:
-        group = len(state)
-        count = self._counts.get(group, 0)
-        matrix = self._matrices.get(group)
-        if matrix is None or count == matrix.shape[0]:
-            capacity = self._INITIAL_ROWS if matrix is None else 2 * matrix.shape[0]
-            grown = np.empty((capacity, group), dtype=np.int64)
-            if count:
-                grown[:count] = matrix[:count]
-            matrix = grown
-            self._matrices[group] = matrix
-        matrix[count] = state
-        self._counts[group] = count + 1
-
-    def below_any_boundary(self, state: State) -> bool:
-        count = self._counts.get(len(state), 0)
-        if not count:
-            return False
-        matrix = self._matrices[len(state)][:count]
-        return bool((np.asarray(state, dtype=np.int64) >= matrix).all(axis=1).any())
-
-    def prune(self, state: State) -> bool:
-        """True when ``state`` should not be enqueued; marks it visited
-        otherwise (so each state enters a queue at most once)."""
-        if state in self._visited or self.below_any_boundary(state):
-            return True
-        self._visited.add(state)
-        return False
+def node_sizes(k: int) -> List[int]:
+    """``node_bytes`` of one node of each group 0..k, for running totals."""
+    return [node_bytes(range(group)) for group in range(k + 1)]
 
 
-def pointer_best_below(space: SearchSpace, boundary: State) -> Tuple[float, Tuple[int, ...]]:
-    """Maximum-doi preference set below ``boundary`` (C_FINDMAXDOI core).
+def pointer_best_below(space: SearchSpace, boundary: Mask) -> Tuple[float, Mask]:
+    """Maximum-doi preference set below a boundary (C_FINDMAXDOI core).
 
-    For each slot, scanning from the slot's rank to the end of the
-    vector, pick the un-used preference with the smallest P-index (P is
-    doi-ordered, so smallest index = highest doi). Slots are processed
-    from the most constrained (largest rank) down; the greedy choice is
-    optimal because the slots' feasible ranges are nested and the
-    conjunction function is monotone in each argument.
+    ``boundary`` is a rank mask; returns the doi and the P-index mask of
+    the chosen set. For each slot, scanning from the slot's rank to the
+    end of the vector, pick the un-used preference with the smallest
+    P-index (P is doi-ordered, so smallest index = highest doi): the
+    lowest set bit of the slot's suffix P-mask minus the used ones.
+    Slots are processed from the most constrained (largest rank) down;
+    the greedy choice is optimal because the slots' feasible ranges are
+    nested and the conjunction function is monotone in each argument.
 
     Only valid on budget-aligned spaces: replacing a boundary rank by a
     later one can only lower the state's budget, so every set produced
     stays within budget.
     """
-    used: Set[int] = set()
-    chosen: List[int] = []
-    for slot in range(len(boundary) - 1, -1, -1):
-        start = boundary[slot]
-        best_pref: Optional[int] = None
-        for rank in range(start, space.k):
-            pref = space.vector[rank]
-            if pref in used:
-                continue
-            if best_pref is None or pref < best_pref:
-                best_pref = pref
-        if best_pref is None:  # cannot happen for a valid boundary
+    suffix = space.suffix_bits
+    used = 0
+    rest = boundary
+    while rest:
+        rank = rest.bit_length() - 1
+        rest ^= 1 << rank
+        free = suffix[rank] & ~used
+        if not free:  # cannot happen for a valid boundary
             raise SearchError("pointer search exhausted the vector")
-        used.add(best_pref)
-        chosen.append(best_pref)
-    indices = tuple(sorted(chosen))
-    return space.evaluator.doi(indices), indices
+        used |= free & -free
+    return space.evaluator.doi_mask(used), used
 
 
 def _region_best(
     space: SearchSpace,
-    boundaries: Sequence[State],
+    boundaries: List[State],
     stats: SearchStats,
-) -> Tuple[float, Optional[Tuple[int, ...]]]:
+) -> Tuple[float, Optional[Mask]]:
     """Exact best-doi *fully feasible* node below any boundary.
 
     Needed when the problem carries constraints beyond the budget (e.g.
@@ -130,49 +84,75 @@ def _region_best(
     the below-boundary regions best-first on the pointer upper bound,
     pruning regions that cannot beat the incumbent. States below a
     boundary are automatically within budget (aligned spaces), so only
-    the extra predicates are re-checked.
+    the extra predicates are re-checked. Equal bounds pop in rank-tuple
+    order, through the word's :meth:`~repro.core.state.RankWords.lex_key`.
     """
+    k = space.k
+    words = space.words
+    width = words.width
+    bits = space.pref_bits
+    sizes = node_sizes(k)
     best_doi = -1.0
-    best: Optional[Tuple[int, ...]] = None
-    visited: Set[State] = set()
-    heap: List[Tuple[float, State]] = []
+    best: Optional[Mask] = None
+    visited: Set[Mask] = set()
+    # entry: (-bound, lex key, rank mask, P-index mask, group)
+    heap: List[Tuple[float, int, Mask, Mask, int]] = []
+    live = [0]
     for boundary in boundaries:
-        bound, _ = pointer_best_below(space, boundary)
-        heapq.heappush(heap, (-bound, boundary))
-    stats.track_container("region-heap", lambda: container_bytes([s for _, s in heap]))
+        ranks = mask_of(boundary)
+        group = len(boundary)
+        bound, _ = pointer_best_below(space, ranks)
+        key = words.lex_key(words.pack(ranks), group)
+        heapq.heappush(heap, (-bound, key, ranks, space.pref_mask(ranks), group))
+        live[0] += sizes[group]
+    stats.track_container("region-heap", lambda: live[0])
     while heap:
-        negative_bound, state = heapq.heappop(heap)
+        negative_bound, key, ranks, pmask, group = heapq.heappop(heap)
+        live[0] -= sizes[group]
         if -negative_bound <= best_doi:
             break  # no region left can beat the incumbent
-        if state in visited:
+        if ranks in visited:
             continue
-        visited.add(state)
+        visited.add(ranks)
         stats.examined()
-        if space.extra_feasible(state):
-            doi = space.objective_value(state)
+        if space.extra_feasible(pmask):
+            doi = space.objective(pmask)
             if doi > best_doi:
                 best_doi = doi
-                best = space.prefs(state)
-        for neighbor in space.vertical(state):
+                best = pmask
+        shift = k - group
+        for rank, field in vertical_moves(ranks, k):
+            neighbor = ranks + (1 << rank)
             if neighbor in visited:
                 continue
             bound, _ = pointer_best_below(space, neighbor)
             if bound > best_doi:
-                heapq.heappush(heap, (-bound, neighbor))
+                heapq.heappush(heap, (
+                    -bound,
+                    key + (1 << ((field + shift) * width)),
+                    neighbor,
+                    pmask ^ bits[rank] ^ bits[rank + 1],
+                    group,
+                ))
+                live[0] += sizes[group]
         stats.sample_memory()
-    return best_doi, tuple(sorted(best)) if best is not None else None
+    return best_doi, best
 
 
 def find_max_doi_below(
     space: SearchSpace,
     boundaries: Iterable[State],
     stats: SearchStats,
-) -> Optional[Tuple[int, ...]]:
+) -> Optional[Mask]:
     """The shared second phase (C_FINDMAXDOI / D_FINDMAXDOI over regions).
 
-    Boundaries are processed in decreasing group size; the
-    BestExpectedDoi bound (best doi achievable by *any* state of the next
-    group size) ends the scan early once it cannot beat the incumbent.
+    ``boundaries`` come in the frontier format (rank tuples), each
+    converted to a mask once. They are processed in decreasing group
+    size — within a group in the iteration order of their tuple set,
+    which decides among tied optima — and the BestExpectedDoi bound
+    (best doi achievable by *any* state of the next group size) ends the
+    scan early once it cannot beat the incumbent. Returns the P-index
+    mask of the best set.
     """
     ordered = sorted(set(boundaries), key=len, reverse=True)
     if not ordered:
@@ -181,7 +161,7 @@ def find_max_doi_below(
         _, best = _region_best(space, ordered, stats)
         return best
     best_doi = -1.0
-    best: Optional[Tuple[int, ...]] = None
+    best: Optional[Mask] = None
     current_group = len(ordered[0])
     for boundary in ordered:
         if len(boundary) < current_group:
@@ -189,19 +169,28 @@ def find_max_doi_below(
             if best_doi > space.upper_bound(current_group):
                 break
         stats.examined()
-        doi, indices = pointer_best_below(space, boundary)
+        doi, pmask = pointer_best_below(space, mask_of(boundary))
         if doi > best_doi:
             best_doi = doi
-            best = indices
+            best = pmask
     return best
+
+
+def best_expected_doi(space: SearchSpace, seed: int) -> float:
+    """BestExpectedDoi (Figure 10 line 3.4): the doi of every preference
+    from rank ``seed`` on, -1 past the end of the vector."""
+    if seed >= space.k:
+        return -1.0
+    return space.evaluator.doi_mask(space.suffix_bits[seed])
 
 
 def greedy_extend(
     space: SearchSpace,
-    state: State,
+    ranks: Mask,
+    pmask: Mask,
     stats: SearchStats,
-    forbidden: Optional[Set[int]] = None,
-) -> State:
+    forbidden: Mask = 0,
+) -> Tuple[Mask, Mask]:
     """First-fit ``Horizontal2`` growth (Figures 7, 10, 11).
 
     Repeatedly insert the highest-vector-parameter absent rank that keeps
@@ -209,35 +198,31 @@ def greedy_extend(
     the paper's Figure 7 (which never exits when no neighbor fits) is
     repaired here: the loop runs while an insertion *succeeded*.
 
-    Runs on int masks: each pass scans the absent ranks in ascending
-    order (skipping ``forbidden`` ones), prices each candidate's P-index
-    mask with one budget call, and restarts from rank 0 after every
-    insertion — the same candidates, in the same order, as the
-    tuple-state reference in :mod:`repro.testing.reference`.
+    Takes and returns a state as (rank mask, P-index mask). Each pass
+    scans the absent ranks in ascending order (skipping the ranks set in
+    ``forbidden``), prices each candidate with one budget call, and
+    restarts from rank 0 after every insertion.
     """
     bits = space.pref_bits
-    price = space.budget_mask
+    price = space.budget
     limit = space.feasible_limit
     k = space.k
-    rmask = pmask = 0
-    for rank in state:
-        rmask |= 1 << rank
-        pmask |= bits[rank]
+    blocked = ranks | forbidden
     grown = True
-    inserted = False
     while grown:
         grown = False
         for rank in range(k):
-            if (rmask >> rank) & 1 or (forbidden is not None and rank in forbidden):
+            if (blocked >> rank) & 1:
                 continue
             candidate = pmask | bits[rank]
             if price(candidate) <= limit:
-                rmask |= 1 << rank
+                ranks |= 1 << rank
+                blocked |= 1 << rank
                 pmask = candidate
                 stats.moved()
-                grown = inserted = True
+                grown = True
                 break
-    return state_of(rmask) if inserted else state
+    return ranks, pmask
 
 
 class CQPAlgorithm(ABC):
@@ -259,7 +244,7 @@ class CQPAlgorithm(ABC):
         watch = Stopwatch()
         try:
             with watch:
-                indices = self._search(space, stats)
+                mask = self._search(space, stats)
         finally:
             # Detach the memory-accounting closures so the finished
             # search's queues/boundary lists are not pinned alive
@@ -269,16 +254,14 @@ class CQPAlgorithm(ABC):
         # Parameter evaluations are tallied by the evaluator (cache hits
         # included — see CachedStateEvaluator), not by each algorithm.
         stats.evaluated(space.evaluator.evaluations - evaluations_before)
-        if indices is None:
+        if mask is None:
             return None
         stats.solutions_recorded += 1
-        return space.solution_from_prefs(indices, self.name, stats)
+        return space.solution(mask, self.name, stats)
 
     @abstractmethod
-    def _search(
-        self, space: SearchSpace, stats: SearchStats
-    ) -> Optional[Tuple[int, ...]]:
-        """Return the chosen P-indices, or ``None`` when infeasible."""
+    def _search(self, space: SearchSpace, stats: SearchStats) -> Optional[Mask]:
+        """Return the chosen P-index mask, or ``None`` when infeasible."""
 
 
 ALGORITHM_REGISTRY: Dict[str, Type[CQPAlgorithm]] = {}

@@ -71,8 +71,8 @@ def budget_table(space: SearchSpace) -> np.ndarray:
     Index ``m`` of the result is the budget of the rank state whose set
     bits are ``m``'s — computed through the stacked evaluator kernel in
     ascending *P-index* order, the exact gather order of the scalar
-    ``budget_mask``, so every entry is bit-identical to
-    ``space.budget_value`` on that state.
+    ``space.budget``, so every entry is bit-identical to pricing that
+    state's P-index mask one at a time.
     """
     if not stacked_supported(space):
         raise ValueError("space %r does not support the stacked kernel" % space.name)

@@ -23,13 +23,18 @@ for the property-based equivalence check.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
-from repro.core.algorithms.base import CQPAlgorithm, find_max_doi_below, register
+from repro.core.algorithms.base import (
+    CQPAlgorithm,
+    find_max_doi_below,
+    node_sizes,
+    register,
+)
 from repro.core.frontier_cache import canonical_frontier
 from repro.core.space import SearchSpace
-from repro.core.state import Mask, State, state_of
-from repro.core.stats import SearchStats, node_bytes
+from repro.core.state import BoundaryBook, Mask, State, mask_of, state_of
+from repro.core.stats import SearchStats
 
 # One queue entry: rank mask, P-index mask, packed rank word, group.
 _Entry = Tuple[Mask, Mask, int, int]
@@ -59,15 +64,10 @@ def find_boundaries(
 
     The sweep runs on int masks. A state travels as its rank mask
     (the visited-set key), its P-index mask (what the evaluator prices;
-    a Vertical move ``r -> r+1`` flips two of its bits) and a *packed
-    rank word*: one field per position holding that position's rank
-    below a guard bit. A Vertical move at position ``i`` adds one to
-    field ``i``; a Horizontal move writes a new top field. Componentwise
-    dominance of a state over a recorded boundary ``b`` of its group —
-    the paper's ``prune(.)`` — is then ``((word | G) - b) & G == G``,
-    where ``G`` holds the group's guard bits: each field subtracts
-    without borrowing from its neighbour, and keeps its guard bit
-    exactly when the state's rank is at least the boundary's.
+    a Vertical move ``r -> r+1`` flips two of its bits) and its packed
+    rank word (:class:`~repro.core.state.RankWords`), against which the
+    paper's ``prune(.)`` dominance is one subtraction per recorded
+    boundary of the group (:class:`~repro.core.state.BoundaryBook`).
 
     The visit order is the paper's, unchanged: Vertical neighbors are
     pushed at the head in decreasing budget order (stable for ties),
@@ -88,26 +88,14 @@ def find_boundaries(
     if k == 0:
         return []
     bits = space.pref_bits
-    price = space.budget_mask
-    price_many = space.budget_mask_many
+    price = space.budget
+    price_many = space.budget_many
     limit = space.feasible_limit
-    value_bits = max(1, (k - 1).bit_length())
-    width = value_bits + 1
-    guards = [0]
-    for position in range(k):
-        guards.append(guards[-1] | (1 << (position * width + value_bits)))
-    sizes = [node_bytes(range(group)) for group in range(k + 1)]
-    book: Dict[int, List[int]] = {}  # group -> packed words of its boundaries
-
-    def covered(word: int, group: int) -> bool:
-        marks = book.get(group)
-        if marks:
-            guard = guards[group]
-            raised = word | guard
-            for mark in marks:
-                if (raised - mark) & guard == guard:
-                    return True
-        return False
+    words = space.words
+    width = words.width
+    sizes = node_sizes(k)
+    book = BoundaryBook(words)
+    covered = book.covered
 
     queue: "deque[_Entry]" = deque()
     visited: Set[Mask] = set()
@@ -115,11 +103,9 @@ def find_boundaries(
     if seeds is None:
         seeds = ((0,),)
     for seed in seeds:
-        rmask = pmask = word = 0
-        for position, rank in enumerate(seed):
-            rmask |= 1 << rank
-            pmask |= bits[rank]
-            word |= rank << (position * width)
+        rmask = mask_of(seed)
+        pmask = space.pref_mask(rmask)
+        word = words.pack(rmask)
         visited.add(rmask)
         queue.append((rmask, pmask, word, len(seed)))
         live[0] += sizes[len(seed)]
@@ -131,14 +117,14 @@ def find_boundaries(
             continue  # a boundary recorded since enqueue covers this state
         if price(pmask) <= limit:
             recorded.append(rmask)
-            book.setdefault(group, []).append(word)
+            book.add(word, group)
             live[1] += sizes[group]
             if warm:
                 continue  # the next group is covered by its own seeds
             rank = rmask.bit_length()  # the Horizontal move appends it
             if rank < k:
                 successor = rmask | (1 << rank)
-                grown = word | (rank << (group * width))
+                grown = (word << width) | rank
                 if successor not in visited and not covered(grown, group + 1):
                     visited.add(successor)
                     stats.moved()
@@ -152,19 +138,19 @@ def find_boundaries(
             # batched estimator call. Neighbors are generated rightmost
             # position first.
             neighbors: List[_Entry] = []
-            position = group
+            field = 0
             rest = rmask
             while rest:
                 rank = rest.bit_length() - 1
                 rest ^= 1 << rank
-                position -= 1
                 if rank + 1 < k and not (rmask >> (rank + 1)) & 1:
                     neighbors.append((
                         rmask + (1 << rank),
                         pmask ^ bits[rank] ^ bits[rank + 1],
-                        word + (1 << (position * width)),
+                        word + (1 << (field * width)),
                         group,
                     ))
+                field += 1
             if len(neighbors) > 1:
                 values = price_many([neighbor[1] for neighbor in neighbors])
                 stats.neighbor_batches += 1
@@ -190,9 +176,7 @@ class CBoundaries(CQPAlgorithm):
     exact = True
     space_kind = "cost"
 
-    def _search(
-        self, space: SearchSpace, stats: SearchStats
-    ) -> Optional[Tuple[int, ...]]:
+    def _search(self, space: SearchSpace, stats: SearchStats) -> Optional[Mask]:
         memo = space.frontier
         if memo is None:
             frontier = canonical_frontier(find_boundaries(space, stats))

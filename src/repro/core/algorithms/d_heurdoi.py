@@ -21,12 +21,36 @@ prefix-truncation loop is an equivalent compression of the same walk.
 
 from __future__ import annotations
 
-from typing import Optional, Set, Tuple
+from typing import Optional
 
-from repro.core.algorithms.base import CQPAlgorithm, greedy_extend, register
+from repro.core.algorithms.base import (
+    CQPAlgorithm,
+    best_expected_doi,
+    greedy_extend,
+    register,
+)
 from repro.core.space import SearchSpace
-from repro.core.state import State
+from repro.core.state import Mask, mask_group_size
 from repro.core.stats import SearchStats, node_bytes
+
+
+def _cheapest_rank(space: SearchSpace, ranks: Mask, seed: int) -> int:
+    """The rank whose preference has the lowest sub-query cost, never
+    the seed (the walk ends at the bare seed); ties go to the lowest
+    rank."""
+    costs = space.evaluator.cost_values
+    vector = space.vector
+    cheapest = -1
+    lowest = 0.0
+    rest = ranks & ~(1 << seed)
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        rank = low.bit_length() - 1
+        cost = costs[vector[rank]]
+        if cheapest < 0 or cost < lowest:
+            cheapest, lowest = rank, cost
+    return cheapest
 
 
 @register
@@ -37,56 +61,49 @@ class DHeurDoi(CQPAlgorithm):
     exact = False
     space_kind = "doi"
 
-    def _suffix_bound(self, space: SearchSpace, seed: int) -> float:
-        suffix = [space.vector[rank] for rank in range(seed, space.k)]
-        if not suffix:
-            return -1.0
-        return space.evaluator.doi(tuple(suffix))
-
-    def _cheapest_rank(self, space: SearchSpace, state: State, seed: int) -> int:
-        """The rank whose preference has the lowest sub-query cost,
-        never the seed (the walk ends at the bare seed)."""
-        candidates = [rank for rank in state if rank != seed]
-        return min(candidates, key=lambda rank: space.evaluator.cost_values[space.vector[rank]])
-
-    def _search(
-        self, space: SearchSpace, stats: SearchStats
-    ) -> Optional[Tuple[int, ...]]:
+    def _search(self, space: SearchSpace, stats: SearchStats) -> Optional[Mask]:
+        bits = space.pref_bits
         best_doi = -1.0
-        best: Optional[Tuple[int, ...]] = None
+        best: Optional[Mask] = None
 
-        def record(state: State) -> None:
+        def record(pmask: Mask) -> None:
             nonlocal best_doi, best
             stats.examined()
-            if not space.fully_feasible(state):
+            if not space.fully_feasible(pmask):
                 return
-            doi = space.objective_value(state)
+            doi = space.objective(pmask)
             if doi > best_doi:
                 best_doi = doi
-                best = space.prefs(state)
+                best = pmask
 
         seed = 0
         while seed < space.k:
-            if best is not None and best_doi > self._suffix_bound(space, seed):
+            if best is not None and best_doi > best_expected_doi(space, seed):
                 break
-            start: State = (seed,)
-            if space.within_budget(start):
-                current = greedy_extend(space, start, stats)
-                record(current)
-                forbidden: Set[int] = set()
+            if space.within_budget(bits[seed]):
+                current, pmask = greedy_extend(space, 1 << seed, bits[seed], stats)
+                record(pmask)
+                forbidden = 0
                 # The current node plus the forbidden set is the whole
                 # live memory of a round.
                 stats.track_container(
-                    "current", lambda: node_bytes(current) + 8 * len(forbidden)
+                    "current",
+                    lambda: node_bytes(range(mask_group_size(current)))
+                    + 8 * mask_group_size(forbidden),
                 )
-                while len(current) > 1:
-                    dropped = self._cheapest_rank(space, current, seed)
-                    forbidden.add(dropped)
-                    reduced = tuple(rank for rank in current if rank != dropped)
-                    current = greedy_extend(space, reduced, stats, forbidden=forbidden)
-                    record(current)
+                while mask_group_size(current) > 1:
+                    dropped = _cheapest_rank(space, current, seed)
+                    forbidden |= 1 << dropped
+                    current, pmask = greedy_extend(
+                        space,
+                        current ^ (1 << dropped),
+                        pmask ^ bits[dropped],
+                        stats,
+                        forbidden=forbidden,
+                    )
+                    record(pmask)
                     stats.sample_memory()
             else:
-                record(start)  # unreachable budget: still counts the visit
+                record(bits[seed])  # unreachable budget: still counts the visit
             seed += 1
-        return tuple(sorted(best)) if best is not None else None
+        return best

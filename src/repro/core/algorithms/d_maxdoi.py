@@ -24,55 +24,79 @@ break Theorem 3.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, Optional, Tuple
+from typing import List, Optional, Set, Tuple
 
-from repro.core.algorithms.base import CQPAlgorithm, PruneBook, register
+from repro.core.algorithms.base import CQPAlgorithm, node_sizes, register
 from repro.core.space import SearchSpace
-from repro.core.state import State
-from repro.core.stats import SearchStats, container_bytes
+from repro.core.state import Mask, State, mask_of, state_of, vertical_moves
+from repro.core.stats import SearchStats
 
 
 def find_optimal(space: SearchSpace, stats: SearchStats) -> List[State]:
-    """Phase 1: collect chain-maximal feasible states (FINDOPTIMAL)."""
-    solutions: List[State] = []
-    book = PruneBook()
-    queue: "deque[State]" = deque()
-    stats.track_container("RQ", lambda: container_bytes(queue))
-    stats.track_container("Solutions", lambda: container_bytes(solutions))
+    """Phase 1: collect chain-maximal feasible states (FINDOPTIMAL).
 
-    if space.k == 0:
-        return solutions
-    start: State = (0,)
-    book.mark(start)
-    queue.append(start)
+    Runs on (rank mask, P-index mask, group) entries; the recorded
+    solutions come back in the frontier format, in recording order
+    (duplicates included, as recorded).
+    """
+    k = space.k
+    bits = space.pref_bits
+    sizes = node_sizes(k)
+    solutions: List[Mask] = []
+    visited: Set[Mask] = set()
+    queue: "deque[Tuple[Mask, Mask, int]]" = deque()
+    live = [0, 0]  # accounted bytes: queue, solutions
+    stats.track_container("RQ", lambda: live[0])
+    stats.track_container("Solutions", lambda: live[1])
+
+    if k == 0:
+        return []
+    visited.add(1)
+    queue.append((1, bits[0], 1))
+    live[0] += sizes[1]
     while queue:
-        state = queue.popleft()
+        ranks, pmask, group = queue.popleft()
+        live[0] -= sizes[group]
         stats.examined()
-        if space.within_budget(state):
-            successor = space.horizontal(state)
-            while successor is not None and space.within_budget(successor):
+        if space.within_budget(pmask):
+            # The Horizontal chain: append the next rank while it fits.
+            rank = ranks.bit_length()
+            while rank < k and space.within_budget(pmask | bits[rank]):
                 stats.moved()
-                state = successor
-                successor = space.horizontal(state)
-            solutions.append(state)
-            branch_point = successor if successor is not None else state
-        else:
-            branch_point = state
-        for neighbor in space.vertical(branch_point):
-            if not book.prune(neighbor):
-                stats.moved()
-                queue.appendleft(neighbor)
+                ranks |= 1 << rank
+                pmask |= bits[rank]
+                group += 1
+                rank += 1
+            solutions.append(ranks)
+            live[1] += sizes[group]
+            if rank < k:  # branch at the first infeasible successor
+                ranks |= 1 << rank
+                pmask |= bits[rank]
+                group += 1
+        for rank, _ in vertical_moves(ranks, k):
+            neighbor = ranks + (1 << rank)
+            if neighbor in visited:
+                continue
+            visited.add(neighbor)
+            stats.moved()
+            queue.appendleft((neighbor, pmask ^ bits[rank] ^ bits[rank + 1], group))
+            live[0] += sizes[group]
         stats.sample_memory()
-    return solutions
+    return [state_of(ranks) for ranks in solutions]
 
 
 def d_find_max_doi(
     space: SearchSpace, solutions: List[State], stats: SearchStats
-) -> Optional[Tuple[int, ...]]:
-    """Phase 2: pick the best recorded solution (D_FINDMAXDOI)."""
+) -> Optional[Mask]:
+    """Phase 2: pick the best recorded solution (D_FINDMAXDOI).
+
+    Solutions are scanned in decreasing group size — within a group in
+    the iteration order of their tuple set, which decides among tied
+    optima. Returns the P-index mask of the best one.
+    """
     ordered = sorted(set(solutions), key=len, reverse=True)
     best_doi = -1.0
-    best: Optional[Tuple[int, ...]] = None
+    best: Optional[Mask] = None
     current_group = len(ordered[0]) if ordered else 0
     for state in ordered:
         if len(state) < current_group:
@@ -80,13 +104,14 @@ def d_find_max_doi(
             if best_doi > space.upper_bound(current_group):
                 break
         stats.examined()
-        if not space.extra_feasible(state):
+        pmask = space.pref_mask(mask_of(state))
+        if not space.extra_feasible(pmask):
             continue
-        doi = space.objective_value(state)
+        doi = space.objective(pmask)
         if doi > best_doi:
             best_doi = doi
-            best = space.prefs(state)
-    return tuple(sorted(best)) if best is not None else None
+            best = pmask
+    return best
 
 
 @register
@@ -97,8 +122,6 @@ class DMaxDoi(CQPAlgorithm):
     exact = True
     space_kind = "doi"
 
-    def _search(
-        self, space: SearchSpace, stats: SearchStats
-    ) -> Optional[Tuple[int, ...]]:
+    def _search(self, space: SearchSpace, stats: SearchStats) -> Optional[Mask]:
         solutions = find_optimal(space, stats)
         return d_find_max_doi(space, solutions, stats)

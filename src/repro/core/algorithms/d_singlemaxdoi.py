@@ -15,12 +15,18 @@ high-doi preference that crowds out a better combination.
 from __future__ import annotations
 
 from collections import deque
-from typing import Optional, Tuple
+from typing import Optional, Set, Tuple
 
-from repro.core.algorithms.base import CQPAlgorithm, PruneBook, greedy_extend, register
+from repro.core.algorithms.base import (
+    CQPAlgorithm,
+    best_expected_doi,
+    greedy_extend,
+    node_sizes,
+    register,
+)
 from repro.core.space import SearchSpace
-from repro.core.state import State
-from repro.core.stats import SearchStats, container_bytes
+from repro.core.state import Mask, mask_group_size, vertical_moves
+from repro.core.stats import SearchStats
 
 
 @register
@@ -31,45 +37,48 @@ class DSingleMaxDoi(CQPAlgorithm):
     exact = False
     space_kind = "doi"
 
-    def _suffix_bound(self, space: SearchSpace, seed: int) -> float:
-        """BestExpectedDoi: doi of every preference from rank ``seed`` on."""
-        suffix = [space.vector[rank] for rank in range(seed, space.k)]
-        if not suffix:
-            return -1.0
-        return space.evaluator.doi(tuple(suffix))
-
-    def _search(
-        self, space: SearchSpace, stats: SearchStats
-    ) -> Optional[Tuple[int, ...]]:
+    def _search(self, space: SearchSpace, stats: SearchStats) -> Optional[Mask]:
+        k = space.k
+        bits = space.pref_bits
+        sizes = node_sizes(k)
         best_doi = -1.0
-        best: Optional[Tuple[int, ...]] = None
-        book = PruneBook()
-        queue: "deque[State]" = deque()
-        stats.track_container("RQ", lambda: container_bytes(queue))
+        best: Optional[Mask] = None
+        visited: Set[Mask] = set()  # prune(.): no boundaries are recorded
+        queue: "deque[Tuple[Mask, Mask, int]]" = deque()
+        live = [0]
+        stats.track_container("RQ", lambda: live[0])
 
         seed = 0
-        while seed < space.k:
-            if best is not None and best_doi > self._suffix_bound(space, seed):
+        while seed < k:
+            if best is not None and best_doi > best_expected_doi(space, seed):
                 break
-            start: State = (seed,)
-            if not book.prune(start):
-                queue.append(start)
+            start = 1 << seed
+            if start not in visited:
+                visited.add(start)
+                queue.append((start, bits[seed], 1))
+                live[0] += sizes[1]
             while queue:
-                state = queue.popleft()
+                ranks, pmask, group = queue.popleft()
+                live[0] -= sizes[group]
                 stats.examined()
-                if space.within_budget(state):
-                    state = greedy_extend(space, state, stats)
-                    if space.fully_feasible(state):
-                        doi = space.objective_value(state)
+                if space.within_budget(pmask):
+                    ranks, pmask = greedy_extend(space, ranks, pmask, stats)
+                    group = mask_group_size(ranks)
+                    if space.fully_feasible(pmask):
+                        doi = space.objective(pmask)
                         if doi > best_doi:
                             best_doi = doi
-                            best = space.prefs(state)
-                for neighbor in space.vertical(state):
-                    if seed not in neighbor:
+                            best = pmask
+                for rank, _ in vertical_moves(ranks, k):
+                    if rank == seed:
                         continue  # rounds only grow states containing the seed
-                    if not book.prune(neighbor):
-                        stats.moved()
-                        queue.append(neighbor)
+                    neighbor = ranks + (1 << rank)
+                    if neighbor in visited:
+                        continue
+                    visited.add(neighbor)
+                    stats.moved()
+                    queue.append((neighbor, pmask ^ bits[rank] ^ bits[rank + 1], group))
+                    live[0] += sizes[group]
                 stats.sample_memory()
             seed += 1
-        return tuple(sorted(best)) if best is not None else None
+        return best

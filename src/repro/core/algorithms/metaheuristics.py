@@ -5,8 +5,9 @@ The paper argues that generic state-space methods — simulated annealing
 syntactic partial orders. These implementations exist to quantify that
 claim in an ablation bench: same spaces, same feasibility, no structure.
 
-All three search over bit-vector states (any subset of P), treat
-infeasible states as worthless, and are deterministically seeded.
+All three search over bit-vector states (any subset of the ranks, as a
+rank mask), treat infeasible states as worthless, and are
+deterministically seeded.
 """
 
 from __future__ import annotations
@@ -16,26 +17,20 @@ from typing import List, Optional, Tuple
 
 from repro.core.algorithms.base import CQPAlgorithm, register
 from repro.core.space import SearchSpace
-from repro.core.state import State, make_state
+from repro.core.state import Mask, mask_group_size
 from repro.core.stats import SearchStats
 from repro.utils.rng import SeededRNG
 
 
-def _score(space: SearchSpace, state: State, stats: SearchStats) -> float:
+def _score(space: SearchSpace, ranks: Mask, stats: SearchStats) -> float:
     """Objective for feasible states, -1 otherwise (doi is in [0, 1])."""
     stats.examined()
-    if not state or not space.fully_feasible(state):
+    if not ranks:
         return -1.0
-    return space.objective_value(state)
-
-
-def _flip(state: State, rank: int) -> State:
-    present = set(state)
-    if rank in present:
-        present.remove(rank)
-    else:
-        present.add(rank)
-    return make_state(present)
+    pmask = space.pref_mask(ranks)
+    if not space.fully_feasible(pmask):
+        return -1.0
+    return space.objective(pmask)
 
 
 class _StochasticSearch(CQPAlgorithm):
@@ -47,13 +42,12 @@ class _StochasticSearch(CQPAlgorithm):
     def __init__(self, seed: int = 0) -> None:
         self.seed = seed
 
-    def _initial(self, space: SearchSpace, rng: SeededRNG, stats: SearchStats) -> State:
+    def _initial(self, space: SearchSpace, rng: SeededRNG, stats: SearchStats) -> Mask:
         """A random feasible-ish start: singletons tried in random order."""
         for rank in rng.shuffled(list(range(space.k))):
-            state: State = (rank,)
-            if space.within_budget(state):
-                return state
-        return ()
+            if space.within_budget(space.pref_bits[rank]):
+                return 1 << rank
+        return 0
 
 
 @register
@@ -74,9 +68,7 @@ class SimulatedAnnealing(_StochasticSearch):
         self.start_temperature = start_temperature
         self.cooling = cooling
 
-    def _search(
-        self, space: SearchSpace, stats: SearchStats
-    ) -> Optional[Tuple[int, ...]]:
+    def _search(self, space: SearchSpace, stats: SearchStats) -> Optional[Mask]:
         if space.k == 0:
             return None
         rng = SeededRNG(self.seed).child("sa")
@@ -85,7 +77,7 @@ class SimulatedAnnealing(_StochasticSearch):
         best, best_score = current, current_score
         temperature = self.start_temperature
         for _ in range(self.steps):
-            candidate = _flip(current, rng.randint(0, space.k - 1))
+            candidate = current ^ (1 << rng.randint(0, space.k - 1))
             stats.moved()
             candidate_score = _score(space, candidate, stats)
             delta = candidate_score - current_score
@@ -96,7 +88,7 @@ class SimulatedAnnealing(_StochasticSearch):
             temperature *= self.cooling
         if best_score < 0:
             return None
-        return tuple(sorted(space.prefs(best)))
+        return space.pref_mask(best)
 
 
 @register
@@ -110,9 +102,7 @@ class TabuSearch(_StochasticSearch):
         self.iterations = iterations
         self.tenure = tenure
 
-    def _search(
-        self, space: SearchSpace, stats: SearchStats
-    ) -> Optional[Tuple[int, ...]]:
+    def _search(self, space: SearchSpace, stats: SearchStats) -> Optional[Mask]:
         if space.k == 0:
             return None
         rng = SeededRNG(self.seed).child("tabu")
@@ -125,7 +115,7 @@ class TabuSearch(_StochasticSearch):
             for rank in range(space.k):
                 if rank in tabu:
                     continue
-                neighbor = _flip(current, rank)
+                neighbor = current ^ (1 << rank)
                 stats.moved()
                 candidates.append((_score(space, neighbor, stats), rank, neighbor))
             if not candidates:
@@ -139,7 +129,7 @@ class TabuSearch(_StochasticSearch):
                 best, best_score = current, score
         if best_score < 0:
             return None
-        return tuple(sorted(space.prefs(best)))
+        return space.pref_mask(best)
 
 
 @register
@@ -160,51 +150,62 @@ class GeneticSearch(_StochasticSearch):
         self.generations = generations
         self.mutation_rate = mutation_rate
 
-    def _random_member(self, space: SearchSpace, rng: SeededRNG) -> State:
-        ranks = [rank for rank in range(space.k) if rng.random() < 0.25]
-        return make_state(ranks)
+    def _random_member(self, space: SearchSpace, rng: SeededRNG) -> Mask:
+        member = 0
+        for rank in range(space.k):
+            if rng.random() < 0.25:
+                member |= 1 << rank
+        return member
 
-    def _crossover(self, rng: SeededRNG, a: State, b: State, k: int) -> State:
+    def _crossover(self, rng: SeededRNG, a: Mask, b: Mask, k: int) -> Mask:
         point = rng.randint(0, k - 1)
-        child = [r for r in a if r <= point] + [r for r in b if r > point]
-        return make_state(child)
+        head = (1 << (point + 1)) - 1  # ranks <= point come from a
+        return (a & head) | (b & ~head)
 
-    def _mutate(self, rng: SeededRNG, state: State, k: int) -> State:
-        ranks = set(state)
+    def _mutate(self, rng: SeededRNG, member: Mask, k: int) -> Mask:
         for rank in range(k):
             if rng.random() < self.mutation_rate:
-                ranks.symmetric_difference_update({rank})
-        return make_state(ranks)
+                member ^= 1 << rank
+        return member
 
-    def _search(
-        self, space: SearchSpace, stats: SearchStats
-    ) -> Optional[Tuple[int, ...]]:
+    def _search(self, space: SearchSpace, stats: SearchStats) -> Optional[Mask]:
         if space.k == 0:
             return None
         rng = SeededRNG(self.seed).child("ga")
         population = [self._random_member(space, rng) for _ in range(self.population)]
         population.append(self._initial(space, rng, stats))
-        best: Optional[State] = None
+        best: Optional[Mask] = None
         best_score = -1.0
+        words = space.words
 
-        def fitness(member: State) -> float:
+        def fitness(member: Mask) -> float:
             return _score(space, member, stats)
+
+        def fittest(contenders: List[Tuple[float, Mask]]) -> Tuple[float, Mask]:
+            # Equal scores fall back to the members' rank-tuple order.
+            return max(
+                contenders,
+                key=lambda entry: (
+                    entry[0],
+                    words.lex_key(words.pack(entry[1]), mask_group_size(entry[1])),
+                ),
+            )
 
         for _ in range(self.generations):
             scored = [(fitness(member), member) for member in population]
             for score, member in scored:
                 if score > best_score:
                     best_score, best = score, member
-            next_generation: List[State] = []
+            next_generation: List[Mask] = []
             while len(next_generation) < self.population:
                 contenders = rng.sample(scored, min(3, len(scored)))
-                _, parent_a = max(contenders)
+                _, parent_a = fittest(contenders)
                 contenders = rng.sample(scored, min(3, len(scored)))
-                _, parent_b = max(contenders)
+                _, parent_b = fittest(contenders)
                 child = self._crossover(rng, parent_a, parent_b, space.k)
                 next_generation.append(self._mutate(rng, child, space.k))
                 stats.moved()
             population = next_generation
         if best is None or best_score < 0:
             return None
-        return tuple(sorted(space.prefs(best)))
+        return space.pref_mask(best)

@@ -7,7 +7,8 @@ Two layers:
   (``b × Σ blocks``), and the multiplicative reduction the path applies
   to the query's result size.
 * :class:`StateEvaluator` combines per-preference figures into the
-  parameters of a *state* (a set of preferences), incrementally cheap:
+  parameters of a *state* (a bitmask of preferences), incrementally
+  cheap:
 
   - ``doi(Px) = r(doi(p1), …, doi(pL))``          (Formula 5/10)
   - ``cost(Qx) = Σ cost(qi)``                      (Formula 6/11)
@@ -104,19 +105,14 @@ class StateEvaluator:
     Indices here are positions into ``P`` (the doi-ordered preference
     list), not ranks; spaces translate ranks → P-indices first.
 
-    Two equivalent kernels compute every parameter:
-
-    * the *tuple kernel* (``doi/cost/size(indices)``) — the original
-      API over index sequences, kept so the Section 5 algorithms run
-      unchanged;
-    * the *mask kernel* (``doi_mask/cost_mask/size_mask(mask)``) — the
-      same formulas over int-bitmask states: popcount group size, O(1)
-      membership, conflict pairs checked as ``mask & pair == pair``,
-      and (in the cached subclass) single-int cache keys with no
-      per-call ``tuple(sorted(...))``.
-
-    The tuple kernel is also the reference the mask kernel is
-    property-tested against (the evaluator tests under ``tests/core``).
+    One kernel computes every parameter: ``doi_mask/cost_mask/size_mask``
+    over int-bitmask states of P-indices, gathering the per-preference
+    values in ascending index order; conflict pairs are checked as
+    ``mask & pair == pair``, and the cached subclass keys on the mask.
+    ``doi/cost/size(indices)`` are one-line entry points over it for
+    callers holding an index sequence. The plain formulas over index
+    sequences live in :mod:`repro.testing.reference`, the oracle the
+    kernel is property-tested against.
     """
 
     def __init__(
@@ -151,9 +147,6 @@ class StateEvaluator:
         self.evaluations = 0
         self._dois_descending = sorted(self.doi_values, reverse=True)
 
-    def _conflicted(self, indices: Sequence[int]) -> bool:
-        return bool(self.conflict_masks) and self._conflicted_mask(mask_of(indices))
-
     def _conflicted_mask(self, mask: Mask) -> bool:
         return any(mask & pair == pair for pair in self.conflict_masks)
 
@@ -169,67 +162,60 @@ class StateEvaluator:
     def __len__(self) -> int:
         return len(self.doi_values)
 
+    # -- index-sequence entry points (one line each over the mask kernel) ---------------
+
     def doi(self, indices: Sequence[int]) -> float:
         """doi of the conjunction (Formula 3); 0 for the empty set."""
-        self.evaluations += 1
-        if not indices:
-            return 0.0
-        return self.algebra.conjunction_doi([self.doi_values[i] for i in indices])
+        return self.doi_mask(mask_of(indices))
 
     def cost(self, indices: Sequence[int]) -> float:
         """Σ sub-query costs (Formula 6); the bare query's cost when empty."""
-        self.evaluations += 1
-        if not indices:
-            return self.base_cost
-        return sum(self.cost_values[i] for i in indices)
+        return self.cost_mask(mask_of(indices))
 
     def size(self, indices: Sequence[int]) -> float:
-        """size(Q) × Π reductions — monotone non-increasing in the set;
-        exactly 0 for states containing mutually exclusive preferences."""
-        self.evaluations += 1
-        if self._conflicted(indices):
-            return 0.0
-        return self.base_size * math.prod(self.reductions[i] for i in indices)
+        """size(Q) × Π reductions; 0 with mutually exclusive preferences."""
+        return self.size_mask(mask_of(indices))
 
     def size_independent(self, indices: Sequence[int]) -> float:
-        """The pure independence product, ignoring conflicts.
-
-        An upper bound on :meth:`size`. The Problem 1 search uses it as
-        the budget parameter: the conflict zeroing makes the true size
-        non-monotone along Vertical moves in the S-vector (a swap can
-        *introduce* a conflict), which would break the boundary
-        machinery; the independence product keeps the alignment, and the
-        conflict-aware window is enforced as an exact extra predicate.
-        """
-        self.evaluations += 1
-        return self.base_size * math.prod(self.reductions[i] for i in indices)
+        """The independence product, ignoring conflicts (see
+        :meth:`size_independent_mask`)."""
+        return self.size_independent_mask(mask_of(indices))
 
     # -- the mask kernel ------------------------------------------------------------
 
     def doi_mask(self, mask: Mask) -> float:
-        """Mask twin of :meth:`doi`."""
+        """doi of the conjunction (Formula 3); 0 for the empty set."""
         self.evaluations += 1
         if not mask:
             return 0.0
         return self.algebra.conjunction_doi(self._gather(self.doi_values, mask))
 
     def cost_mask(self, mask: Mask) -> float:
-        """Mask twin of :meth:`cost`."""
+        """Σ sub-query costs (Formula 6); the bare query's cost when empty."""
         self.evaluations += 1
         if not mask:
             return self.base_cost
         return sum(self._gather(self.cost_values, mask))
 
     def size_mask(self, mask: Mask) -> float:
-        """Mask twin of :meth:`size` (conflicts pin the size to 0)."""
+        """size(Q) × Π reductions — monotone non-increasing in the set;
+        exactly 0 for states containing mutually exclusive preferences."""
         self.evaluations += 1
         if self._conflicted_mask(mask):
             return 0.0
         return self.base_size * math.prod(self._gather(self.reductions, mask))
 
     def size_independent_mask(self, mask: Mask) -> float:
-        """Mask twin of :meth:`size_independent` — bypasses both the
-        conflict zeroing and (in the cached subclass) the size cache."""
+        """The pure independence product, ignoring conflicts.
+
+        An upper bound on :meth:`size_mask`. The Problem 1 search uses it
+        as the budget parameter: the conflict zeroing makes the true size
+        non-monotone along Vertical moves in the S-vector (a swap can
+        *introduce* a conflict), which would break the boundary
+        machinery; the independence product keeps the alignment, and the
+        conflict-aware window is enforced as an exact extra predicate.
+        Bypasses the size cache of the cached subclass.
+        """
         self.evaluations += 1
         return self.base_size * math.prod(self._gather(self.reductions, mask))
 
@@ -326,15 +312,14 @@ class CachedStateEvaluator(StateEvaluator):
     Vertical neighbor differs in one preference), so caching pays off;
     `bench_ablations.py` quantifies it.
 
-    Caches key on the state's bitmask — one int per state, no
-    ``tuple(sorted(...))`` per call. The tuple API is a thin shim that
-    converts indices to a mask and rides the same caches, so tuple and
-    mask callers share hits. ``evaluations`` counts *every* parameter
-    request, hit or miss (invariant: ``evaluations == hits + misses``
-    when only cached entry points are used), keeping
-    ``SearchStats.parameter_evaluations`` comparable between cached and
-    uncached runs. :meth:`size_independent` stays uncached and bypasses
-    the conflict zeroing by design (see its base docstring).
+    Caches key on the state's bitmask — one int per state; the
+    index-sequence entry points convert to a mask and ride the same
+    caches. ``evaluations`` counts *every* parameter request, hit or
+    miss (invariant: ``evaluations == hits + misses`` when only cached
+    entry points are used), keeping ``SearchStats.parameter_evaluations``
+    comparable between cached and uncached runs.
+    :meth:`size_independent_mask` stays uncached and bypasses the
+    conflict zeroing by design (see its base docstring).
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -401,17 +386,6 @@ class CachedStateEvaluator(StateEvaluator):
         self.cache_hits += hits
         self.evaluations += hits
         return out
-
-    # -- tuple shims ------------------------------------------------------------------
-
-    def doi(self, indices: Sequence[int]) -> float:
-        return self.doi_mask(mask_of(indices))
-
-    def cost(self, indices: Sequence[int]) -> float:
-        return self.cost_mask(mask_of(indices))
-
-    def size(self, indices: Sequence[int]) -> float:
-        return self.size_mask(mask_of(indices))
 
     def cache_info(self) -> Dict[str, int]:
         return {"hits": self.cache_hits, "misses": self.cache_misses}

@@ -27,6 +27,7 @@ from typing import List, Optional, Sequence
 from repro.core.estimation import StateEvaluator
 from repro.core.problem import Constraints
 from repro.core.solution import CQPSolution
+from repro.core.state import Mask, RankWords, state_of
 from repro.core.stats import SearchStats
 from repro.errors import SearchError
 
@@ -36,11 +37,11 @@ MAX_PARETO_K = 22
 
 
 def _feasible_by_size(
-    evaluator: StateEvaluator, indices: Sequence[int], constraints: Optional[Constraints]
+    evaluator: StateEvaluator, mask: Mask, constraints: Optional[Constraints]
 ) -> bool:
     if constraints is None or not constraints.has_size_bounds:
         return True
-    size = evaluator.size(indices)
+    size = evaluator.size_mask(mask)
     if constraints.smin is not None and size < constraints.smin * (1 - _TOL) - _TOL:
         return False
     if constraints.smax is not None and size > constraints.smax * (1 + _TOL) + _TOL:
@@ -55,38 +56,46 @@ def pareto_front(
 ) -> List[CQPSolution]:
     """The exact (doi ↑, cost ↓) Pareto front over non-empty states.
 
-    Enumerates states (bounded by ``k_guard``, like the exhaustive
-    oracle), filters by the optional size window, and keeps the
-    non-dominated set: a state survives iff no other feasible state has
-    both doi ≥ and cost ≤ (with one strict). Returned sorted by
-    increasing cost — the natural sweep a context policy reads.
+    Enumerates states as P-index masks (bounded by ``k_guard``, like
+    the exhaustive oracle), filters by the optional size window, and
+    keeps the non-dominated set: a state survives iff no other feasible
+    state has both doi ≥ and cost ≤ (with one strict). Returned sorted by
+    increasing cost — the natural sweep a context policy reads; exact
+    (cost, doi) ties keep the index-tuple order, through the packed
+    word's :meth:`~repro.core.state.RankWords.lex_key`.
     """
     k = len(evaluator)
     if k > k_guard:
         raise SearchError(
             "pareto_front over K=%d exceeds the 2^%d guard" % (k, k_guard)
         )
+    words = RankWords(k)
+    bits = [1 << index for index in range(k)]
     candidates = []
     for group in range(1, k + 1):
-        for state in combinations(range(k), group):
-            if not _feasible_by_size(evaluator, state, size_constraints):
+        for chosen in combinations(bits, group):
+            mask = sum(chosen)
+            if not _feasible_by_size(evaluator, mask, size_constraints):
                 continue
-            candidates.append(
-                (evaluator.cost(state), -evaluator.doi(state), state)
-            )
+            candidates.append((
+                evaluator.cost_mask(mask),
+                -evaluator.doi_mask(mask),
+                words.lex_key(words.pack(mask), group),
+                mask,
+            ))
     candidates.sort()
     front: List[CQPSolution] = []
     best_doi = -1.0
-    for cost, negative_doi, state in candidates:
+    for cost, negative_doi, _, mask in candidates:
         doi = -negative_doi
         if doi > best_doi + _TOL:
             best_doi = doi
             front.append(
                 CQPSolution(
-                    pref_indices=state,
+                    pref_indices=state_of(mask),
                     doi=doi,
                     cost=cost,
-                    size=evaluator.size(state),
+                    size=evaluator.size_mask(mask),
                     algorithm="pareto",
                     stats=SearchStats(algorithm="pareto"),
                 )

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Tuple
 
+from repro.core.state import Mask, state_of
 from repro.core.stats import SearchStats
 
 
@@ -19,6 +20,20 @@ class CQPSolution:
     size: float
     algorithm: str = ""
     stats: SearchStats = field(default_factory=SearchStats)
+
+    @classmethod
+    def priced(
+        cls, evaluator, mask: Mask, algorithm: str, stats: SearchStats
+    ) -> "CQPSolution":
+        """The record of a P-index mask, priced by ``evaluator``."""
+        return cls(
+            pref_indices=state_of(mask),
+            doi=evaluator.doi_mask(mask),
+            cost=evaluator.cost_mask(mask),
+            size=evaluator.size_mask(mask),
+            algorithm=algorithm,
+            stats=stats,
+        )
 
     @property
     def group_size(self) -> int:

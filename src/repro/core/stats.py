@@ -11,9 +11,10 @@ quantity the paper plots in KBytes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence
 
-# Cost accounting for one stored node: a rank tuple of g small integers.
+# Cost accounting for one stored node of g ranks (a mask in the search
+# loops; the accounting is that of a tuple of g small integers).
 # The paper stores nodes as index sets; we charge a word per rank plus a
 # fixed per-node overhead, which matches its tens-of-KB scale.
 NODE_OVERHEAD_BYTES = 16
@@ -67,9 +68,9 @@ class SearchStats:
     def track_container(self, name: str, byte_size: Callable[[], int]) -> None:
         """Register a live container whose size contributes to peak memory.
 
-        ``byte_size`` is sampled by :meth:`sample_memory`; use
-        :func:`container_bytes` to build it from a collection of states.
-        Registrations after :meth:`release_containers` are dropped: a
+        ``byte_size`` is sampled by :meth:`sample_memory`; the search
+        loops keep a running total of :func:`node_bytes` over the
+        container's nodes. Registrations after :meth:`release_containers` are dropped: a
         released stats record must never re-pin a search container.
         """
         if not self._released:
@@ -141,8 +142,3 @@ class SearchStats:
         self.frontier_cache_misses += other.frontier_cache_misses
         self.states_warm_started += other.states_warm_started
         self.neighbor_batches += other.neighbor_batches
-
-
-def container_bytes(container: Sequence[Tuple[int, ...]]) -> int:
-    """Accounting size of a container of states (queue, boundary list...)."""
-    return sum(node_bytes(state) for state in container)

@@ -23,17 +23,30 @@ format:
 
 * **Layout** — a snapshot is a directory::
 
-      manifest.json     # identity, format version, meta + telemetry
-      caches.pkl        # ParameterCache / FrontierCache blobs
+      manifest.json           # identity, format version, meta + telemetry,
+                              # and the caches file's name and SHA-256
+      caches-<sha256>.pkl     # ParameterCache / FrontierCache blobs
 
   Both blobs are small (frontiers are rank tuples, pricing entries are
-  float pairs) and travel through one pickle. A snapshot written by an
-  older writer may also carry a ``frame`` blob and a ``columns/``
-  directory; the reader ignores both.
+  float pairs) and travel through one pickle, named after its content
+  digest. Unknown sections of the blob and other files in the directory
+  are ignored.
+
+* **Atomic saves** — :func:`save_snapshot` writes the new caches file
+  beside the old one, then replaces the manifest through a temporary
+  file and ``os.replace``: that rename is the commit point. Only after
+  it are superseded caches files removed, so a save that fails at any
+  step leaves the previous snapshot loadable and unchanged.
+
+* **Checked loads** — :func:`load_snapshot` refuses a caches file whose
+  SHA-256 differs from the manifest's, so a damaged file is never
+  unpickled into the caches (a *crafted* file with a matching manifest
+  still is: the pickle is trusted input).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -45,10 +58,12 @@ from repro.storage.database import Database
 
 # Version 2: frontier memos key on the space digest
 # (repro.core.preference_space.space_digest), not the parameter tuples.
-SNAPSHOT_FORMAT_VERSION = 2
+# Version 3: the caches file is content-addressed and its SHA-256 is
+# recorded in the manifest.
+SNAPSHOT_FORMAT_VERSION = 3
 
 MANIFEST_NAME = "manifest.json"
-CACHES_NAME = "caches.pkl"
+CACHES_PREFIX = "caches"
 
 
 class SnapshotMismatch(StorageError):
@@ -120,47 +135,66 @@ class CompiledWorkload:
         return installed
 
 
+def _caches_name(digest: str) -> str:
+    return "%s-%s.pkl" % (CACHES_PREFIX, digest)
+
+
+def _replace_file(path: str, data: bytes) -> None:
+    """Write ``data`` at ``path`` through a temporary file and
+    ``os.replace``, so ``path`` never holds a partial write."""
+    temporary = path + ".tmp"
+    with open(temporary, "wb") as handle:
+        handle.write(data)
+        handle.flush()
+        os.fsync(handle.fileno())
+    os.replace(temporary, path)
+
+
 def save_snapshot(compiled: CompiledWorkload, path: str) -> Dict[str, int]:
     """Write ``compiled`` as a snapshot directory at ``path``.
 
-    Returns ``{"files": ..., "bytes": ...}`` for telemetry. Overwrites
-    any snapshot already at ``path`` (the manifest is written last, so
-    a torn write never looks like a valid snapshot).
+    Returns ``{"files": ..., "bytes": ...}`` for telemetry. Replaces any
+    snapshot already at ``path`` atomically: the new caches file is
+    written under its content digest, the manifest naming it is swapped
+    in with ``os.replace``, and only then are superseded caches files
+    removed.
     """
     os.makedirs(path, exist_ok=True)
-    manifest_path = os.path.join(path, MANIFEST_NAME)
-    if os.path.exists(manifest_path):
-        os.remove(manifest_path)
-
-    with open(os.path.join(path, CACHES_NAME), "wb") as handle:
-        pickle.dump(
-            {
-                "param": compiled.param_state,
-                "frontier": compiled.frontier_state,
-            },
-            handle,
-            protocol=pickle.HIGHEST_PROTOCOL,
-        )
+    blob = pickle.dumps(
+        {
+            "param": compiled.param_state,
+            "frontier": compiled.frontier_state,
+        },
+        protocol=pickle.HIGHEST_PROTOCOL,
+    )
+    digest = hashlib.sha256(blob).hexdigest()
+    caches_name = _caches_name(digest)
+    _replace_file(os.path.join(path, caches_name), blob)
 
     manifest = {
         "format_version": compiled.format_version,
         "kind": "workload_snapshot",
         "fingerprint": compiled.fingerprint,
         "stats_version": compiled.stats_version,
+        "caches": {"name": caches_name, "sha256": digest},
         "meta": compiled.meta,
         "interning": compiled.interning,
         "telemetry": compiled.telemetry,
     }
-    with open(manifest_path, "w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
+    text = json.dumps(manifest, indent=2, sort_keys=True)
+    _replace_file(os.path.join(path, MANIFEST_NAME), text.encode("utf-8"))
 
+    for name in os.listdir(path):
+        if name.startswith(CACHES_PREFIX) and name != caches_name:
+            os.remove(os.path.join(path, name))
     return {"files": 2, "bytes": snapshot_nbytes(path)}
 
 
 def load_snapshot(path: str) -> CompiledWorkload:
     """Read a snapshot directory back into a :class:`CompiledWorkload`.
 
-    A missing, torn or otherwise unreadable manifest or cache file
+    A missing, torn or otherwise unreadable manifest, or a caches file
+    that is missing, unreadable or differs from the manifest's SHA-256,
     raises :class:`SnapshotMismatch`, like any other snapshot this
     reader cannot serve from.
     """
@@ -185,10 +219,29 @@ def load_snapshot(path: str) -> CompiledWorkload:
             "snapshot format v%r, this reader expects v%r"
             % (manifest.get("format_version"), SNAPSHOT_FORMAT_VERSION)
         )
-    caches_path = os.path.join(path, CACHES_NAME)
+    caches = manifest.get("caches")
+    if (
+        not isinstance(caches, dict)
+        or not isinstance(caches.get("name"), str)
+        or os.path.basename(caches["name"]) != caches["name"]
+    ):
+        raise SnapshotMismatch("snapshot manifest at %s names no caches file" % manifest_path)
+    caches_path = os.path.join(path, caches["name"])
     try:
         with open(caches_path, "rb") as handle:
-            states = pickle.load(handle)
+            blob = handle.read()
+    except OSError as error:
+        raise SnapshotMismatch(
+            "unreadable snapshot caches at %s: %s" % (caches_path, error)
+        ) from error
+    digest = hashlib.sha256(blob).hexdigest()
+    if digest != caches.get("sha256"):
+        raise SnapshotMismatch(
+            "damaged snapshot caches at %s: SHA-256 %s... does not match the "
+            "manifest's %s..." % (caches_path, digest[:12], str(caches.get("sha256"))[:12])
+        )
+    try:
+        states = pickle.loads(blob)
     except Exception as error:
         # A damaged pickle raises UnpicklingError, EOFError, ValueError,
         # TypeError, AttributeError, OverflowError, MemoryError, ...

@@ -47,6 +47,7 @@ from repro.core.frontier_cache import FrontierCache
 from repro.core.param_cache import ParameterCache
 from repro.core.problem import CQPProblem, Parameter
 from repro.core.solution import CQPSolution
+from repro.testing import reference
 from repro.testing.invariants import check_search_stats
 
 _TOL = 1e-6
@@ -190,8 +191,10 @@ def exhaustive_oracle(pspace, problem: CQPProblem) -> Receipt:
     """Brute-force optimum, independent of the search machinery.
 
     Enumerates every subset of P (the empty set too for the
-    cost-minimization problems, matching the minimal-state search) with
-    a fresh uncached evaluator and keeps the best fully feasible one.
+    cost-minimization problems, matching the minimal-state search),
+    prices each through the plain index-sequence formulas of
+    :mod:`repro.testing.reference` — not the mask kernel the searches
+    run on — and keeps the best fully feasible one.
     """
     evaluator = pspace.evaluator()
     k = pspace.k
@@ -200,9 +203,9 @@ def exhaustive_oracle(pspace, problem: CQPProblem) -> Receipt:
     smallest = 1 if maximizing else 0
     for group in range(smallest, k + 1):
         for subset in combinations(range(k), group):
-            doi = evaluator.doi(subset)
-            cost = evaluator.cost(subset)
-            size = evaluator.size(subset)
+            doi = reference.doi(evaluator, subset)
+            cost = reference.cost(evaluator, subset)
+            size = reference.size(evaluator, subset)
             if not problem.satisfies(doi, cost, size):
                 continue
             objective = doi if maximizing else -cost
@@ -214,9 +217,9 @@ def exhaustive_oracle(pspace, problem: CQPProblem) -> Receipt:
     return Receipt(
         feasible=True,
         pref_indices=indices,
-        doi=evaluator.doi(indices),
-        cost=evaluator.cost(indices),
-        size=evaluator.size(indices),
+        doi=reference.doi(evaluator, indices),
+        cost=reference.cost(evaluator, indices),
+        size=reference.size(evaluator, indices),
     )
 
 

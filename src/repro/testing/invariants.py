@@ -30,11 +30,11 @@ from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-from repro.core import transitions as tr
 from repro.core.estimation import StateEvaluator
 from repro.core.space import SearchSpace
 from repro.core.state import State
 from repro.core.stats import SearchStats
+from repro.testing import reference as ref
 
 _TOL = 1e-9
 
@@ -45,10 +45,10 @@ class InvariantViolation(AssertionError):
 
 def _grown_states(state: State, k: int) -> Iterable[State]:
     """Every one-step superset reachable by Horizontal or Horizontal2."""
-    successor = tr.horizontal(state, k)
+    successor = ref.horizontal(state, k)
     if successor is not None:
         yield successor
-    for neighbor in tr.horizontal2(state, k):
+    for neighbor in ref.horizontal2(state, k):
         yield neighbor
 
 
@@ -57,11 +57,12 @@ def check_doi_monotone(evaluator: StateEvaluator, state: State, k: int) -> None:
 
     ``state`` and its neighbors are P-index sets here (growing
     transitions act the same on ranks and indices, so checking on
-    indices covers both).
+    indices covers both). The formulas are the plain index-sequence
+    ones of :mod:`repro.testing.reference`, not the mask kernel.
     """
-    base = evaluator.doi(state)
+    base = ref.doi(evaluator, state)
     for neighbor in _grown_states(state, k):
-        grown = evaluator.doi(neighbor)
+        grown = ref.doi(evaluator, neighbor)
         if grown < base - _TOL:
             raise InvariantViolation(
                 "Formula 4 violated: doi(%r)=%.12g < doi(%r)=%.12g"
@@ -71,9 +72,9 @@ def check_doi_monotone(evaluator: StateEvaluator, state: State, k: int) -> None:
 
 def check_cost_monotone(evaluator: StateEvaluator, state: State, k: int) -> None:
     """Formula 7 along every growing transition out of ``state``."""
-    base = evaluator.cost(state)
+    base = ref.cost(evaluator, state)
     for neighbor in _grown_states(state, k):
-        grown = evaluator.cost(neighbor)
+        grown = ref.cost(evaluator, neighbor)
         if grown < base - _TOL:
             raise InvariantViolation(
                 "Formula 7 violated: cost(%r)=%.12g < cost(%r)=%.12g"
@@ -83,9 +84,9 @@ def check_cost_monotone(evaluator: StateEvaluator, state: State, k: int) -> None
 
 def check_size_antitone(evaluator: StateEvaluator, state: State, k: int) -> None:
     """Formula 8 along every growing transition out of ``state``."""
-    base = evaluator.size(state)
+    base = ref.size(evaluator, state)
     for neighbor in _grown_states(state, k):
-        grown = evaluator.size(neighbor)
+        grown = ref.size(evaluator, neighbor)
         if grown > base + base * _TOL + _TOL:
             raise InvariantViolation(
                 "Formula 8 violated: size(%r)=%.12g > size(%r)=%.12g"
@@ -102,9 +103,9 @@ def check_vertical_budget_decreases(space: SearchSpace, state: State) -> None:
     """
     if not space.budget_aligned:
         return
-    base = space.budget_value(state)
-    for neighbor in space.vertical(state):
-        moved = space.budget_value(neighbor)
+    base = ref.budget_value(space, state)
+    for neighbor in ref.vertical(state, space.k):
+        moved = ref.budget_value(space, neighbor)
         if moved > base + abs(base) * _TOL + _TOL:
             raise InvariantViolation(
                 "Vertical raised the budget on aligned space %r: "

@@ -15,15 +15,16 @@ in two passes:
    once per user.
 
 2. **Precompute the search layer** — one *unit* per (canonical profile,
-   query template, extraction cluster): the serving pipeline,
+   query template): the unit walks the pair unconstrained once, pricing
+   every path through a unit-local parameter cache (so the prices cover
+   every path a served walk of it reaches). Then, for each extraction
+   cluster, the serving pipeline,
    :meth:`~repro.core.personalizer.Personalizer.personalize_many`,
-   extracts the preference space once (pricing every path through a
-   unit-local parameter cache, after walking the pair unconstrained so
-   the prices cover every path a served walk of it reaches) and solves
-   the cluster's Table 1
-   problems through :func:`repro.core.adapters.solve_many`, which
-   dedupes and primes the stacked batch kernel, into a unit-local
-   frontier cache. Each unit returns its two cache ``snapshot()`` blobs
+   cuts the cluster's preference space out of that walk and solves the
+   cluster's Table 1 problems through
+   :func:`repro.core.adapters.solve_many`, which dedupes and primes the
+   stacked batch kernel, into a unit-local frontier cache. Each unit
+   returns its two cache ``snapshot()`` blobs
    and the compiler merges them via ``restore()`` under the live
    statistics token, so merge order never shows in the result. Spaces
    that coincide across canonical profiles collapse once more at this
@@ -140,21 +141,19 @@ def compile_workload(
         clusters.setdefault(extraction_key(problem.constraints), []).append(index)
     cluster_lists = list(clusters.values())
 
-    units: List[Tuple[UserProfile, SelectQuery, Tuple[int, ...]]] = [
-        (profile, query, tuple(cluster))
-        for profile in canonical
-        for query in parsed
-        for cluster in cluster_lists
+    units: List[Tuple[UserProfile, SelectQuery]] = [
+        (profile, query) for profile in canonical for query in parsed
     ]
 
     def compile_unit(unit):
-        """Extract + solve one (canonical profile, query, cluster).
+        """Walk, extract and solve one (canonical profile, query) for
+        every extraction cluster.
 
         Runs the service's own pipeline against *unit-local* caches, so
         each unit's evaluators are dropped with it; the returned blobs
         are exactly the caches' persistence format.
         """
-        profile, query, cluster = unit
+        profile, query = unit
         unit_param = ParameterCache()
         unit_frontier = FrontierCache()
         personalizer = Personalizer(
@@ -163,22 +162,25 @@ def compile_workload(
             param_cache=unit_param,
             frontier_cache=unit_frontier,
         )
-        # Walk the pair unconstrained first. The walk memo then answers
-        # the cluster's extraction, and the unit's pricing covers every
-        # path a served walk of this pair prices (join prefixes, and
-        # selections past the K cut), so a service booted from the
+        # Walk the pair unconstrained once. The walk memo then answers
+        # every cluster's extraction, and the unit's pricing covers
+        # every path a served walk of this pair prices (join prefixes,
+        # and selections past the K cut), so a service booted from the
         # snapshot never misses.
         personalizer.memoized_walk(query, profile)
-        outcomes = personalizer.personalize_many(
-            query,
-            profile,
-            [problems[i] for i in cluster],
-            [resolved[i] for i in cluster],
-            k_limit=k_limit,
-        )
-        pspace = outcomes[0].preference_space
-        digest = space_digest(pspace) if pspace.k > 0 else None
-        return digest, unit_param.snapshot(), unit_frontier.snapshot()
+        digests = set()
+        for cluster in cluster_lists:
+            outcomes = personalizer.personalize_many(
+                query,
+                profile,
+                [problems[i] for i in cluster],
+                [resolved[i] for i in cluster],
+                k_limit=k_limit,
+            )
+            pspace = outcomes[0].preference_space
+            if pspace.k > 0:
+                digests.add(space_digest(pspace))
+        return digests, unit_param.snapshot(), unit_frontier.snapshot()
 
     solve_started = time.perf_counter()
     # Merge every unit's blobs into the compiled caches as it finishes.
@@ -191,9 +193,8 @@ def compile_workload(
     frontier_cache.validate(token)
     digests = set()
     for unit in units:
-        digest, param_state, frontier_state = compile_unit(unit)
-        if digest is not None:
-            digests.add(digest)
+        unit_digests, param_state, frontier_state = compile_unit(unit)
+        digests |= unit_digests
         param_cache.restore(param_state, token)
         frontier_cache.byte_budget += state_nbytes(frontier_state)
         frontier_cache.restore(frontier_state, token)

@@ -8,6 +8,8 @@
   C-BOUNDARIES and C-MAXBOUNDS produce the paper's traces;
 * ``make_*_space`` — build :class:`SearchSpace` instances straight from
   parameter arrays, so algorithm tests and benches need no database.
+  They price P-index masks through the given (uncached) evaluator, like
+  every space.
 
 Synthetic helpers sort preferences by decreasing doi first: all of the
 machinery (pointer search, BestExpectedDoi) relies on P being
@@ -16,10 +18,11 @@ doi-ordered, as the Preference Space algorithm guarantees in real use.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence
 
 from repro.core.estimation import StateEvaluator
 from repro.core.space import SearchSpace
+from repro.core.state import Mask
 from repro.preferences.composition import DoiAlgebra, PRODUCT_ALGEBRA
 from repro.preferences.profile import UserProfile
 from repro.sql.ast_nodes import SelectQuery
@@ -111,25 +114,24 @@ def make_synthetic_pspace(
     )
 
 
-def _doi_upper_bound(evaluator: StateEvaluator) -> Callable[[int], float]:
-    return evaluator.best_doi_of_size
-
-
 def make_cost_space(
     evaluator: StateEvaluator,
     cmax: float,
-    extra: Optional[Callable[[Sequence[int]], bool]] = None,
+    extra: Optional[Callable[[Mask], bool]] = None,
 ) -> SearchSpace:
-    """A Problem 2 cost space (vector C) over a synthetic evaluator."""
+    """A Problem 2 cost space (vector C) over a synthetic evaluator.
+
+    ``extra`` is an optional feasibility predicate over P-index masks.
+    """
     k = len(evaluator)
     vector = sorted(range(k), key=lambda i: (-evaluator.cost_values[i], i))
     return SearchSpace(
         vector=vector,
         evaluator=evaluator,
-        budget=evaluator.cost,
+        budget=evaluator.cost_mask,
         limit=cmax,
-        objective=evaluator.doi,
-        objective_upper_bound=_doi_upper_bound(evaluator),
+        objective=evaluator.doi_mask,
+        objective_upper_bound=evaluator.best_doi_of_size,
         budget_aligned=True,
         extra=extra,
         name="cost",
@@ -139,7 +141,7 @@ def make_cost_space(
 def make_doi_space(
     evaluator: StateEvaluator,
     cmax: float,
-    extra: Optional[Callable[[Sequence[int]], bool]] = None,
+    extra: Optional[Callable[[Mask], bool]] = None,
 ) -> SearchSpace:
     """A Problem 2 doi space (vector D) over a synthetic evaluator."""
     k = len(evaluator)
@@ -147,10 +149,10 @@ def make_doi_space(
     return SearchSpace(
         vector=vector,
         evaluator=evaluator,
-        budget=evaluator.cost,
+        budget=evaluator.cost_mask,
         limit=cmax,
-        objective=evaluator.doi,
-        objective_upper_bound=_doi_upper_bound(evaluator),
+        objective=evaluator.doi_mask,
+        objective_upper_bound=evaluator.best_doi_of_size,
         budget_aligned=False,
         extra=extra,
         name="doi",
@@ -166,23 +168,23 @@ def make_size_space(
     k = len(evaluator)
     vector = sorted(range(k), key=lambda i: (evaluator.reductions[i], i))
 
-    def budget(indices: Sequence[int]) -> float:
-        return -evaluator.size(indices)
+    def budget(mask: Mask) -> float:
+        return -evaluator.size_mask(mask)
 
     extra = None
     if smax is not None:
         bound = smax
 
-        def extra(indices: Sequence[int]) -> bool:  # noqa: F811
-            return evaluator.size(indices) <= bound * (1 + 1e-9) + 1e-9
+        def extra(mask: Mask) -> bool:  # noqa: F811
+            return evaluator.size_mask(mask) <= bound * (1 + 1e-9) + 1e-9
 
     return SearchSpace(
         vector=vector,
         evaluator=evaluator,
         budget=budget,
         limit=-smin,
-        objective=evaluator.doi,
-        objective_upper_bound=_doi_upper_bound(evaluator),
+        objective=evaluator.doi_mask,
+        objective_upper_bound=evaluator.best_doi_of_size,
         budget_aligned=True,
         extra=extra,
         name="size",

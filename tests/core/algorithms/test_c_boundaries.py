@@ -4,9 +4,13 @@ import pytest
 
 from repro.core.algorithms import CBoundaries, Exhaustive
 from repro.core.algorithms.c_boundaries import find_boundaries
-from repro.core.state import is_below, states_in_group
 from repro.core.stats import SearchStats
-from repro.core.transitions import vertical_predecessors
+from repro.testing.reference import (
+    is_below,
+    states_in_group,
+    vertical_predecessors,
+    within_budget,
+)
 from repro.workloads.scenarios import (
     FIGURE6_CMAX,
     figure6_cost_space,
@@ -33,7 +37,7 @@ class TestFigure6Trace:
     def test_all_boundaries_feasible(self):
         space = figure6_cost_space()
         for boundary in find_boundaries(space, SearchStats()):
-            assert space.within_budget(boundary)
+            assert within_budget(space, boundary)
 
     def test_every_feasible_state_below_some_boundary(self):
         # The correctness core of Theorem 1/2: the recorded boundaries
@@ -42,7 +46,7 @@ class TestFigure6Trace:
         boundaries = find_boundaries(space, SearchStats())
         for group in range(1, space.k + 1):
             for state in states_in_group(space.k, group):
-                if space.within_budget(state):
+                if within_budget(space, state):
                     assert any(is_below(state, b) for b in boundaries), state
 
     def test_proposition2_vertical_predecessors_infeasible(self):
@@ -60,7 +64,7 @@ class TestFigure6Trace:
         assert true_boundaries
         for boundary in true_boundaries:
             for predecessor in vertical_predecessors(boundary, space.k):
-                assert not space.within_budget(predecessor)
+                assert not within_budget(space, predecessor)
 
     def test_solution_matches_paper_optimum(self):
         solution = CBoundaries().solve(figure6_cost_space())

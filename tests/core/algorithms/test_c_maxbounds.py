@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core.algorithms import CMaxBounds, Exhaustive
-from repro.core.algorithms.base import PruneBook
-from repro.core.algorithms.c_maxbounds import _find_max_bound
+from repro.core.algorithms.c_maxbounds import find_max_bounds
 from repro.core.stats import SearchStats
+from repro.testing.reference import horizontal2, within_budget
 from repro.workloads.scenarios import (
     figure6_cost_space,
     make_cost_space,
@@ -14,17 +14,7 @@ from repro.workloads.scenarios import (
 
 
 def run_phase1(space):
-    from collections import deque
-
-    max_bounds, seen, book = [], set(), PruneBook()
-    stats, queue = SearchStats(), deque()
-    seed, last = 0, 0
-    while seed < space.k and seed + last < space.k:
-        _find_max_bound(space, seed, max_bounds, seen, book, stats, queue)
-        if max_bounds:
-            last = len(max_bounds[0])
-        seed += 1
-    return max_bounds
+    return find_max_bounds(space, SearchStats())
 
 
 class TestFigure8Trace:
@@ -38,8 +28,8 @@ class TestFigure8Trace:
         # No Horizontal2 insertion into a maximal boundary stays feasible.
         space = figure6_cost_space()
         for bound in run_phase1(space):
-            for neighbor in space.horizontal2(bound):
-                assert not space.within_budget(neighbor)
+            for neighbor in horizontal2(bound, space.k):
+                assert not within_budget(space, neighbor)
 
     def test_solution_matches_exact_on_figure6(self):
         solution = CMaxBounds().solve(figure6_cost_space())

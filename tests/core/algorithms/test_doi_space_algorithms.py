@@ -5,6 +5,7 @@ import pytest
 from repro.core.algorithms import DHeurDoi, DMaxDoi, DSingleMaxDoi, Exhaustive
 from repro.core.algorithms.d_maxdoi import d_find_max_doi, find_optimal
 from repro.core.stats import SearchStats
+from repro.testing.reference import horizontal, objective_value, within_budget
 from repro.workloads.scenarios import (
     FIGURE6_CMAX,
     FIGURE6_COSTS,
@@ -29,16 +30,16 @@ class TestDMaxDoi:
     def test_solutions_are_chain_maximal(self):
         space = figure6_doi_space()
         for state in find_optimal(space, SearchStats()):
-            assert space.within_budget(state)
-            successor = space.horizontal(state)
-            assert successor is None or not space.within_budget(successor)
+            assert within_budget(space, state)
+            successor = horizontal(state, space.k)
+            assert successor is None or not within_budget(space, successor)
 
     def test_phase2_picks_best_recorded(self):
         space = figure6_doi_space()
         solutions = find_optimal(space, SearchStats())
         best = d_find_max_doi(space, solutions, SearchStats())
-        dois = [space.objective_value(s) for s in solutions]
-        assert space.evaluator.doi(best) == pytest.approx(max(dois))
+        dois = [objective_value(space, s) for s in solutions]
+        assert space.evaluator.doi_mask(best) == pytest.approx(max(dois))
 
     def test_empty_space(self):
         space = make_doi_space(make_synthetic_evaluator([], []), cmax=10)

@@ -12,8 +12,9 @@ import random
 import pytest
 
 from repro.core.algorithms.base import find_max_doi_below, pointer_best_below
-from repro.core.state import is_below
+from repro.core.state import mask_of, state_of
 from repro.core.stats import SearchStats
+from repro.testing.reference import is_below, prefs, within_budget
 from repro.workloads.scenarios import (
     figure6_cost_space,
     make_cost_space,
@@ -32,7 +33,7 @@ def brute_best_below(space, boundary):
         state = tuple(sorted(ranks))
         if not is_below(state, boundary):
             continue
-        doi = space.evaluator.doi(space.prefs(state))
+        doi = space.evaluator.doi(prefs(space, state))
         if doi > best_doi:
             best_doi, best = doi, state
     return best_doi
@@ -41,9 +42,9 @@ def brute_best_below(space, boundary):
 class TestPointerBestBelow:
     def test_figure6_boundary(self):
         space = figure6_cost_space()
-        doi, indices = pointer_best_below(space, (1, 2, 3))
+        doi, indices = pointer_best_below(space, mask_of((1, 2, 3)))
         # Below c2c3c4 the best-doi node is c2c3c4 itself (prefs 1,2,3).
-        assert indices == (1, 2, 3)
+        assert state_of(indices) == (1, 2, 3)
         assert doi == pytest.approx(1 - 0.2 * 0.3 * 0.4)
 
     def test_picks_better_doi_below(self):
@@ -54,10 +55,10 @@ class TestPointerBestBelow:
         evaluator = make_synthetic_evaluator([0.9, 0.2, 0.8], [50.0, 40.0, 10.0])
         space = make_cost_space(evaluator, cmax=90.0)
         assert space.vector == (0, 2, 1)
-        doi, indices = pointer_best_below(space, (0, 1))
+        doi, indices = pointer_best_below(space, mask_of((0, 1)))
         # Boundary {rank0, rank1} = prefs {0, 2}; swapping rank1 -> rank2
         # yields prefs {0, 1} (dois .9 and .8), strictly better and cheaper.
-        assert set(indices) == {0, 1}
+        assert state_of(indices) == (0, 1)
         assert doi == pytest.approx(1 - 0.1 * 0.2)
 
     def test_stays_within_budget(self):
@@ -72,10 +73,10 @@ class TestPointerBestBelow:
             space = make_cost_space(evaluator, cmax)
             group = rng.randint(1, k)
             boundary = tuple(sorted(rng.sample(range(k), group)))
-            if not space.within_budget(boundary):
+            if not within_budget(space, boundary):
                 continue
-            _, indices = pointer_best_below(space, boundary)
-            assert evaluator.cost(indices) <= cmax + 1e-9
+            _, indices = pointer_best_below(space, mask_of(boundary))
+            assert evaluator.cost_mask(indices) <= cmax + 1e-9
 
     def test_matches_brute_force(self):
         rng = random.Random(7)
@@ -88,14 +89,14 @@ class TestPointerBestBelow:
             space = make_cost_space(evaluator, cmax=1e9)
             group = rng.randint(1, k)
             boundary = tuple(sorted(rng.sample(range(k), group)))
-            doi, _ = pointer_best_below(space, boundary)
+            doi, _ = pointer_best_below(space, mask_of(boundary))
             assert doi == pytest.approx(brute_best_below(space, boundary), abs=1e-9)
 
 
 class TestRegionSearch:
     def _constrained_space(self, evaluator, cmax, max_size):
-        def extra(indices):
-            return evaluator.size(indices) <= max_size * (1 + 1e-9)
+        def extra(mask):
+            return evaluator.size_mask(mask) <= max_size * (1 + 1e-9)
 
         return make_cost_space(evaluator, cmax, extra=extra)
 
@@ -109,12 +110,12 @@ class TestRegionSearch:
         boundaries = find_boundaries(space, SearchStats())
         best = find_max_doi_below(space, boundaries, SearchStats())
         assert best is not None
-        assert evaluator.size(best) <= 50.0 + 1e-6
+        assert evaluator.size_mask(best) <= 50.0 + 1e-6
 
     def test_none_when_region_fully_excluded(self):
         evaluator = make_synthetic_evaluator([0.9, 0.8], [10.0, 10.0])
         # Extra predicate nothing can satisfy.
-        space = make_cost_space(evaluator, cmax=100.0, extra=lambda idx: False)
+        space = make_cost_space(evaluator, cmax=100.0, extra=lambda mask: False)
         from repro.core.algorithms.c_boundaries import find_boundaries
 
         boundaries = find_boundaries(space, SearchStats())
@@ -143,7 +144,7 @@ class TestRegionSearch:
                 assert best is None
             else:
                 assert best is not None
-                assert evaluator.doi(best) == pytest.approx(reference.doi, abs=1e-9)
+                assert evaluator.doi_mask(best) == pytest.approx(reference.doi, abs=1e-9)
 
     def test_empty_boundaries_returns_none(self):
         space = figure6_cost_space()

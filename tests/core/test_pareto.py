@@ -119,4 +119,4 @@ class TestFrontSelectors:
         indices = adapters.minimal_feasible_min_cost(_Bundle(), SearchStats())
         chosen = budget_for_doi(front, dmin)
         assert indices is not None and chosen is not None
-        assert evaluator.cost(indices) == pytest.approx(chosen.cost)
+        assert evaluator.cost_mask(indices) == pytest.approx(chosen.cost)

@@ -5,6 +5,7 @@ import pytest
 from repro.core.preference_space import extract_preference_space
 from repro.core.problem import CQPProblem
 from repro.core.space import SearchSpace, SpaceBundle
+from repro.core.state import mask_group_size
 from repro.core.stats import SearchStats
 from repro.errors import SearchError
 from repro.workloads.scenarios import (
@@ -22,9 +23,9 @@ class TestSearchSpace:
             SearchSpace(
                 vector=[0, 0, 1],
                 evaluator=evaluator,
-                budget=evaluator.cost,
+                budget=evaluator.cost_mask,
                 limit=10,
-                objective=evaluator.doi,
+                objective=evaluator.doi_mask,
                 objective_upper_bound=evaluator.best_doi_of_size,
                 budget_aligned=True,
             )
@@ -34,30 +35,33 @@ class TestSearchSpace:
         space = make_cost_space(evaluator, cmax=100)
         # C vector for Table 2 (post-resort): costs [5,12,10] -> C = [1,2,0].
         assert space.vector == (1, 2, 0)
-        assert space.prefs((0,)) == (1,)
-        assert space.prefs((0, 2)) == (1, 0)
+        assert space.pref_mask(0b1) == 0b10
+        assert space.pref_mask(0b101) == 0b11
+        assert space.suffix_bits[1] == 0b101  # ranks 1.. denote prefs {2, 0}
 
     def test_within_budget_uses_limit(self):
         space = make_cost_space(table2_evaluator(), cmax=13.0)
-        assert space.within_budget((0,))        # cost 12
-        assert not space.within_budget((0, 1))  # cost 22
+        assert space.within_budget(space.pref_mask(0b1))        # cost 12
+        assert not space.within_budget(space.pref_mask(0b11))  # cost 22
 
     def test_boundary_tolerance(self):
         space = make_cost_space(table2_evaluator(), cmax=12.0)
-        assert space.within_budget((0,))  # exactly at the bound
+        assert space.within_budget(space.pref_mask(0b1))  # exactly at the bound
 
     def test_solution_from_state(self):
         space = figure6_cost_space()
-        solution = space.solution((0, 1), "test", SearchStats())
+        solution = space.solution(space.pref_mask(0b11), "test", SearchStats())
         assert solution.group_size == 2
         assert solution.cost == pytest.approx(110.0 + 80.0)
 
     def test_extra_predicate(self):
         evaluator = table2_evaluator()
-        space = make_cost_space(evaluator, cmax=100, extra=lambda idx: len(idx) <= 1)
+        space = make_cost_space(
+            evaluator, cmax=100, extra=lambda mask: mask_group_size(mask) <= 1
+        )
         assert space.has_extra
-        assert space.fully_feasible((0,))
-        assert not space.fully_feasible((0, 1))
+        assert space.fully_feasible(space.pref_mask(0b1))
+        assert not space.fully_feasible(space.pref_mask(0b11))
 
 
 class TestSpaceBundle:
@@ -95,8 +99,8 @@ class TestSpaceBundle:
         assert space.budget_aligned
         assert space.limit == -2.0
         # budget = -size: adding preferences raises it toward the limit.
-        single = space.budget_value((0,))
-        pair = space.budget_value((0, 1))
+        single = space.budget(space.pref_mask(0b1))
+        pair = space.budget(space.pref_mask(0b11))
         assert pair >= single
 
     def test_size_space_requires_smin(self, pspace):

@@ -1,13 +1,19 @@
-"""Tests for states and transitions (Section 5.1, Tables 3-5, Figure 4)."""
+"""Tests for states and transitions (Section 5.1, Tables 3-5, Figure 4),
+on the rank-tuple reference helpers the search loops are checked
+against."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core.state import group_size, is_below, make_state, states_in_group
-from repro.core.transitions import (
+from repro.testing.reference import (
+    budget_value,
+    group_size,
     horizontal,
     horizontal2,
+    is_below,
+    make_state,
+    states_in_group,
     vertical,
     vertical_predecessors,
 )
@@ -100,9 +106,9 @@ class TestVertical:
         state = make_state([r for r in state if r < k])
         if not state:
             return
-        origin_cost = space.budget_value(state)
-        for neighbor in space.vertical(state):
-            assert space.budget_value(neighbor) <= origin_cost + 1e-9
+        origin_cost = budget_value(space, state)
+        for neighbor in vertical(state, k):
+            assert budget_value(space, neighbor) <= origin_cost + 1e-9
 
 
 class TestHorizontal2:

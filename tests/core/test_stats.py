@@ -1,6 +1,7 @@
 """Tests for search instrumentation."""
 
-from repro.core.stats import SearchStats, container_bytes, node_bytes
+from repro.core.stats import SearchStats, node_bytes
+from repro.testing.reference import container_bytes
 
 
 class TestCounters:

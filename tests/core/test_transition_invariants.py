@@ -14,7 +14,6 @@ from __future__ import annotations
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import transitions as tr
 from repro.core.problem import CQPProblem
 from repro.core.space import SpaceBundle
 from repro.testing.invariants import (
@@ -24,6 +23,7 @@ from repro.testing.invariants import (
     check_size_antitone,
     check_vertical_budget_decreases,
 )
+from repro.testing import reference as tr
 from repro.workloads.scenarios import make_synthetic_pspace
 
 # -- strategies ---------------------------------------------------------------------

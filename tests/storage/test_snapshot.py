@@ -9,6 +9,8 @@ degrading to silently-wrong or silently-cold behaviour.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
 import os
 import pickle
@@ -52,6 +54,29 @@ def _compile(database, users=20, archetypes=3):
         k_limit=8,
     )
     return compiled, fleet, queries, problems
+
+
+def _caches_path(path):
+    """The caches file the snapshot manifest at ``path`` names."""
+    with open(os.path.join(path, "manifest.json")) as handle:
+        return os.path.join(path, json.load(handle)["caches"]["name"])
+
+
+def _rewrite_caches(path, blob):
+    """Install ``blob`` as the snapshot's caches, manifest digest and
+    content-addressed name included — a consistent snapshot, as a
+    writer would leave it."""
+    os.remove(_caches_path(path))
+    digest = hashlib.sha256(blob).hexdigest()
+    name = "caches-%s.pkl" % digest
+    with open(os.path.join(path, name), "wb") as handle:
+        handle.write(blob)
+    manifest_path = os.path.join(path, "manifest.json")
+    with open(manifest_path) as handle:
+        manifest = json.load(handle)
+    manifest["caches"] = {"name": name, "sha256": digest}
+    with open(manifest_path, "w") as handle:
+        json.dump(manifest, handle)
 
 
 def _responses(service, fleet, queries, problems):
@@ -119,18 +144,16 @@ class TestRoundTrip:
         assert frontier.byte_budget == 2 * state_nbytes(compiled.frontier_state)
 
     def test_older_frame_sections_are_ignored(self, tmp_path):
-        # An older writer also stored a ``frame`` blob in caches.pkl and
-        # its arrays under columns/; the reader skips both.
+        # An older layout also stored a ``frame`` blob beside the caches
+        # and its arrays under columns/; the reader skips both.
         database = _build()
         compiled, _, _, _ = _compile(database)
         path = str(tmp_path / "snap")
         save_snapshot(compiled, path)
-        caches_path = os.path.join(path, "caches.pkl")
-        with open(caches_path, "rb") as handle:
+        with open(_caches_path(path), "rb") as handle:
             states = pickle.load(handle)
         states["frame"] = {"kind": "frame_cache", "entries": [], "columns": {}}
-        with open(caches_path, "wb") as handle:
-            pickle.dump(states, handle)
+        _rewrite_caches(path, pickle.dumps(states))
         os.makedirs(os.path.join(path, "columns"))
         np.save(os.path.join(path, "columns", "1.npy"), np.arange(3))
         warm = PersonalizationService(database, snapshot=path)
@@ -200,11 +223,68 @@ class TestRestoreSafety:
             load_snapshot(path)
 
     def test_unreadable_caches_refuse_load(self, tmp_path):
+        # Even under a manifest whose digest matches it.
         path = self._blank_snapshot(tmp_path)
-        with open(os.path.join(path, "caches.pkl"), "wb") as handle:
-            handle.write(b"\x80\x05not a pickle at all")
+        _rewrite_caches(path, b"\x80\x05not a pickle at all")
         with pytest.raises(SnapshotMismatch, match="unreadable snapshot caches"):
             load_snapshot(path)
+
+    def test_missing_caches_refuse_load(self, tmp_path):
+        path = self._blank_snapshot(tmp_path)
+        os.remove(_caches_path(path))
+        with pytest.raises(SnapshotMismatch, match="unreadable snapshot caches"):
+            load_snapshot(path)
+
+    def test_flipped_byte_in_caches_is_refused(self, tmp_path):
+        # Drill: one flipped byte anywhere in the caches file is refused
+        # with a typed error before anything is unpickled.
+        database = _build()
+        compiled, _, _, _ = _compile(database)
+        path = str(tmp_path / "snap")
+        save_snapshot(compiled, path)
+        with open(_caches_path(path), "rb") as handle:
+            blob = handle.read()
+        for offset in (0, len(blob) // 2, len(blob) - 1):
+            damaged = bytearray(blob)
+            damaged[offset] ^= 0x01
+            with open(_caches_path(path), "wb") as handle:
+                handle.write(bytes(damaged))
+            with pytest.raises(SnapshotMismatch, match="damaged snapshot caches"):
+                load_snapshot(path)
+        with open(_caches_path(path), "wb") as handle:
+            handle.write(blob)
+        assert load_snapshot(path).frontier_state == compiled.frontier_state
+
+    def test_failed_save_keeps_previous_snapshot(self, tmp_path, monkeypatch):
+        # Drill: a save that dies after writing its caches file but
+        # before the manifest replace leaves the previous snapshot
+        # loadable and equal; the next save clears the orphan.
+        database = _build()
+        compiled, _, _, _ = _compile(database)
+        path = str(tmp_path / "snap")
+        save_snapshot(compiled, path)
+        before = load_snapshot(path)
+        newer = dataclasses.replace(compiled, meta={"generation": 2}, param_state=None)
+
+        replace = os.replace
+
+        def crash_on_manifest(source, target):
+            if target.endswith("manifest.json"):
+                raise OSError("simulated crash before the manifest commit")
+            return replace(source, target)
+
+        monkeypatch.setattr(os, "replace", crash_on_manifest)
+        with pytest.raises(OSError, match="simulated crash"):
+            save_snapshot(newer, path)
+        monkeypatch.setattr(os, "replace", replace)
+        assert len([n for n in os.listdir(path) if n.startswith("caches-")]) == 2
+        after = load_snapshot(path)
+        assert after == before
+        save_snapshot(newer, path)
+        assert load_snapshot(path).meta == {"generation": 2}
+        assert [n for n in os.listdir(path) if n.startswith("caches")] == [
+            os.path.basename(_caches_path(path))
+        ]
 
     def test_format_version_mismatch_refuses_load(self, tmp_path):
         database = _build()
@@ -222,7 +302,8 @@ class TestRestoreSafety:
 
     def test_format_1_snapshot_is_refused(self, tmp_path):
         # Format 1 keyed frontier memos on the raw parameter tuples; its
-        # keys would never match a digest-keyed lookup.
+        # keys would never match a digest-keyed lookup. Format 2 stored
+        # its caches without a checksum, so nothing vouches for them.
         database = _build()
         compiled, _, _, _ = _compile(database)
         path = str(tmp_path / "snap")
@@ -230,15 +311,16 @@ class TestRestoreSafety:
         manifest_path = os.path.join(path, "manifest.json")
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        assert manifest["format_version"] == 2
-        manifest["format_version"] = 1
-        with open(manifest_path, "w") as handle:
-            json.dump(manifest, handle)
-        with pytest.raises(SnapshotMismatch, match="format v1"):
-            load_snapshot(path)
-        compiled.format_version = 1
-        with pytest.raises(SnapshotMismatch, match="format v1"):
-            compiled.restore_into(database)
+        assert manifest["format_version"] == 3
+        for old in (1, 2):
+            manifest["format_version"] = old
+            with open(manifest_path, "w") as handle:
+                json.dump(manifest, handle)
+            with pytest.raises(SnapshotMismatch, match="format v%d" % old):
+                load_snapshot(path)
+            compiled.format_version = old
+            with pytest.raises(SnapshotMismatch, match="format v%d" % old):
+                compiled.restore_into(database)
 
     def test_restore_into_is_selective(self):
         database = _build()

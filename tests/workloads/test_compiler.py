@@ -111,6 +111,31 @@ class TestCompileWorkload:
         for cache in ("param_cache", "frontier_cache"):
             assert telemetry[cache]["entries"] > 0
 
+    def test_pair_in_two_clusters_is_walked_once(self, movie_db, monkeypatch):
+        # Two problems with different extraction keys are two clusters;
+        # each (profile, query) pair is still walked exactly once.
+        import repro.core.personalizer as personalizer
+
+        walks = []
+        extract = personalizer.extract_preference_space
+
+        def counting(database, query, profile, *args, **kwargs):
+            walks.append((profile_fingerprint(profile), str(query)))
+            return extract(database, query, profile, *args, **kwargs)
+
+        monkeypatch.setattr(personalizer, "extract_preference_space", counting)
+        fleet = generate_fleet(movie_db, 6, archetypes=2, seed=4)
+        queries = generate_queries(count=2, seed=4)
+        problems = [
+            CQPProblem.problem2(cmax=CMAX),
+            CQPProblem.problem3(cmax=CMAX / 2, smin=1.0, smax=1e9),
+        ]
+        workload = compile_workload(movie_db, fleet, queries, problems, k_limit=8)
+        assert workload.telemetry["clusters"] == 2
+        assert workload.telemetry["units"] == 4
+        assert len(walks) == 4
+        assert len(set(walks)) == 4
+
     def test_merge_never_evicts_a_compiled_frontier(self, movie_db, compiled,
                                                     monkeypatch):
         # From a default budget that holds just one unit's memo (so the
