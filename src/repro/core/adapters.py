@@ -183,8 +183,9 @@ def solve_many(
     * **stacked frontier priming** — budget-aligned C-BOUNDARIES solves
       are grouped per budget axis and their canonical frontiers computed
       in one numpy program (:mod:`repro.core.algorithms.batch`), primed
-      into the axis's :class:`~repro.core.frontier_cache.FrontierMemo`
-      so each solve takes the exact-hit path and runs only phase 2;
+      with their verdict spans into the axis's
+      :class:`~repro.core.frontier_cache.FrontierMemo` so each solve
+      takes the hit path and runs only phase 2;
     * **warm chaining** — when the stacked kernel cannot serve an axis
       (K too large, cache disabled), unique solves still
       run in descending-limit order so each sweep warm-starts from the
@@ -197,7 +198,7 @@ def solve_many(
     a caller-supplied cache (including a disabled 0-capacity one) is
     used as-is, so cache semantics match looping :func:`solve`.
     """
-    from repro.core.algorithms.batch import stacked_frontiers, stacked_supported
+    from repro.core.algorithms.batch import stacked_entries, stacked_supported
     from repro.core.frontier_cache import FrontierCache
 
     problems = list(problems)
@@ -232,7 +233,7 @@ def solve_many(
             rest.append((problem, alg))
 
     for axis_entries in aligned.values():
-        # Descending limit order: each solve either exact-hits a primed
+        # Descending limit order: each solve either hits a primed
         # frontier or warm-starts from the previous (looser) one.
         axis_entries.sort(key=lambda entry: _aligned_limit(entry[0]), reverse=True)
         primed: Dict[float, Tuple] = {}
@@ -249,13 +250,13 @@ def solve_many(
             space = bundle.aligned_space()
             memo = space.frontier
             if memo is not None and stacked_supported(space):
-                primed = stacked_frontiers(space, boundary_limits)
+                primed = stacked_entries(space, boundary_limits)
         for problem, alg in axis_entries:
             limit = _aligned_limit(problem)
             if memo is not None and alg == "c_boundaries" and limit in primed:
                 # Stored immediately before its solve so the memo's LRU
                 # can never evict a primed frontier before it is used.
-                memo.store(limit, primed[limit])
+                memo.store(*primed[limit])
             unique[(problem, alg)] = solve(pspace, problem, alg, frontier_cache=cache)
 
     for problem, alg in rest:

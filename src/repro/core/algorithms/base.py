@@ -30,6 +30,7 @@ import heapq
 from abc import ABC, abstractmethod
 from typing import Dict, Iterable, List, Optional, Set, Tuple, Type
 
+from repro.core.frontier_cache import VerdictSpan
 from repro.core.solution import CQPSolution
 from repro.core.space import SearchSpace
 from repro.core.state import Mask, State, mask_of, vertical_moves
@@ -190,6 +191,7 @@ def greedy_extend(
     pmask: Mask,
     stats: SearchStats,
     forbidden: Mask = 0,
+    verdicts: Optional[VerdictSpan] = None,
 ) -> Tuple[Mask, Mask]:
     """First-fit ``Horizontal2`` growth (Figures 7, 10, 11).
 
@@ -201,13 +203,16 @@ def greedy_extend(
     Takes and returns a state as (rank mask, P-index mask). Each pass
     scans the absent ranks in ascending order (skipping the ranks set in
     ``forbidden``), prices each candidate with one budget call, and
-    restarts from rank 0 after every insertion.
+    restarts from rank 0 after every insertion. ``verdicts``, when
+    given, is widened to note every budget test.
     """
     bits = space.pref_bits
     price = space.budget
     limit = space.feasible_limit
     k = space.k
     blocked = ranks | forbidden
+    passed = float("-inf")
+    failed = float("inf")
     grown = True
     while grown:
         grown = False
@@ -215,13 +220,20 @@ def greedy_extend(
             if (blocked >> rank) & 1:
                 continue
             candidate = pmask | bits[rank]
-            if price(candidate) <= limit:
+            value = price(candidate)
+            if value <= limit:
+                if value > passed:
+                    passed = value
                 ranks |= 1 << rank
                 blocked |= 1 << rank
                 pmask = candidate
                 stats.moved()
                 grown = True
                 break
+            if value < failed:
+                failed = value
+    if verdicts is not None:
+        verdicts.note(passed, failed)
     return ranks, pmask
 
 

@@ -29,9 +29,13 @@ one vectorized program over **stacked mask vectors**:
 Because the stored frontier is a property of the (space, limit) pair
 alone (see :func:`~repro.core.frontier_cache.canonical_frontier`), a
 frontier computed here can prime a :class:`FrontierMemo` and the
-C-BOUNDARIES solve then takes its exact-hit path — phase 2 and the
-receipt are untouched. ``tests/core/test_batch_kernel.py`` property-
-checks frontier equality against cold sweeps across both budget axes.
+C-BOUNDARIES solve then takes its hit path — phase 2 and the receipt
+are untouched. The table also gives each frontier its verdict span
+(:func:`stacked_entries`): between the nearest tabulated budgets at or
+below and above the feasible limit no state changes side, so the
+frontier holds for every feasible limit in that interval.
+``tests/core/test_batch_kernel.py`` property-checks frontier equality
+against cold sweeps across both budget axes.
 
 The table costs ``O(2^K)`` memory, so the kernel is gated at
 ``MAX_STACKED_K``; larger spaces fall back to warm-chained sweeps
@@ -46,10 +50,16 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 
 from repro.core.frontier_cache import Frontier
-from repro.core.space import SearchSpace, _TOL
+from repro.core.space import SearchSpace, feasible_limit
 from repro.core.state import State
 
-__all__ = ["MAX_STACKED_K", "stacked_supported", "budget_table", "stacked_frontiers"]
+__all__ = [
+    "MAX_STACKED_K",
+    "stacked_supported",
+    "budget_table",
+    "stacked_entries",
+    "stacked_frontiers",
+]
 
 # 2^20 float64 budgets = 8 MiB per table; beyond that the table stops
 # paying for itself against the warm-chained sweep fallback.
@@ -90,11 +100,6 @@ def budget_table(space: SearchSpace) -> np.ndarray:
     return -evaluator.size_independent_mask_stacked(pref_masks)
 
 
-def _feasible_limit(limit: float) -> float:
-    """The tolerance-widened comparison bound ``SearchSpace`` applies."""
-    return limit + abs(limit) * _TOL + _TOL
-
-
 def stacked_frontiers(
     space: SearchSpace, limits: Sequence[float]
 ) -> Dict[float, Frontier]:
@@ -108,8 +113,23 @@ def stacked_frontiers(
     :func:`~repro.core.frontier_cache.canonical_frontier` produces from
     a finished sweep.
     """
+    return {
+        limit: frontier
+        for limit, (_, _, frontier) in stacked_entries(space, limits).items()
+    }
+
+
+def stacked_entries(
+    space: SearchSpace, limits: Sequence[float]
+) -> Dict[float, Tuple[float, float, Frontier]]:
+    """:func:`stacked_frontiers` with each frontier's verdict span:
+    ``limit → (low, high, frontier)``, where ``low`` is the largest
+    tabulated budget within the limit and ``high`` the smallest beyond
+    it. No state's verdict differs under feasible limits in ``[low,
+    high)``, so neither does the frontier."""
     k = space.k
     table = budget_table(space)
+    ordered = np.sort(table)
     masks = np.arange(1 << k, dtype=np.int64)
     popcount = np.zeros(1 << k, dtype=np.int64)
     for bit in range(k):
@@ -127,9 +147,13 @@ def stacked_frontiers(
         )
         moves.append((applicable, predecessor))
 
-    out: Dict[float, Frontier] = {}
+    out: Dict[float, Tuple[float, float, Frontier]] = {}
     for limit in limits:
-        feasible = table <= _feasible_limit(limit)
+        point = feasible_limit(limit)
+        feasible = table <= point
+        cut = int(np.searchsorted(ordered, point, side="right"))
+        low = float(ordered[cut - 1]) if cut else float("-inf")
+        high = float(ordered[cut]) if cut < len(ordered) else float("inf")
         feasible[0] = False  # the sweep starts at (0,); group 0 never appears
         minimal = feasible.copy()
         for applicable, predecessor in moves:
@@ -146,5 +170,5 @@ def stacked_frontiers(
             for mask in kept
         ]
         states.sort(key=lambda s: (len(s), s))
-        out[limit] = tuple(states)
+        out[limit] = (low, high, tuple(states))
     return out

@@ -11,13 +11,14 @@ Phase 2 (``C_FINDMAXDOI``, shared in :mod:`base`) finds the best-doi
 node at or below the boundaries — the optimum, by Theorem 2.
 
 With a :class:`~repro.core.frontier_cache.FrontierMemo` attached to the
-space, phase 1 reuses earlier sweeps against the same space: an exact
-limit match skips the sweep outright, and a cached frontier of a
-*looser* limit seeds the sweep (``seeds=``) instead of the root — the
-resumed sweep expands only the region between the old and new
-boundaries. Both paths are exact; see the frontier-cache module
-docstring for the argument and ``tests/core/test_frontier_cache.py``
-for the property-based equivalence check.
+space, phase 1 reuses earlier sweeps against the same space: a limit
+inside a stored sweep's verdict span skips the sweep outright, and a
+cached frontier of a *looser* span seeds the sweep (``seeds=``) instead
+of the root — the resumed sweep expands only the region between the old
+and new boundaries, and its span is clipped to the seeds'. Both paths
+are exact; see the frontier-cache module docstring for the argument and
+``tests/core/test_frontier_cache.py`` for the property-based
+equivalence check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from repro.core.algorithms.base import (
     node_sizes,
     register,
 )
-from repro.core.frontier_cache import canonical_frontier
+from repro.core.frontier_cache import VerdictSpan, canonical_frontier
 from repro.core.space import SearchSpace
 from repro.core.state import BoundaryBook, Mask, State, mask_of, state_of
 from repro.core.stats import SearchStats
@@ -44,6 +45,7 @@ def find_boundaries(
     space: SearchSpace,
     stats: SearchStats,
     seeds: Optional[Sequence[State]] = None,
+    verdicts: Optional[VerdictSpan] = None,
 ) -> List[State]:
     """Phase 1: the breadth-first boundary sweep.
 
@@ -78,6 +80,9 @@ def find_boundaries(
     reference in :mod:`repro.testing.reference` call for call. The
     memory probe keeps running byte totals of the queue and the
     boundary list under the same :func:`node_bytes` accounting.
+
+    ``verdicts``, when given, is widened to note every budget test: the
+    sweep repeats exactly under any feasible limit in its span.
     """
     recorded: List[Mask] = []
     live = [0, 0]  # accounted bytes: queue, recorded boundaries
@@ -99,6 +104,8 @@ def find_boundaries(
 
     queue: "deque[_Entry]" = deque()
     visited: Set[Mask] = set()
+    passed = float("-inf")  # the largest budget that passed
+    failed = float("inf")  # the smallest budget that failed
     warm = seeds is not None
     if seeds is None:
         seeds = ((0,),)
@@ -115,7 +122,10 @@ def find_boundaries(
         stats.examined()
         if covered(word, group):
             continue  # a boundary recorded since enqueue covers this state
-        if price(pmask) <= limit:
+        value = price(pmask)
+        if value <= limit:
+            if value > passed:
+                passed = value
             recorded.append(rmask)
             book.add(word, group)
             live[1] += sizes[group]
@@ -132,6 +142,8 @@ def find_boundaries(
                     queue.append((successor, pmask | bits[rank], grown, group + 1))
                     live[0] += sizes[group + 1]
         else:
+            if value < failed:
+                failed = value
             # The paper orders Vertical neighbors by decreasing cost and
             # pushes them at the head so a group is finished before the
             # next one starts; the whole neighbor set is priced in one
@@ -165,6 +177,8 @@ def find_boundaries(
                     queue.appendleft(neighbor)
                     live[0] += sizes[group]
         stats.sample_memory()
+    if verdicts is not None:
+        verdicts.note(passed, failed)
     return [state_of(rmask) for rmask in recorded]
 
 
@@ -187,10 +201,16 @@ class CBoundaries(CQPAlgorithm):
                 frontier = exact
             else:
                 stats.frontier_cache_misses += 1
-                if seeds is not None:
-                    stats.states_warm_started += len(seeds)
-                frontier = canonical_frontier(
-                    find_boundaries(space, stats, seeds=seeds)
-                )
-                memo.store(space.limit, frontier)
+                span = VerdictSpan()
+                if seeds is None:
+                    recorded = find_boundaries(space, stats, verdicts=span)
+                else:
+                    stats.states_warm_started += len(seeds.frontier)
+                    recorded = find_boundaries(
+                        space, stats, seeds=seeds.frontier, verdicts=span
+                    )
+                    # Seeds are valid only below the top of their span.
+                    span.high = min(span.high, seeds.ceiling)
+                frontier = canonical_frontier(recorded)
+                memo.store(span.low, span.high, frontier)
         return find_max_doi_below(space, frontier, stats)

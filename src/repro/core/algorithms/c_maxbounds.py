@@ -12,6 +12,10 @@ covers every remaining preference (``k + LastSolutionSize > K``).
 Heuristic: the maximal-boundary set may miss the region containing the
 optimum, though in practice the quality gap is ~1e-7 (Figure 14).
 
+With a :class:`~repro.core.frontier_cache.FrontierMemo` attached to the
+space, a limit inside the verdict span of an earlier run against the
+same space reuses that run's maximal boundaries and skips phase 1.
+
 Deviations from the pseudocode (DESIGN.md §4): the ``Horizontal2`` loop
 exits when no insertion fits (as written it would spin forever), and a
 feasible seed that admits no extension is still recorded (as written,
@@ -31,28 +35,42 @@ from repro.core.algorithms.base import (
     node_sizes,
     register,
 )
+from repro.core.frontier_cache import VerdictSpan
 from repro.core.space import SearchSpace
 from repro.core.state import (
     BoundaryBook,
     Mask,
     State,
     mask_group_size,
+    mask_of,
+    pack_masks,
     state_of,
+    unpack_masks,
     vertical_moves,
 )
 from repro.core.stats import SearchStats
 
 
-def find_max_bounds(space: SearchSpace, stats: SearchStats) -> List[State]:
+def find_max_bounds(
+    space: SearchSpace,
+    stats: SearchStats,
+    verdicts: Optional[VerdictSpan] = None,
+) -> List[State]:
     """Phase 1: the FINDMAXBOUND rounds, seed rank by seed rank.
 
     Returns the maximal boundaries in the frontier format, most recent
     first (Figure 7 pushes each at the head). ``prune(.)`` is a visited
     set of rank masks plus dominance against the maximal boundaries
-    recorded so far, as packed rank words.
+    recorded so far, as packed rank words. ``verdicts``, when given, is
+    widened to note every budget test, the growth's included: the rounds
+    repeat exactly under any feasible limit in its span.
     """
     k = space.k
     bits = space.pref_bits
+    price = space.budget
+    limit = space.feasible_limit
+    passed = float("-inf")
+    failed = float("inf")
     width = space.words.width
     pack = space.words.pack
     book = BoundaryBook(space.words)
@@ -80,11 +98,16 @@ def find_max_bounds(space: SearchSpace, stats: SearchStats) -> List[State]:
             ranks, pmask, group = queue.popleft()
             live[0] -= sizes[group]
             stats.examined()
-            if not space.within_budget(pmask):
+            value = price(pmask)
+            if value > limit:
                 # Inserting preferences only raises the budget, so an
                 # infeasible node cannot be extended into a boundary.
+                if value < failed:
+                    failed = value
                 continue
-            ranks, pmask = greedy_extend(space, ranks, pmask, stats)
+            if value > passed:
+                passed = value
+            ranks, pmask = greedy_extend(space, ranks, pmask, stats, verdicts=verdicts)
             group = mask_group_size(ranks)
             word = pack(ranks)
             if ranks not in seen_bounds:
@@ -108,6 +131,8 @@ def find_max_bounds(space: SearchSpace, stats: SearchStats) -> List[State]:
         if max_bounds:
             last_solution_size = mask_group_size(max_bounds[-1])
         seed += 1
+    if verdicts is not None:
+        verdicts.note(passed, failed)
     return [state_of(ranks) for ranks in reversed(max_bounds)]
 
 
@@ -120,4 +145,19 @@ class CMaxBounds(CQPAlgorithm):
     space_kind = "cost"
 
     def _search(self, space: SearchSpace, stats: SearchStats) -> Optional[Mask]:
-        return find_max_doi_below(space, find_max_bounds(space, stats), stats)
+        memo = space.frontier
+        if memo is None:
+            return find_max_doi_below(space, find_max_bounds(space, stats), stats)
+        # The memo holds the maximal boundaries packed into one int, in
+        # the order find_max_bounds returns them: phase 2 breaks ties on it.
+        packed, _ = memo.lookup(space.limit, self.name)
+        if packed is not None:
+            stats.frontier_cache_hits += 1
+            bounds = [state_of(ranks) for ranks in unpack_masks(packed, space.k)]
+        else:
+            stats.frontier_cache_misses += 1
+            span = VerdictSpan()
+            bounds = find_max_bounds(space, stats, span)
+            packed = pack_masks((mask_of(bound) for bound in bounds), space.k)
+            memo.store(span.low, span.high, packed, self.name)
+        return find_max_doi_below(space, bounds, stats)

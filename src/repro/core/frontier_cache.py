@@ -1,4 +1,4 @@
-"""Cross-request frontier cache: warm-starting constraint sweeps.
+"""Cross-request frontier cache: serving and warm-starting phase 1.
 
 For a fixed (query, profile, statistics) triple the mapping from a
 state to its (doi, cost, size) parameters is constant — only the
@@ -17,61 +17,122 @@ computed once per extracted space):
   benefits **all** algorithms, including the cost-minimization search
   of Problems 4–6. ``capacity`` bounds how many evaluators are held.
 
-* **Frontier memoization** — the boundary frontier discovered by a
-  finished C-BOUNDARIES sweep is stored per (digest, rank vector,
-  budget axis, limit). A later solve with the *same* limit skips phase
-  1 entirely; a solve with a **tighter** limit warm-starts: the sweep
-  resumes downward from the cached boundaries instead of from the root,
-  skipping the whole infeasible region above them. Correctness rests on
-  the monotone transition effects (Propositions 4–5): in a
-  budget-aligned space every boundary under the tighter limit lies
-  below some boundary of the looser one, and the connecting Vertical
-  chains pass only through states that are infeasible under the tighter
-  limit — exactly the states the resumed sweep expands. A looser limit
-  finds no seed (its boundaries lie *above* the cached ones, outside
-  the cached frontier's cones) and falls back to a cold sweep that
-  still rides the shared evaluator. Memos are bounded by accounted
-  bytes (:attr:`FrontierCache.byte_budget`), not by ``capacity``: a
-  memo costs about a kilobyte plus its frontiers, so a round-robin
-  working set far larger than the evaluator bound stays resident and
-  keeps warm-starting.
+* **Phase-1 memoization by verdict span** — phase 1 of the two C-space
+  algorithms (C-BOUNDARIES' FINDBOUNDARY sweep, C-MAXBOUNDS'
+  FINDMAXBOUND rounds) sees the limit only through its budget
+  verdicts, ``budget(mask) <= feasible_limit``. Everything else those
+  loops do — neighbour order by budget, coverage, the visited set, the
+  round bound — depends on the space alone. So a run records its
+  :class:`VerdictSpan`: from the largest budget that passed up to (not
+  including) the smallest that failed. Under every feasible limit in
+  that span each verdict repeats, so the run repeats exactly: the same
+  result, the same visit order, the same work counters. The memo of one
+  (digest, rank vector, budget axis) stores each result with its
+  algorithm and span, and a later solve whose feasible limit falls
+  inside a stored span skips phase 1 outright. Formula 6 prices a state
+  in whole blocks, so one span covers every ``cmax`` between two
+  attainable costs.
 
-Frontiers are stored in **canonical** form — dominance-reduced to the
-true minimal boundary set and ordered by (group, rank tuple) — so the
-stored frontier is a property of the (space, limit) pair alone, not of
-any particular sweep's discovery order.
+  A C-BOUNDARIES solve outside every span still **warm-starts** from the
+  tightest *looser* frontier: the sweep resumes downward from the cached
+  boundaries instead of from the root, skipping the whole infeasible
+  region above them. Correctness rests on the monotone transition
+  effects (Propositions 4–5): in a budget-aligned space every boundary
+  under the tighter limit lies below some boundary of the looser one,
+  and the connecting Vertical chains pass only through states that are
+  infeasible under the tighter limit — exactly the states the resumed
+  sweep expands. The resumed sweep is right only for limits its seeds
+  are valid for, those below the top of the seeds' span, so its own
+  span is clipped there: when every seed passes, the sweep records no
+  failure and its span would otherwise run open-ended above limits
+  whose frontier lies above the seeds. A looser limit finds no seed and
+  falls back to a cold sweep that still rides the shared evaluator.
+  Memos are bounded by accounted bytes (:attr:`FrontierCache.byte_budget`),
+  not by ``capacity``: a memo costs about a kilobyte plus its results,
+  so a round-robin working set far larger than the evaluator bound stays
+  resident and keeps hitting.
+
+C-BOUNDARIES results are stored in **canonical** form — dominance-reduced
+to the true minimal boundary set and ordered by (group, rank tuple) — so
+a stored frontier is a property of the (space, limit) pair alone, not of
+any particular sweep's discovery order. C-MAXBOUNDS results are its
+maximal boundaries exactly as recorded — its second phase breaks ties on
+their order — packed into one int (:func:`~repro.core.state.pack_masks`),
+about a tenth of their size as rank tuples.
 
 Invalidation mirrors :class:`~repro.core.param_cache.ParameterCache`:
 entries are tagged with the owning ``Database.stats_token`` and the
 first :meth:`validate` after the token changes flushes everything;
 :meth:`invalidate` is the explicit out-of-band hook. The cache is
-thread-safe; solutions are schedule-independent (warm-started searches
-are equivalence-guaranteed), though the per-solve *work counters* may
-vary with which request warms the cache first.
+thread-safe; solutions are schedule-independent (served and
+warm-started searches are equivalence-guaranteed), though the per-solve
+*work counters* may vary with which request warms the cache first.
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Tuple
+from typing import (
+    Callable, Dict, Hashable, Iterable, List, NamedTuple, Optional, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.cache_stats import CacheStatsMixin
 from repro.core.estimation import CachedStateEvaluator
 from repro.core.preference_space import space_digest
+from repro.core.space import feasible_limit
 from repro.core.state import State
 
-DEFAULT_EVALUATORS = 256
+DEFAULT_EVALUATORS = 16
 # The default byte budget of the frontier memos, and the fixed cost each
-# held memo is accounted on top of its frontiers (its digest key, rank
-# vector, limit dict and LRU slot).
+# held memo is accounted on top of its entries (its digest key, rank
+# vector, entry dict and LRU slot).
 FRONTIER_BYTES = 4 << 20
 MEMO_OVERHEAD_BYTES = 1024
-FRONTIER_LIMITS_PER_MEMO = 32
+FRONTIER_SPANS_PER_MEMO = 32
+# The accounted bytes of one evaluator mask-cache entry: a dict slot, an
+# int key and a float value.
+MASK_ENTRY_BYTES = 100
+# The algorithm whose phase 1 resumes from a looser stored frontier.
+SEEDED_ALGORITHM = "c_boundaries"
 
 Frontier = Tuple[State, ...]
+# A stored phase-1 result: a C-BOUNDARIES canonical frontier, or
+# C-MAXBOUNDS' maximal boundaries packed into one int
+# (repro.core.state.pack_masks).
+Result = Union[Frontier, int]
+
+
+class VerdictSpan:
+    """The feasible limits under which a phase-1 run repeats exactly.
+
+    ``low`` is the largest budget the run's tests passed, ``high`` the
+    smallest that failed (infinite when none did); the run repeats under
+    every feasible limit in ``[low, high)``. Loops keep their extremes in
+    locals and :meth:`note` them once per call.
+    """
+
+    __slots__ = ("low", "high")
+
+    def __init__(self) -> None:
+        self.low = float("-inf")
+        self.high = float("inf")
+
+    def note(self, passed: float, failed: float) -> None:
+        if passed > self.low:
+            self.low = passed
+        if failed < self.high:
+            self.high = failed
+
+
+class Seeds(NamedTuple):
+    """A looser stored frontier a C-BOUNDARIES sweep resumes from, and
+    the top of its span (the resumed sweep's span is clipped there)."""
+
+    frontier: Frontier
+    ceiling: float
 
 
 def canonical_frontier(boundaries: Iterable[State]) -> Frontier:
@@ -113,64 +174,84 @@ def canonical_frontier(boundaries: Iterable[State]) -> Frontier:
 
 
 class FrontierMemo:
-    """Per-(space digest, vector, axis) store of limit → canonical frontier.
+    """Per-(space digest, vector, axis) store of phase-1 results by span.
 
+    Entries are keyed by (algorithm, low, high): the result of one
+    phase-1 run and the feasible limits ``[low, high)`` it holds for.
     ``attached`` is true while the cache maps this memo. An in-flight
     solve may still hold (and store into) a memo the cache has since
     evicted or flushed; such stores feed that solve only and leave the
-    cache's frontier and byte tallies alone.
+    cache's entry and byte tallies alone.
     """
 
     def __init__(self, cache: "FrontierCache") -> None:
         self._cache = cache
-        self._entries: "OrderedDict[float, Frontier]" = OrderedDict()
+        self._entries: "OrderedDict[Tuple[str, float, float], Result]" = OrderedDict()
         self.attached = True
 
-    def lookup(self, limit: float) -> Tuple[Optional[Frontier], Optional[Frontier]]:
-        """``(exact, seeds)`` for a solve at ``limit``.
+    def lookup(
+        self, limit: float, algorithm: str = SEEDED_ALGORITHM
+    ) -> Tuple[Optional[Result], Optional[Seeds]]:
+        """``(exact, seeds)`` for an ``algorithm`` solve at ``limit``.
 
-        ``exact`` is the stored frontier for this very limit (phase 1
-        can be skipped outright). Otherwise ``seeds`` is the frontier of
-        the *tightest looser* stored limit — the valid warm-start for a
-        downward resume — or ``None`` when only tighter limits (whose
-        frontiers sit below the new boundaries) are cached.
+        ``exact`` is the stored result of a span holding this limit's
+        feasible limit (phase 1 can be skipped outright). Otherwise,
+        for C-BOUNDARIES only, ``seeds`` is the stored frontier of the
+        *tightest looser* span — the valid warm-start for a downward
+        resume — or ``None`` when only tighter spans (whose frontiers
+        sit below the new boundaries) are stored.
         """
-        if self._cache.fault_hook is not None:
-            self._cache.fault_hook("frontier_cache.lookup")
-        with self._cache._lock:
-            exact = self._entries.get(limit)
-            if exact is not None:
-                self._cache.hits += 1
-                self._entries.move_to_end(limit)
-                return exact, None
-            self._cache.misses += 1
-            best_limit: Optional[float] = None
-            seeds: Optional[Frontier] = None
-            for stored_limit, frontier in self._entries.items():
-                if stored_limit > limit and (
-                    best_limit is None or stored_limit < best_limit
-                ):
-                    best_limit = stored_limit
-                    seeds = frontier
+        cache = self._cache
+        if cache.fault_hook is not None:
+            cache.fault_hook("frontier_cache.lookup")
+        point = feasible_limit(limit)
+        seeded = algorithm == SEEDED_ALGORITHM
+        with cache._lock:
+            seeds: Optional[Seeds] = None
+            seeds_low = float("inf")
+            for key, result in self._entries.items():
+                name, low, high = key
+                if name != algorithm:
+                    continue
+                if low <= point < high:
+                    cache.hits += 1
+                    self._entries.move_to_end(key)
+                    return result, None
+                if seeded and point < low < seeds_low:
+                    seeds_low = low
+                    seeds = Seeds(result, high)
+            if seeds is None:
+                cache.misses += 1
+            else:
+                cache.warm_starts += 1
             return None, seeds
 
-    def store(self, limit: float, frontier: Frontier) -> None:
+    def store(
+        self,
+        low: float,
+        high: float,
+        result: Result,
+        algorithm: str = SEEDED_ALGORITHM,
+    ) -> None:
+        """Remember an ``algorithm`` phase-1 result for the feasible
+        limits ``[low, high)``."""
         cache = self._cache
+        key = (algorithm, low, high)
         with cache._lock:
             counted = self.attached
-            previous = self._entries.get(limit)
+            previous = self._entries.get(key)
             if previous is not None and counted:
-                cache._frontier_bytes -= _frontier_nbytes(previous)
+                cache._frontier_bytes -= _entry_nbytes(previous)
                 cache._frontier_count -= 1
-            self._entries[limit] = frontier
+            self._entries[key] = result
             if counted:
-                cache._frontier_bytes += _frontier_nbytes(frontier)
+                cache._frontier_bytes += _entry_nbytes(result)
                 cache._frontier_count += 1
-            self._entries.move_to_end(limit)
-            while len(self._entries) > FRONTIER_LIMITS_PER_MEMO:
+            self._entries.move_to_end(key)
+            while len(self._entries) > FRONTIER_SPANS_PER_MEMO:
                 _, evicted = self._entries.popitem(last=False)
                 if counted:
-                    cache._frontier_bytes -= _frontier_nbytes(evicted)
+                    cache._frontier_bytes -= _entry_nbytes(evicted)
                     cache._frontier_count -= 1
                 cache.evictions += 1
             if counted:
@@ -180,14 +261,17 @@ class FrontierMemo:
         return len(self._entries)
 
 
-def _frontier_nbytes(frontier: Frontier) -> int:
-    """A coarse resident-size estimate of one stored frontier.
+def _entry_nbytes(result: Result) -> int:
+    """A coarse resident-size estimate of one stored entry.
 
-    Tuple overhead plus one machine word per rank component — the same
+    Its (algorithm, low, high) key, plus either a packed int's bytes or
+    tuple overhead and one machine word per rank component — the same
     order of magnitude ``sys.getsizeof`` would report, cheap enough to
     maintain incrementally on every store/evict.
     """
-    return 56 + sum(56 + 8 * len(state) for state in frontier)
+    if isinstance(result, int):
+        return 168 + 32 + result.bit_length() // 8
+    return 168 + sum(56 + 8 * len(state) for state in result)
 
 
 def state_nbytes(state: Dict) -> int:
@@ -195,13 +279,13 @@ def state_nbytes(state: Dict) -> int:
     once restored: what a restoring cache's byte budget must hold so
     the restore evicts none of its own entries."""
     return sum(
-        MEMO_OVERHEAD_BYTES + sum(_frontier_nbytes(frontier) for _, frontier in entries)
+        MEMO_OVERHEAD_BYTES + sum(_entry_nbytes(entry[3]) for entry in entries)
         for _, entries in state["memos"]
     )
 
 
 class FrontierCache(CacheStatsMixin):
-    """Shared evaluators + boundary frontiers across solves, under two
+    """Shared evaluators + phase-1 results across solves, under two
     bounds.
 
     ``capacity`` bounds the number of shared evaluators (one per
@@ -209,11 +293,11 @@ class FrontierCache(CacheStatsMixin):
     hold — a memo's key is a digest, not the parameter arrays — so they
     evict LRU against an accounted-byte budget instead,
     :attr:`byte_budget` (seeded from :data:`FRONTIER_BYTES`): the
-    frontiers' estimated sizes plus :data:`MEMO_OVERHEAD_BYTES` per
+    entries' estimated sizes plus :data:`MEMO_OVERHEAD_BYTES` per
     memo. A working set that outgrows the evaluator bound therefore
-    still warm-starts its constraint sweeps. A capacity of 0 disables
-    the cache entirely — every ``evaluator_for`` returns a fresh
-    evaluator and no frontier is remembered — which is how the
+    still serves and warm-starts its constraint sweeps. A capacity of 0
+    disables the cache entirely — every ``evaluator_for`` returns a
+    fresh evaluator and no frontier is remembered — which is how the
     benchmarks model cold solves.
     """
 
@@ -227,11 +311,13 @@ class FrontierCache(CacheStatsMixin):
         self._stats_token: Hashable = None
         self._lock = threading.Lock()
         self._init_stats()
+        # Misses that found a looser frontier to resume from.
+        self.warm_starts = 0
         # Incrementally maintained count of, and estimate of the bytes
-        # pinned by, the stored frontiers (evaluator mask caches grow on
-        # demand and are estimated from their pinned parameter arrays in
-        # counters()). Telemetry is read on every response, so it must
-        # not walk the memos.
+        # pinned by, the stored entries. Telemetry is read on every
+        # response, so it must not walk the memos; the evaluators' mask
+        # caches grow on demand and are summed per read instead (at most
+        # ``capacity`` evaluators).
         self._frontier_count = 0
         self._frontier_bytes = 0
         self._evaluator_bytes = 0
@@ -267,7 +353,7 @@ class FrontierCache(CacheStatsMixin):
             self._stats_token = None
 
     def _flush_locked(self) -> None:
-        """Drop every evaluator and frontier (caller holds the lock).
+        """Drop every evaluator and memo entry (caller holds the lock).
 
         Memo *objects* are emptied, not just unmapped: an in-flight
         solve holds its memo directly (``space.frontier``), and an
@@ -293,8 +379,8 @@ class FrontierCache(CacheStatsMixin):
         while self._memos and self._memo_bytes_locked() > self.byte_budget:
             _, dropped = self._memos.popitem(last=False)
             dropped.attached = False
-            for frontier in dropped._entries.values():
-                self._frontier_bytes -= _frontier_nbytes(frontier)
+            for result in dropped._entries.values():
+                self._frontier_bytes -= _entry_nbytes(result)
                 self._frontier_count -= 1
                 self.evictions += 1
 
@@ -332,7 +418,8 @@ class FrontierCache(CacheStatsMixin):
 
     def memo_for(self, digest: str, vector: Tuple[int, ...], axis: str
                  ) -> Optional[FrontierMemo]:
-        """The frontier memo for one (space digest, vector, axis)."""
+        """The phase-1 memo for one (space digest, vector, axis); its
+        entries carry their algorithm."""
         if self.capacity == 0:
             return None
         key = (digest, vector, axis)
@@ -349,21 +436,22 @@ class FrontierCache(CacheStatsMixin):
     # -- persistence -----------------------------------------------------------------
 
     def snapshot(self) -> Dict:
-        """The cache's frontier memos as a picklable state blob.
+        """The cache's memos as a picklable state blob.
 
         Evaluators are deliberately *not* captured: they rebuild from a
         preference space in microseconds, and their mask caches are
-        process-local numpy state. What is expensive to recompute — the
-        canonical frontiers per (digest, vector, axis, limit) — is
-        exactly what travels (:func:`~repro.core.preference_space.space_digest`
-        is process-independent).
+        process-local state. What is expensive to recompute — the
+        phase-1 results per (digest, vector, axis), each as
+        ``(algorithm, low, high, result)`` — is exactly what travels
+        (:func:`~repro.core.preference_space.space_digest` is
+        process-independent).
         """
         with self._lock:
             return {
                 "kind": "frontier_cache",
                 "capacity": self.capacity,
                 "memos": [
-                    (key, list(memo._entries.items()))
+                    (key, [span + (result,) for span, result in memo._entries.items()])
                     for key, memo in self._memos.items()
                 ],
             }
@@ -374,7 +462,7 @@ class FrontierCache(CacheStatsMixin):
         Entries are re-tagged with the *caller's* token: the caller (see
         :mod:`repro.storage.snapshot`) is responsible for proving the
         snapshot was taken against equivalent statistics before handing
-        the live token over. Returns the number of frontiers installed.
+        the live token over. Returns the number of entries installed.
         The blob lands under the ordinary byte budget; a caller that
         must keep all of it grows :attr:`byte_budget` by
         :func:`state_nbytes` first.
@@ -388,8 +476,8 @@ class FrontierCache(CacheStatsMixin):
             memo = self.memo_for(digest, tuple(vector), axis)
             if memo is None:
                 break  # capacity 0: a disabled cache restores nothing
-            for limit, frontier in entries:
-                memo.store(limit, tuple(tuple(s) for s in frontier))
+            for algorithm, low, high, result in entries:
+                memo.store(low, high, result, algorithm)
                 installed += 1
         return installed
 
@@ -399,31 +487,42 @@ class FrontierCache(CacheStatsMixin):
         return self._frontier_count
 
     def _stats_bytes(self) -> int:
-        return self._memo_bytes_locked() + self._evaluator_bytes
+        masks = sum(e.cached_entries() for e in self._evaluators.values())
+        return (
+            self._memo_bytes_locked() + self._evaluator_bytes + MASK_ENTRY_BYTES * masks
+        )
 
     def _stats_extra(self) -> Dict[str, int]:
         return {
+            "warm_starts": self.warm_starts,
             "evaluators": len(self._evaluators),
             "frontiers": self._stats_entries(),
         }
 
     def counters(self) -> Dict[str, int]:
-        """Frontier hit/miss/invalidation tallies plus entry counts.
+        """Memo hit/warm-start/miss/invalidation tallies plus entry
+        counts.
 
         The shared telemetry shape (see
         :class:`~repro.cache_stats.CacheStatsMixin`) plus this cache's
         two resident populations (``evaluators``/``frontiers`` —
-        ``entries`` aliases the latter).
+        ``entries`` aliases the latter). A lookup ends as exactly one of
+        a ``hit`` (a stored span served it), a ``warm_start`` (a looser
+        frontier seeded the sweep) or a ``miss``, and ``lookups`` counts
+        all three. ``bytes_estimate`` covers the memos, the evaluators'
+        parameter arrays and their mask caches.
         """
         with self._lock:
-            return super().counters()
+            counters = super().counters()
+        counters["lookups"] += counters["warm_starts"]
+        return counters
 
 
 def _evaluator_nbytes(evaluator: CachedStateEvaluator) -> int:
-    """A coarse estimate of one shared evaluator's pinned parameters.
+    """A coarse estimate of one shared evaluator's fixed footprint.
 
     Counts the per-preference parameter arrays it was built from and
-    its conflict masks; the demand-grown mask caches are excluded (they
-    are unbounded work memos, not snapshot state).
+    its conflict masks; the demand-grown mask caches are summed
+    separately on every telemetry read (:data:`MASK_ENTRY_BYTES` each).
     """
     return 256 + 24 * 3 * len(evaluator.doi_values) + 40 * len(evaluator.conflict_masks)

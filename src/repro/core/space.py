@@ -29,6 +29,12 @@ from repro.errors import SearchError
 _TOL = 1e-9
 
 
+def feasible_limit(limit: float) -> float:
+    """The tolerance-widened bound a budget test compares against:
+    a state is within budget when ``budget(mask) <= feasible_limit(limit)``."""
+    return limit + abs(limit) * _TOL + _TOL
+
+
 class SearchSpace:
     """One rank vector + mask pricing, the algorithms' substrate.
 
@@ -81,7 +87,7 @@ class SearchSpace:
             suffix[rank] = suffix[rank + 1] | self.pref_bits[rank]
         self.suffix_bits: Tuple[Mask, ...] = tuple(suffix)
         self.words = RankWords(len(self.vector))
-        self.feasible_limit = self.limit + abs(self.limit) * _TOL + _TOL
+        self.feasible_limit = feasible_limit(self.limit)
 
     @property
     def k(self) -> int:

@@ -53,6 +53,27 @@ def state_of(mask: Mask) -> State:
     return tuple(state)
 
 
+def pack_masks(masks: Iterable[Mask], k: int) -> int:
+    """A list of ``k``-bit masks as one int: a leading 1 bit, then each
+    mask in ``k`` bits, the first highest. About ``k / 8`` bytes a mask,
+    for lists held long (memoized phase-1 results)."""
+    packed = 1
+    for mask in masks:
+        packed = (packed << k) | mask
+    return packed
+
+
+def unpack_masks(packed: int, k: int) -> List[Mask]:
+    """The masks :func:`pack_masks` packed, in their order."""
+    field = (1 << k) - 1
+    masks: List[Mask] = []
+    while packed > 1:
+        masks.append(packed & field)
+        packed >>= k
+    masks.reverse()
+    return masks
+
+
 def mask_group_size(mask: Mask) -> int:
     """Group of a mask state: its number of set bits (Def. 1)."""
     return bin(mask).count("1")

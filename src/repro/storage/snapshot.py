@@ -60,7 +60,9 @@ from repro.storage.database import Database
 # (repro.core.preference_space.space_digest), not the parameter tuples.
 # Version 3: the caches file is content-addressed and its SHA-256 is
 # recorded in the manifest.
-SNAPSHOT_FORMAT_VERSION = 3
+# Version 4: each frontier-memo entry is (algorithm, low, high, result):
+# C-BOUNDARIES and C-MAXBOUNDS phase-1 results with their verdict spans.
+SNAPSHOT_FORMAT_VERSION = 4
 
 MANIFEST_NAME = "manifest.json"
 CACHES_PREFIX = "caches"

@@ -54,6 +54,8 @@ _TOL = 1e-6
 
 DOI_ALGORITHMS = ("c_boundaries", "c_maxbounds", "exhaustive")
 EXACT_ALGORITHMS = frozenset({"c_boundaries", "exhaustive", "min_cost"})
+# The algorithms whose phase 1 a FrontierCache serves by verdict span.
+SPAN_SERVED = ("c_boundaries", "c_maxbounds")
 CACHE_MODES = ("off", "on", "warm")
 
 
@@ -323,15 +325,14 @@ def run_solver_lattice(
         report.scenarios += 1
         report.problems_covered |= set(numbers)
         # One shared warm cache per scenario: the "warm" points ride
-        # frontiers and evaluators left by this pre-pass.
+        # phase-1 results and evaluators left by this pre-pass.
         warm_cache = FrontierCache()
         for number in numbers:
-            adapters.solve(
-                pspace,
-                problems[number],
-                _algorithm_for(problems[number], "c_boundaries"),
-                frontier_cache=warm_cache,
-            )
+            pre_pass = dict.fromkeys(_algorithm_for(problems[number], a) for a in SPAN_SERVED)
+            for algorithm in pre_pass:
+                adapters.solve(
+                    pspace, problems[number], algorithm, frontier_cache=warm_cache
+                )
         references: Dict[Tuple[str, int], Receipt] = {}
         for point in lattice:
             cache = {
@@ -350,6 +351,7 @@ def run_solver_lattice(
             ]
             if not applicable:
                 continue
+            hits_before = warm_cache.hits
             solutions = _solve_problems(
                 pspace,
                 [problems[number] for number in applicable],
@@ -357,6 +359,7 @@ def run_solver_lattice(
                 cache,
                 batched=point.batched,
             )
+            _check_span_served(point, seed, warm_cache.hits - hits_before)
             for number, solution in zip(applicable, solutions):
                 problem = problems[number]
                 maximizing = problem.objective is Parameter.DOI
@@ -381,6 +384,17 @@ def run_solver_lattice(
                             % (seed, number, point, receipt, reference)
                         )
     return report
+
+
+def _check_span_served(point: LatticePoint, seed: int, hits: int) -> None:
+    """A warm point of a span-served algorithm must hit its memo: its
+    problems were all solved before, so a stored verdict span holds
+    each limit."""
+    if point.cache == "warm" and point.algorithm in SPAN_SERVED and hits < 1:
+        raise DifferentialFailure(
+            "seed=%d point=%s: no stored verdict span served a phase 1"
+            % (seed, point)
+        )
 
 
 def _algorithm_for(problem: CQPProblem, requested: str) -> str:
@@ -568,6 +582,8 @@ def run_service_lattice(
             raise DifferentialFailure(
                 "seed=%d point=%s: the walk memo served no extraction" % (seed, point)
             )
+        # ...and on the second pass a stored span must serve phase 1.
+        _check_span_served(point, seed, service.frontier_cache.hits)
         for number, response in zip(numbers, responses):
             problem = problems[number]
             maximizing = problem.objective is Parameter.DOI

@@ -337,23 +337,11 @@ def find_boundaries(
 
 
 def c_boundaries(space: SearchSpace, stats: SearchStats) -> Optional[Indices]:
-    """C-BOUNDARIES' search, frontier memo included."""
+    """C-BOUNDARIES' search: the cold sweep (a frontier memo on the
+    space is a serving cache, not part of the paper's loop)."""
     from repro.core.frontier_cache import canonical_frontier
 
-    memo = space.frontier
-    if memo is None:
-        frontier = canonical_frontier(find_boundaries(space, stats))
-    else:
-        exact, seeds = memo.lookup(space.limit)
-        if exact is not None:
-            stats.frontier_cache_hits += 1
-            frontier = exact
-        else:
-            stats.frontier_cache_misses += 1
-            if seeds is not None:
-                stats.states_warm_started += len(seeds)
-            frontier = canonical_frontier(find_boundaries(space, stats, seeds=seeds))
-            memo.store(space.limit, frontier)
+    frontier = canonical_frontier(find_boundaries(space, stats))
     return find_max_doi_below(space, frontier, stats)
 
 

@@ -1,27 +1,33 @@
-"""FrontierCache: warm-started sweeps must be indistinguishable from cold.
+"""FrontierCache: served and warm-started phase 1 must be indistinguishable
+from cold.
 
 The correctness claim is exactness-preserving reuse: whatever sequence
-of constraint values a space is solved under, with whatever frontiers
-already cached, the solutions — and the canonical frontiers recorded —
-must equal those of fresh, cold, single-threaded solves. Hypothesis
-drives random instances through random constraint-sweep sequences; the
-deterministic tests pin the cache mechanics (exact hits skip phase 1,
-warm resumes do less work, invalidation flushes).
+of constraint values a space is solved under, by either C-space
+algorithm, with whatever results already cached, the solutions — and the
+frontiers or maximal boundaries behind them — must equal those of fresh,
+cold, single-threaded solves. Hypothesis drives random instances through
+random constraint-sweep sequences, and checks the replay argument itself:
+a phase-1 run repeats exactly under every limit of its verdict span. The
+deterministic tests pin the cache mechanics (span hits skip phase 1, warm
+resumes do less work, a warm span is clipped to its seeds', invalidation
+flushes).
 """
 
 from dataclasses import replace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import adapters
 from repro.core.algorithms.base import get_algorithm
 from repro.core.algorithms.c_boundaries import find_boundaries
-from repro.core.frontier_cache import FrontierCache, canonical_frontier
+from repro.core.algorithms.c_maxbounds import find_max_bounds
+from repro.core.frontier_cache import FrontierCache, VerdictSpan, canonical_frontier
 from repro.core.preference_space import space_digest
 from repro.core.problem import CQPProblem
-from repro.core.space import SpaceBundle
+from repro.core.space import SpaceBundle, feasible_limit
+from repro.core.state import state_of, unpack_masks
 from repro.core.stats import SearchStats
 from repro.preferences.composition import MIN_SUM_ALGEBRA
 from repro.workloads.scenarios import make_synthetic_pspace
@@ -120,6 +126,229 @@ def test_all_six_problems_unchanged_by_cache(data):
                 assert warm.doi == cold.doi
                 assert warm.cost == cold.cost
                 assert warm.size == cold.size
+
+
+def _cold_space(pspace, problem):
+    return SpaceBundle(pspace, problem).cost_space()
+
+
+def _served_phase1(space, algorithm):
+    """The phase-1 result the memo holds for ``space``'s limit, in the
+    format phase 2 reads (rank tuples)."""
+    result, _ = space.frontier.lookup(space.limit, algorithm)
+    if algorithm == "c_maxbounds":
+        return [state_of(ranks) for ranks in unpack_masks(result, space.k)]
+    return result
+
+
+def _cold_phase1(pspace, problem, algorithm):
+    space = _cold_space(pspace, problem)
+    if algorithm == "c_maxbounds":
+        return find_max_bounds(space, SearchStats())
+    return canonical_frontier(find_boundaries(space, SearchStats()))
+
+
+# Block counts (Formula 6 prices whole blocks, so many limits share one
+# span) or arbitrary positive costs.
+span_costs = st.one_of(
+    st.integers(min_value=1, max_value=40).map(float),
+    st.floats(min_value=0.5, max_value=100.0),
+)
+span_instances = st.integers(min_value=1, max_value=8).flatmap(
+    lambda k: st.tuples(
+        st.lists(st.floats(min_value=0.01, max_value=1.0), min_size=k, max_size=k),
+        st.lists(span_costs, min_size=k, max_size=k),
+        st.lists(st.floats(min_value=0.05, max_value=1.0), min_size=k, max_size=k),
+        # A random-order sweep: (algorithm, cmax fraction, size window?).
+        st.lists(
+            st.tuples(
+                st.sampled_from(["c_boundaries", "c_maxbounds"]),
+                st.floats(min_value=0.0, max_value=1.0),
+                st.booleans(),
+            ),
+            min_size=2,
+            max_size=14,
+        ),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(span_instances)
+def test_span_served_solves_match_cold(data):
+    """Both C-space algorithms through one shared cache, at random
+    limits in random order: every solve — span hit, warm start or miss —
+    equals a cold solve, and so does the phase-1 result the memo holds
+    for its limit."""
+    dois, costs, reductions, sweep = data
+    pspace = make_synthetic_pspace(dois, costs, [1000.0 * r for r in reductions])
+    supreme = pspace.supreme_cost()
+    cache = FrontierCache()
+    for algorithm, fraction, windowed in sweep:
+        cmax = fraction * supreme
+        if windowed:
+            problem = CQPProblem.problem3(cmax, smin=50.0, smax=900.0)
+        else:
+            problem = CQPProblem.problem2(cmax)
+        space = SpaceBundle(pspace, problem, frontier_cache=cache).cost_space()
+        served = get_algorithm(algorithm).solve(space)
+        cold = adapters.solve(pspace, problem, algorithm)
+        if cold is None:
+            assert served is None
+        else:
+            assert served is not None
+            assert served.pref_indices == cold.pref_indices
+            assert served.doi == cold.doi
+            assert served.cost == cold.cost
+            assert served.size == cold.size
+        assert _served_phase1(space, algorithm) == _cold_phase1(
+            pspace, problem, algorithm
+        )
+    counters = cache.counters()
+    assert counters["lookups"] == len(sweep) * 2  # each solve + each check
+    assert counters["hits"] >= len(sweep)  # every check is served
+
+
+def _observed_phase1(pspace, cmax, algorithm):
+    """One cold phase-1 run: its result, work counters, evaluator
+    traffic and verdict span."""
+    space = _cold_space(pspace, CQPProblem.problem2(cmax))
+    stats = SearchStats()
+    span = VerdictSpan()
+    if algorithm == "c_maxbounds":
+        result = find_max_bounds(space, stats, span)
+    else:
+        result = find_boundaries(space, stats, verdicts=span)
+    stats.release_containers()
+    seen = (
+        result,
+        stats.states_examined,
+        stats.transitions_taken,
+        stats.neighbor_batches,
+        stats.peak_memory_bytes,
+        space.evaluator.evaluations,
+    )
+    return seen, span
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    span_instances,
+    st.sampled_from(["c_boundaries", "c_maxbounds"]),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_phase1_repeats_inside_its_span(data, algorithm, fraction, position):
+    """The replay argument: under any limit whose feasible limit lies in
+    a run's verdict span, phase 1 records the same result in the same
+    order with the same work counters."""
+    dois, costs, _, _ = data
+    pspace = make_synthetic_pspace(dois, costs)
+    cmax = fraction * pspace.supreme_cost()
+    first, span = _observed_phase1(pspace, cmax, algorithm)
+    point = feasible_limit(cmax)
+    assert span.low <= point < span.high
+    # Another (non-negative) limit inside the span: feasible_limit is
+    # monotone, so invert it approximately and keep only limits that
+    # land inside.
+    top = min(span.high, point + 100.0)
+    bottom = max(span.low, 0.0)
+    target = bottom + (top - bottom) * position
+    other = max(0.0, (target - 1e-9) / (1.0 + 1e-9))
+    assume(span.low <= feasible_limit(other) < span.high)
+    again, _ = _observed_phase1(pspace, other, algorithm)
+    assert again == first
+
+
+class TestSpanMechanics:
+    PSPACE = staticmethod(
+        lambda: make_synthetic_pspace(
+            (0.9, 0.8, 0.7, 0.6, 0.5), (110.0, 80.0, 60.0, 45.0, 35.0)
+        )
+    )
+
+    def _solve(self, pspace, cmax, cache, algorithm):
+        space = SpaceBundle(
+            pspace, CQPProblem.problem2(cmax), frontier_cache=cache
+        ).cost_space()
+        return get_algorithm(algorithm).solve(space)
+
+    @pytest.mark.parametrize("algorithm", ["c_boundaries", "c_maxbounds"])
+    def test_limits_between_block_counts_share_a_span(self, algorithm):
+        # Costs are whole blocks, so no state costs more than 185 and at
+        # most 185.9: the second limit is served without phase 1.
+        pspace = self.PSPACE()
+        cache = FrontierCache()
+        first = self._solve(pspace, 185.0, cache, algorithm)
+        served = self._solve(pspace, 185.9, cache, algorithm)
+        cold = adapters.solve(pspace, CQPProblem.problem2(185.9), algorithm)
+        assert first.stats.frontier_cache_misses == 1
+        assert served.stats.frontier_cache_hits == 1
+        assert served.stats.states_examined < cold.stats.states_examined
+        assert served.pref_indices == cold.pref_indices
+        assert cache.counters()["hits"] == 1
+
+    def test_algorithms_keep_their_own_entries(self):
+        pspace = self.PSPACE()
+        cache = FrontierCache()
+        self._solve(pspace, 185.0, cache, "c_boundaries")
+        other = self._solve(pspace, 185.0, cache, "c_maxbounds")
+        assert other.stats.frontier_cache_hits == 0
+        assert cache.counters()["frontiers"] == 2
+
+    def test_warm_span_is_clipped_to_its_seeds(self):
+        # A stored span may be narrower than the limits its frontier
+        # holds for (primed or restored entries are). Here the cold
+        # frontier at 185 is stored for [low + 1, high) only, so a solve
+        # at 185 misses and resumes from it: every seed passes, no state
+        # fails, and its own span would reach up to infinity. A looser
+        # limit past the seeds' span must not be served that frontier.
+        pspace = self.PSPACE()
+        cold_space = _cold_space(pspace, CQPProblem.problem2(185.0))
+        span = VerdictSpan()
+        frontier = canonical_frontier(
+            find_boundaries(cold_space, SearchStats(), verdicts=span)
+        )
+        cache = FrontierCache()
+        space = SpaceBundle(
+            pspace, CQPProblem.problem2(185.0), frontier_cache=cache
+        ).cost_space()
+        space.frontier.store(span.low + 1.0, span.high, frontier)
+        warm = get_algorithm("c_boundaries").solve(space)
+        assert warm.stats.states_warm_started == len(frontier)
+        assert cache.counters()["warm_starts"] == 1
+        looser = span.high + 20.0
+        served = self._solve(pspace, looser, cache, "c_boundaries")
+        cold = adapters.solve(pspace, CQPProblem.problem2(looser), "c_boundaries")
+        assert served.stats.frontier_cache_hits == 0
+        assert served.pref_indices == cold.pref_indices
+        assert served.doi == cold.doi
+
+    def test_counters_split_hits_warm_starts_and_misses(self):
+        pspace = self.PSPACE()
+        cache = FrontierCache()
+        self._solve(pspace, 185.0, cache, "c_boundaries")  # miss
+        self._solve(pspace, 185.5, cache, "c_boundaries")  # span hit
+        self._solve(pspace, 140.0, cache, "c_boundaries")  # warm start
+        self._solve(pspace, 150.0, cache, "c_maxbounds")  # miss
+        counters = cache.counters()
+        assert (counters["hits"], counters["warm_starts"], counters["misses"]) == (
+            1, 1, 2,
+        )
+        assert counters["lookups"] == 4
+
+    def test_bytes_estimate_counts_evaluator_mask_caches(self):
+        from repro.core.frontier_cache import MASK_ENTRY_BYTES
+
+        pspace = self.PSPACE()
+        cache = FrontierCache()
+        self._solve(pspace, 185.0, cache, "c_boundaries")
+        evaluator = cache.evaluator_for(pspace)
+        assert evaluator.cached_entries() > 0
+        memo_bytes = cache._memo_bytes_locked()
+        assert cache.counters()["bytes_estimate"] >= (
+            memo_bytes + MASK_ENTRY_BYTES * evaluator.cached_entries()
+        )
 
 
 class TestCacheMechanics:
@@ -257,9 +486,9 @@ def test_frontier_count_tracks_the_memos(operations, budget_memos):
     flushes, snapshot restores and stores into a memo the cache already
     dropped; and the accounted bytes never exceed the budget."""
     from repro.core.frontier_cache import (
-        FRONTIER_LIMITS_PER_MEMO,
+        FRONTIER_SPANS_PER_MEMO,
         MEMO_OVERHEAD_BYTES,
-        _frontier_nbytes,
+        _entry_nbytes,
     )
 
     cache = FrontierCache(capacity=3)
@@ -275,11 +504,11 @@ def test_frontier_count_tracks_the_memos(operations, budget_memos):
     for kind, key, limit, size in operations:
         frontier = tuple((rank,) for rank in range(size))
         if kind == "store":
-            memo(key).store(float(limit), frontier)
+            memo(key).store(float(limit), limit + 1.0, frontier)
         elif kind == "fill":
             target = memo(key)
-            for extra in range(FRONTIER_LIMITS_PER_MEMO + 2):
-                target.store(float(limit + extra), frontier)
+            for extra in range(FRONTIER_SPANS_PER_MEMO + 2):
+                target.store(float(limit + extra), limit + extra + 1.0, frontier)
         elif kind == "new_memo":
             memo(key + 5)
         elif kind == "flush":
@@ -288,13 +517,13 @@ def test_frontier_count_tracks_the_memos(operations, budget_memos):
         elif kind == "restore":
             cache.restore(snapshot, stats_token=None)
         elif held:
-            held[key % len(held)].store(float(limit), frontier)
+            held[key % len(held)].store(float(limit), limit + 1.0, frontier)
         memos = list(cache._memos.values())
         counters = cache.counters()
         assert counters["frontiers"] == sum(len(m) for m in memos)
         assert counters["entries"] == counters["frontiers"]
         assert cache._frontier_bytes == sum(
-            _frontier_nbytes(f) for m in memos for f in m._entries.values()
+            _entry_nbytes(f) for m in memos for f in m._entries.values()
         )
         assert all(m.attached for m in memos)
         accounted = cache._frontier_bytes + MEMO_OVERHEAD_BYTES * len(memos)
@@ -304,19 +533,21 @@ def test_frontier_count_tracks_the_memos(operations, budget_memos):
 
 class TestByteBoundedMemos:
     def test_memos_outlive_the_evaluator_capacity(self):
-        from repro.core.frontier_cache import MEMO_OVERHEAD_BYTES, _frontier_nbytes
+        from repro.core.frontier_cache import MEMO_OVERHEAD_BYTES, _entry_nbytes
 
         cache = FrontierCache(capacity=1)
         frontier = ((0, 1), (2,))
         for index in range(5):
-            cache.memo_for("space%d" % index, (0, 1, 2), "cost").store(1.0, frontier)
+            cache.memo_for("space%d" % index, (0, 1, 2), "cost").store(
+                1.0, 2.0, frontier
+            )
         # The evaluator bound does not bound the memos.
         assert len(cache._memos) == 5
         assert cache.counters()["frontiers"] == 5
         # Shrinking the byte budget evicts least recently used memos
         # first, detaching them.
         cache.memo_for("space0", (0, 1, 2), "cost")  # touch: now most recent
-        cache.byte_budget = 2 * (MEMO_OVERHEAD_BYTES + _frontier_nbytes(frontier))
+        cache.byte_budget = 2 * (MEMO_OVERHEAD_BYTES + _entry_nbytes(frontier))
         newest = cache.memo_for("space5", (0, 1, 2), "cost")
         assert list(key[0] for key in cache._memos) == ["space0", "space5"]
         assert newest.attached

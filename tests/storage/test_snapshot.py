@@ -304,6 +304,7 @@ class TestRestoreSafety:
         # Format 1 keyed frontier memos on the raw parameter tuples; its
         # keys would never match a digest-keyed lookup. Format 2 stored
         # its caches without a checksum, so nothing vouches for them.
+        # Format 3 stored frontiers by limit, without a verdict span.
         database = _build()
         compiled, _, _, _ = _compile(database)
         path = str(tmp_path / "snap")
@@ -311,8 +312,8 @@ class TestRestoreSafety:
         manifest_path = os.path.join(path, "manifest.json")
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        assert manifest["format_version"] == 3
-        for old in (1, 2):
+        assert manifest["format_version"] == 4
+        for old in (1, 2, 3):
             manifest["format_version"] = old
             with open(manifest_path, "w") as handle:
                 json.dump(manifest, handle)
