@@ -103,22 +103,24 @@ def minimal_feasible_min_cost(
 
     best_cost = float("inf")
     best: Optional[Mask] = None
-
-    def descend(mask: Mask, start: int) -> None:
-        nonlocal best_cost, best
+    # Depth-first over (mask, first index that may join it), children
+    # pushed last-first so they pop in ascending index order: the visit
+    # order of the recursive enumeration, with no self-referencing
+    # closure left behind as a reference cycle.
+    stack: List[Tuple[Mask, int]] = [(0, 0)]
+    while stack:
+        mask, start = stack.pop()
         stats.examined()
         cost = evaluator.cost_mask(mask)
         if mask and cost >= best_cost:
-            return  # supersets only cost more
+            continue  # supersets only cost more
         if monotone_feasible(mask):
             if passes_smin(mask) and cost < best_cost:
                 best_cost = cost
                 best = mask
-            return  # minimality: supersets are never cheaper
-        for index in range(start, k):
-            descend(mask | (1 << index), index + 1)
-
-    descend(0, 0)
+            continue  # minimality: supersets are never cheaper
+        for index in range(k - 1, start - 1, -1):
+            stack.append((mask | (1 << index), index + 1))
     return best
 
 
@@ -244,8 +246,10 @@ def solve_many(
             if alg == "c_boundaries"
         ]
         # The 2^K table pays for itself only when it serves several
-        # boundary sweeps; a lone solve keeps the plain/warm-chain path.
-        if len(boundary_limits) > 1:
+        # boundary sweeps under different limits; solves that share one
+        # limit are served by the first one's frontier memo entry, and a
+        # lone limit keeps the plain/warm-chain path.
+        if len(set(boundary_limits)) > 1:
             bundle = SpaceBundle(pspace, axis_entries[0][0], frontier_cache=cache)
             space = bundle.aligned_space()
             memo = space.frontier

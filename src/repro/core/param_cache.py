@@ -10,8 +10,9 @@ and their dois, not what they cost. :class:`ParameterCache` memoizes
 the (cost, reduction) pair under exactly that fingerprint:
 
 * **query** — its printed SQL (canonical for the AST);
-* **path** — its condition tuple (what :class:`PreferencePath` hashes
-  by);
+* **path** — its flat condition key (:attr:`PreferencePath.key`: a
+  tuple of per-condition tuples of names and values, equal exactly when
+  the paths are);
 * **statistics** — the owning database's ``stats_token``, which changes
   on every ``analyze()``, data load, or index build.
 
@@ -31,6 +32,10 @@ recur (a fleet asking each query once) stores nothing. The memo is
 bounded by bytes, flushed with the pricing entries, disabled with
 them at capacity 0, and not persisted: a snapshot carries the prices
 its walks need, and the walks are rebuilt from them.
+
+Every pricing key and value is built of strings, numbers and tuples of
+them, so CPython stops tracking them at their first collection: a full
+cache adds nothing to what the garbage collector walks.
 
 The cache is thread-safe (one lock around the memo): the async server
 answers batches on an executor thread while other callers share it.
@@ -111,7 +116,7 @@ class ParameterCache(CacheStatsMixin):
         """
         if self.fault_hook is not None:
             self.fault_hook("param_cache.price")
-        key = (query_fingerprint, path.conditions)
+        key = (query_fingerprint, path.key)
         with self._lock:
             self._sync_locked(stats_token)
             value = self._entries.get(key)
@@ -211,7 +216,8 @@ class ParameterCache(CacheStatsMixin):
 
     def snapshot(self) -> Dict:
         """The priced entries as a picklable state blob (keys are the
-        query-SQL/condition-tuple fingerprints, which pickle by value)."""
+        query SQL and the path's flat condition key, plain data that
+        pickles by value)."""
         with self._lock:
             return {
                 "kind": "param_cache",
@@ -236,8 +242,8 @@ class ParameterCache(CacheStatsMixin):
                 self._stats_token = stats_token
             if self.capacity == 0:
                 return 0
-            for key, value in state["entries"]:
-                key = (key[0], tuple(key[1]))
+            for (fingerprint, path_key), value in state["entries"]:
+                key = (fingerprint, tuple(tuple(step) for step in path_key))
                 if key not in self._entries:
                     self._bytes += _entry_nbytes(key)
                     installed += 1
@@ -274,6 +280,6 @@ class ParameterCache(CacheStatsMixin):
 
 def _entry_nbytes(key: Tuple[str, Tuple]) -> int:
     """A coarse per-entry size estimate: the SQL fingerprint string, one
-    condition object per path hop, and the two-float value."""
-    fingerprint, conditions = key
-    return 160 + len(fingerprint) + 96 * len(conditions)
+    four-field condition key per path hop, and the two-float value."""
+    fingerprint, path_key = key
+    return 160 + len(fingerprint) + 96 * len(path_key)

@@ -28,6 +28,15 @@ class SelectionCondition:
     def anchor_relation(self) -> str:
         return self.relation
 
+    @property
+    def key(self) -> Tuple[object, ...]:
+        """The condition as a flat tuple of its fields, led by the
+        operator symbol (never a relation name, which is an identifier,
+        so no selection key equals a join key). It compares as the
+        condition does, and holds only atoms, so a cache keyed on it is
+        invisible to the garbage collector."""
+        return (self.op.value, self.relation, self.attribute, self.value)
+
     def to_comparison(self, qualifier: Optional[str] = None) -> Comparison:
         return Comparison(
             left=ColumnRef(name=self.attribute, qualifier=qualifier or self.relation),
@@ -71,6 +80,17 @@ class JoinCondition:
     @property
     def target_relation(self) -> str:
         return self.right_relation
+
+    @property
+    def key(self) -> Tuple[str, ...]:
+        """The join as a flat tuple of names (see
+        :attr:`SelectionCondition.key`)."""
+        return (
+            self.left_relation,
+            self.left_attribute,
+            self.right_relation,
+            self.right_attribute,
+        )
 
     def to_comparison(
         self,
@@ -207,6 +227,12 @@ class PreferencePath:
     @property
     def conditions(self) -> Tuple[Condition, ...]:
         return tuple(step.condition for step in self.steps)
+
+    @property
+    def key(self) -> Tuple[Tuple[object, ...], ...]:
+        """The condition keys in path order: equal exactly when the
+        paths are, and built of atoms only (cache keys use it)."""
+        return tuple(step.condition.key for step in self.steps)
 
     # -- composition -----------------------------------------------------------------
 

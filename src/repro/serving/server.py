@@ -24,12 +24,26 @@ lives in the queue, exactly where admission control and degradation
 can see it. Every timestamp is the event
 loop's ``time()``, so tests drive this same server on a virtual-time
 loop.
+
+**Heap discipline.** A full (generation-2) garbage collection stalls
+every outstanding request, and its length grows with the objects the
+collector tracks. The set-up heap — profiles, statistics, encoded
+columns, a snapshot's caches — is built before any server starts and
+lives as long as the service, so :meth:`start` collects once and
+freezes it (``gc.freeze``): later collections skip it. :meth:`stop`
+unfreezes it, so a heap dropped after its server stops can be
+collected again. A server that finds the heap already frozen leaves
+the freeze to whoever made it. The collector is never disabled. While
+a server runs, a ``gc.callbacks`` hook counts the full collections and
+their longest pause for :meth:`report`.
 """
 
 from __future__ import annotations
 
 import asyncio
+import gc
 import math
+import time
 from dataclasses import dataclass, replace
 from typing import List, Optional, Union
 
@@ -41,6 +55,26 @@ from repro.serving.batcher import MicroBatcher, PendingRequest
 from repro.serving.config import ServingConfig
 from repro.serving.degradation import DegradationPolicy
 from repro.serving.taxonomy import TierScoreboard, classify
+
+
+class _FullCollections:
+    """A ``gc.callbacks`` hook: count generation-2 collections and
+    time the longest (wall clock, in whichever thread collected)."""
+
+    def __init__(self) -> None:
+        self.count = 0
+        self.max_pause_s = 0.0
+        self._started = 0.0
+
+    def __call__(self, phase: str, info: dict) -> None:
+        if info["generation"] != 2:
+            return
+        if phase == "start":
+            self._started = time.perf_counter()
+        else:
+            self.count += 1
+            pause = time.perf_counter() - self._started
+            self.max_pause_s = max(self.max_pause_s, pause)
 
 
 @dataclass
@@ -86,6 +120,8 @@ class AsyncPersonalizationServer:
         self._dispatcher: Optional[asyncio.Task] = None
         self._flushing = False  # take batches regardless of deadline
         self._closing = False  # end the loop once flushed
+        self._full_collections = _FullCollections()
+        self._froze_heap = False
 
     # -- lifecycle -----------------------------------------------------------------
 
@@ -95,6 +131,11 @@ class AsyncPersonalizationServer:
         self._wake = asyncio.Event()
         self._idle = asyncio.Event()
         self._flushing = self._closing = False
+        if gc.get_freeze_count() == 0:
+            gc.collect()
+            gc.freeze()
+            self._froze_heap = True
+        gc.callbacks.append(self._full_collections)
         self._dispatcher = asyncio.get_running_loop().create_task(self._run())
         return self
 
@@ -104,8 +145,14 @@ class AsyncPersonalizationServer:
             return
         self._flushing = self._closing = True
         self._wake.set()
-        await self._dispatcher
-        self._dispatcher = None
+        try:
+            await self._dispatcher
+        finally:
+            self._dispatcher = None
+            gc.callbacks.remove(self._full_collections)
+            if self._froze_heap:
+                gc.unfreeze()
+                self._froze_heap = False
 
     async def __aenter__(self) -> "AsyncPersonalizationServer":
         return await self.start()
@@ -257,4 +304,10 @@ class AsyncPersonalizationServer:
             if self.batches_dispatched
             else 0.0,
             "downgrades": self.policy.downgrades,
+            "gc": {
+                "full_collections": self._full_collections.count,
+                "max_full_pause_ms": round(
+                    1000.0 * self._full_collections.max_pause_s, 3
+                ),
+            },
         }

@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import operator as _op
 import time
-from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -343,12 +342,17 @@ class ColumnarExecutor:
         self.profile_ops = profile_ops
         self.op_times: Dict[str, float] = {}
         self._op_stack: List[float] = []
-        self._plan_cache: "OrderedDict[Tuple, PlanNode]" = OrderedDict()
-        # Filter mask programs, compiled once per FilterNode: node id ->
-        # (node, steps, child columns). The node reference pins the id.
-        self._filter_programs: "OrderedDict[int, Tuple[FilterNode, List, Tuple]]" = (
-            OrderedDict()
-        )
+        # One-slot plan memo: the last (key, plan) planned. A service
+        # plans a statement and executes it at once, and a bundle's next
+        # request asks the same statement right after; older plans are
+        # almost never asked again, so none is kept.
+        self._last_plan: Optional[Tuple[Tuple, PlanNode]] = None
+        # Filter mask programs of the last plan executed, compiled once
+        # per FilterNode: node id -> (steps, child columns). The plan
+        # pins its nodes, so the ids stay theirs; the programs go with
+        # the plan when the next one runs.
+        self._programs_plan: Optional[PlanNode] = None
+        self._filter_programs: Dict[int, Tuple[List, Tuple]] = {}
         # Per-execution state.
         self._rows_processed = 0
         self._scanned: set = set()
@@ -357,14 +361,14 @@ class ColumnarExecutor:
     # -- public API -----------------------------------------------------------
 
     def plan(self, query: QueryNode) -> PlanNode:
-        """Plan ``query``, memoizing on the AST + statistics snapshot."""
+        """Plan ``query``, reusing the last plan when it was made for the
+        same AST and statistics snapshot."""
         key = (query, self.use_indexes, self.database.stats_token)
-        plan = self._plan_cache.get(key)
-        if plan is None:
-            plan = Planner(self.database, use_indexes=self.use_indexes).plan(query)
-            self._plan_cache[key] = plan
-            while len(self._plan_cache) > 128:
-                self._plan_cache.popitem(last=False)
+        last = self._last_plan
+        if last is not None and last[0] == key:
+            return last[1]
+        plan = Planner(self.database, use_indexes=self.use_indexes).plan(query)
+        self._last_plan = (key, plan)
         return plan
 
     def execute(self, query: QueryNode) -> ExecutionResult:
@@ -376,6 +380,9 @@ class ColumnarExecutor:
         self._rows_processed = 0
         self._scanned = set()
         self._rows_filtered_vectorized = 0
+        if plan is not self._programs_plan:
+            self._programs_plan = plan
+            self._filter_programs = {}
         with self.database.device.meter() as receipt:
             frame = self._run(plan)
         return ExecutionResult(
@@ -462,10 +469,10 @@ class ColumnarExecutor:
 
     def _filter_program(self, node: FilterNode, columns: Tuple[str, ...]) -> List:
         """The node's conditions compiled to resolved positions +
-        comparison kernels, cached per plan node."""
+        comparison kernels, cached per node of the running plan."""
         entry = self._filter_programs.get(id(node))
-        if entry is not None and entry[0] is node and entry[2] == columns:
-            return entry[1]
+        if entry is not None and entry[1] == columns:
+            return entry[0]
         steps: List = []
         for condition in node.conditions:
             position = resolve_column(columns, condition.left)
@@ -485,9 +492,7 @@ class ColumnarExecutor:
                         resolve_column(columns, condition.right),
                     )
                 )
-        self._filter_programs[id(node)] = (node, steps, columns)
-        while len(self._filter_programs) > 4096:
-            self._filter_programs.popitem(last=False)
+        self._filter_programs[id(node)] = (steps, columns)
         return steps
 
     def _run_filter(self, node: FilterNode) -> ColumnFrame:

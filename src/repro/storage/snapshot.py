@@ -62,7 +62,9 @@ from repro.storage.database import Database
 # recorded in the manifest.
 # Version 4: each frontier-memo entry is (algorithm, low, high, result):
 # C-BOUNDARIES and C-MAXBOUNDS phase-1 results with their verdict spans.
-SNAPSHOT_FORMAT_VERSION = 4
+# Version 5: pricing entries key on the path's flat condition key
+# (repro.preferences.model.PreferencePath.key), not condition objects.
+SNAPSHOT_FORMAT_VERSION = 5
 
 MANIFEST_NAME = "manifest.json"
 CACHES_PREFIX = "caches"

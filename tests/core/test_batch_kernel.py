@@ -166,3 +166,37 @@ class TestSolveMany:
     def test_empty_batch(self):
         pspace = synthetic_scenario(0)
         assert solve_many(pspace, []) == []
+
+    def test_stacked_table_is_built_only_for_distinct_limits(self, monkeypatch):
+        # Problem 3 solves that share one cmax are served by the first
+        # one's memo entry; the 2^K table is built only when the axis
+        # carries two or more distinct limits.
+        from repro.core.algorithms import batch
+
+        built = []
+        stacked = batch.stacked_entries
+
+        def recording(space, limits):
+            built.append(sorted(set(limits)))
+            return stacked(space, limits)
+
+        monkeypatch.setattr(batch, "stacked_entries", recording)
+        pspace = synthetic_scenario(6, k_min=5, k_max=7)
+        supreme, base = pspace.supreme_cost(), pspace.base_size
+        one_limit = [
+            CQPProblem.problem3(supreme * 0.5, smin=1.0, smax=base * fraction)
+            for fraction in (0.3, 0.8)
+        ]
+        two_limits = [
+            CQPProblem.problem3(supreme * fraction, smin=1.0, smax=base)
+            for fraction in (0.3, 0.6)
+        ]
+        for problems, expected_builds in ((one_limit, 0), (two_limits, 1)):
+            built.clear()
+            expected = [
+                Receipt.of(adapters.solve(pspace, problem, "c_boundaries"))
+                for problem in problems
+            ]
+            batched = solve_many(pspace, problems, algorithm="c_boundaries")
+            assert [Receipt.of(s) for s in batched] == expected
+            assert len(built) == expected_builds

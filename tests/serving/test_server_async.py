@@ -10,6 +10,7 @@ asserts on.
 from __future__ import annotations
 
 import asyncio
+import gc
 
 import pytest
 
@@ -59,17 +60,24 @@ class TestBitIdentity:
 
     def test_report_accounts_for_everything(self, serving_service, serving_requests):
         config = ServingConfig.passthrough(len(serving_requests))
+        callbacks = list(gc.callbacks)
 
         async def serve():
             async with AsyncPersonalizationServer(
                 serving_service, config=config
             ) as server:
+                assert len(gc.callbacks) == len(callbacks) + 1
                 await asyncio.gather(
                     *[server.submit(request) for request in serving_requests]
                 )
+                gc.collect()  # one full collection while it runs
                 return server.report()
 
         report = run(serve())
+        # The full-collection hook is installed only while the server runs.
+        assert gc.callbacks == callbacks
+        assert report["gc"]["full_collections"] >= 1
+        assert report["gc"]["max_full_pause_ms"] > 0.0
         assert report["served"] == len(serving_requests)
         assert report["admitted"] == len(serving_requests)
         assert report["rejected"] == 0

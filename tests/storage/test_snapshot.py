@@ -305,6 +305,7 @@ class TestRestoreSafety:
         # keys would never match a digest-keyed lookup. Format 2 stored
         # its caches without a checksum, so nothing vouches for them.
         # Format 3 stored frontiers by limit, without a verdict span.
+        # Format 4 keyed pricing entries on condition objects.
         database = _build()
         compiled, _, _, _ = _compile(database)
         path = str(tmp_path / "snap")
@@ -312,8 +313,8 @@ class TestRestoreSafety:
         manifest_path = os.path.join(path, "manifest.json")
         with open(manifest_path) as handle:
             manifest = json.load(handle)
-        assert manifest["format_version"] == 4
-        for old in (1, 2, 3):
+        assert manifest["format_version"] == 5
+        for old in (1, 2, 3, 4):
             manifest["format_version"] = old
             with open(manifest_path, "w") as handle:
                 json.dump(manifest, handle)
