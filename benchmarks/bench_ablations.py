@@ -125,7 +125,9 @@ def test_ablation_evaluation_cache(benchmark, bench_workbench, cached):
     problem = CQPProblem.problem2(cmax=0.5 * pspace.supreme_cost())
 
     def solve():
-        bundle = SpaceBundle(pspace, problem, cached=cached)
+        bundle = SpaceBundle(pspace, problem)
+        if not cached:
+            bundle.evaluator = pspace.evaluator()
         return get_algorithm("c_boundaries").solve(bundle.cost_space())
 
     solution = benchmark(solve)

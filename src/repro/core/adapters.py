@@ -136,10 +136,12 @@ def solve(
     Section 5 algorithm; for cost-minimization problems the dedicated
     minimal-state search runs and ``algorithm`` is ignored.
     Returns ``None`` when no personalized query satisfies the
-    constraints. A :class:`~repro.core.frontier_cache.FrontierCache` shares per-state
-    parameter evaluations across solves (every algorithm, including the
-    Problem 4-6 minimal-state search) and warm-starts the C-BOUNDARIES
-    sweep from frontiers recorded under looser limits.
+    constraints. Under an enabled
+    :class:`~repro.core.frontier_cache.FrontierCache` every solve of one
+    ``pspace`` object shares its per-state parameter evaluations (every
+    algorithm, including the Problem 4-6 minimal-state search; see
+    :class:`~repro.core.space.SpaceBundle`), and the C-space phase 1 is
+    served or warm-started from results recorded under other limits.
     """
     bundle = SpaceBundle(pspace, problem, frontier_cache=frontier_cache)
     if problem.objective is Parameter.DOI:
@@ -196,9 +198,10 @@ def solve_many(
     ``algorithms`` optionally overrides the algorithm per problem (None
     entries fall back to ``algorithm``). Results come back in input
     order; duplicate requests share one solution object. When no
-    ``frontier_cache`` is given a batch-local cache carries the sharing;
-    a caller-supplied cache (including a disabled 0-capacity one) is
-    used as-is, so cache semantics match looping :func:`solve`.
+    ``frontier_cache`` is given a batch-local cache carries the memos,
+    and the batch's solves share ``pspace``'s evaluator; a
+    caller-supplied cache (including a disabled 0-byte one) is used
+    as-is, so cache semantics match looping :func:`solve`.
     """
     from repro.core.algorithms.batch import stacked_entries, stacked_supported
     from repro.core.frontier_cache import FrontierCache

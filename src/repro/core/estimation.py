@@ -389,7 +389,3 @@ class CachedStateEvaluator(StateEvaluator):
 
     def cache_info(self) -> Dict[str, int]:
         return {"hits": self.cache_hits, "misses": self.cache_misses}
-
-    def cached_entries(self) -> int:
-        """How many priced masks the three caches hold."""
-        return len(self._doi_cache) + len(self._cost_cache) + len(self._size_cache)

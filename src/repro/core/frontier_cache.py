@@ -3,21 +3,25 @@
 For a fixed (query, profile, statistics) triple the mapping from a
 state to its (doi, cost, size) parameters is constant — only the
 constraint test changes between CQP problems and between constraint
-values (Formulas 4, 7, 8; Table 1). :class:`FrontierCache` exploits
-that at two levels, both keyed on the space *digest*
-(:func:`~repro.core.preference_space.space_digest`: a SHA-256 of the
-parameter arrays — the resultant of query, profile, and statistics —
-computed once per extracted space):
+values (Formulas 4, 7, 8; Table 1). Two kinds of reuse follow from
+that:
 
-* **Shared state evaluation** — one
-  :class:`~repro.core.estimation.CachedStateEvaluator` per space
-  digest, reused by every solve against that space. A later solve with
-  a different ``cmax``/``smin``/``smax``/``dmin`` re-derives no
-  per-state parameter: every mask it touches is already priced. This
-  benefits **all** algorithms, including the cost-minimization search
-  of Problems 4–6. ``capacity`` bounds how many evaluators are held.
+* **Shared state evaluation** — the paper caches re-usable costs
+  within a search (Section 5.2.1). Each extracted
+  :class:`~repro.core.preference_space.PreferenceSpace` object keeps
+  one :class:`~repro.core.estimation.CachedStateEvaluator`
+  (:meth:`~repro.core.preference_space.PreferenceSpace.shared_evaluator`),
+  and every solve of that object under an enabled
+  :class:`FrontierCache` prices through it. The solves of one
+  ``solve_many``/``personalize_many`` batch, or a constraint sweep over
+  one space, therefore re-derive no per-state parameter. The evaluator
+  lives and dies with its space object; this cache holds none.
 
-* **Phase-1 memoization by verdict span** — phase 1 of the two C-space
+* **Phase-1 memoization by verdict span** — the cache proper, keyed on
+  the space *digest*
+  (:func:`~repro.core.preference_space.space_digest`: a SHA-256 of the
+  parameter arrays — the resultant of query, profile, and statistics).
+  Phase 1 of the two C-space
   algorithms (C-BOUNDARIES' FINDBOUNDARY sweep, C-MAXBOUNDS'
   FINDMAXBOUND rounds) sees the limit only through its budget
   verdicts, ``budget(mask) <= feasible_limit``. Everything else those
@@ -46,11 +50,9 @@ computed once per extracted space):
   span is clipped there: when every seed passes, the sweep records no
   failure and its span would otherwise run open-ended above limits
   whose frontier lies above the seeds. A looser limit finds no seed and
-  falls back to a cold sweep that still rides the shared evaluator.
-  Memos are bounded by accounted bytes (:attr:`FrontierCache.byte_budget`),
-  not by ``capacity``: a memo costs about a kilobyte plus its results,
-  so a round-robin working set far larger than the evaluator bound stays
-  resident and keeps hitting.
+  falls back to a cold sweep.
+  Memos are bounded by accounted bytes (:attr:`FrontierCache.byte_budget`):
+  a memo costs about a kilobyte plus its results.
 
 C-BOUNDARIES results are stored in **canonical** form — dominance-reduced
 to the true minimal boundary set and ordered by (group, rank tuple) — so
@@ -80,21 +82,15 @@ from typing import (
 import numpy as np
 
 from repro.cache_stats import CacheStatsMixin
-from repro.core.estimation import CachedStateEvaluator
-from repro.core.preference_space import space_digest
 from repro.core.space import feasible_limit
 from repro.core.state import State
 
-DEFAULT_EVALUATORS = 16
 # The default byte budget of the frontier memos, and the fixed cost each
 # held memo is accounted on top of its entries (its digest key, rank
 # vector, entry dict and LRU slot).
 FRONTIER_BYTES = 4 << 20
 MEMO_OVERHEAD_BYTES = 1024
 FRONTIER_SPANS_PER_MEMO = 32
-# The accounted bytes of one evaluator mask-cache entry: a dict slot, an
-# int key and a float value.
-MASK_ENTRY_BYTES = 100
 # The algorithm whose phase 1 resumes from a looser stored frontier.
 SEEDED_ALGORITHM = "c_boundaries"
 
@@ -285,28 +281,21 @@ def state_nbytes(state: Dict) -> int:
 
 
 class FrontierCache(CacheStatsMixin):
-    """Shared evaluators + phase-1 results across solves, under two
-    bounds.
+    """Phase-1 results across solves, under one accounted-byte bound.
 
-    ``capacity`` bounds the number of shared evaluators (one per
-    distinct space digest, evicted LRU). Frontier memos are cheap to
-    hold — a memo's key is a digest, not the parameter arrays — so they
-    evict LRU against an accounted-byte budget instead,
-    :attr:`byte_budget` (seeded from :data:`FRONTIER_BYTES`): the
-    entries' estimated sizes plus :data:`MEMO_OVERHEAD_BYTES` per
-    memo. A working set that outgrows the evaluator bound therefore
-    still serves and warm-starts its constraint sweeps. A capacity of 0
-    disables the cache entirely — every ``evaluator_for`` returns a
-    fresh evaluator and no frontier is remembered — which is how the
-    benchmarks model cold solves.
+    Memos evict least recently used against :attr:`byte_budget`
+    (:data:`FRONTIER_BYTES` by default): the entries' estimated sizes
+    plus :data:`MEMO_OVERHEAD_BYTES` per memo. A budget of 0 disables
+    the cache — :meth:`memo_for` returns ``None``, no frontier is
+    remembered, and solves price through a fresh evaluator rather than
+    their space's shared one — which is how the benchmarks model cold
+    solves.
     """
 
-    def __init__(self, capacity: int = DEFAULT_EVALUATORS) -> None:
-        if capacity < 0:
-            raise ValueError("capacity must be >= 0, got %r" % (capacity,))
-        self.capacity = capacity
-        self.byte_budget = FRONTIER_BYTES
-        self._evaluators: "OrderedDict[str, CachedStateEvaluator]" = OrderedDict()
+    def __init__(self, byte_budget: int = FRONTIER_BYTES) -> None:
+        if byte_budget < 0:
+            raise ValueError("byte_budget must be >= 0, got %r" % (byte_budget,))
+        self.byte_budget = byte_budget
         self._memos: "OrderedDict[Tuple, FrontierMemo]" = OrderedDict()
         self._stats_token: Hashable = None
         self._lock = threading.Lock()
@@ -315,14 +304,11 @@ class FrontierCache(CacheStatsMixin):
         self.warm_starts = 0
         # Incrementally maintained count of, and estimate of the bytes
         # pinned by, the stored entries. Telemetry is read on every
-        # response, so it must not walk the memos; the evaluators' mask
-        # caches grow on demand and are summed per read instead (at most
-        # ``capacity`` evaluators).
+        # response, so it must not walk the memos.
         self._frontier_count = 0
         self._frontier_bytes = 0
-        self._evaluator_bytes = 0
         # Fault seam: when set, called (outside the lock) with the site
-        # name before every frontier lookup and evaluator fetch. The
+        # name before every memo fetch and frontier lookup. The
         # deterministic injector in repro.testing.faults uses it to
         # evict mid-solve; hooks must only call thread-safe entry points
         # such as invalidate().
@@ -333,13 +319,13 @@ class FrontierCache(CacheStatsMixin):
     def validate(self, stats_token: Hashable) -> None:
         """Flush everything if the statistics snapshot changed.
 
-        The parameter arrays keying the evaluators already change with
-        the statistics (stale entries could never be *served*), but a
-        flush on token change keeps dead spaces from occupying the LRU.
+        The digests keying the memos already change with the statistics
+        (stale entries could never be *served*), but a flush on token
+        change keeps dead spaces from occupying the LRU.
         """
         with self._lock:
             if stats_token != self._stats_token:
-                if self._evaluators or self._memos:
+                if self._memos:
                     self.invalidations += 1
                 self._flush_locked()
                 self._stats_token = stats_token
@@ -347,27 +333,25 @@ class FrontierCache(CacheStatsMixin):
     def invalidate(self) -> None:
         """Explicitly drop every entry (out-of-band statistics mutation)."""
         with self._lock:
-            if self._evaluators or self._memos:
+            if self._memos:
                 self.invalidations += 1
             self._flush_locked()
             self._stats_token = None
 
     def _flush_locked(self) -> None:
-        """Drop every evaluator and memo entry (caller holds the lock).
+        """Drop every memo entry (caller holds the lock).
 
         Memo *objects* are emptied, not just unmapped: an in-flight
         solve holds its memo directly (``space.frontier``), and an
         eviction drill — or a genuine flush racing a solve — must leave
         it the cold path, not a stale private copy of the entries.
         """
-        self._evaluators.clear()
         for memo in self._memos.values():
             memo._entries.clear()
             memo.attached = False
         self._memos.clear()
         self._frontier_count = 0
         self._frontier_bytes = 0
-        self._evaluator_bytes = 0
 
     def _memo_bytes_locked(self) -> int:
         """The accounted bytes of the held memos (caller holds the lock)."""
@@ -384,43 +368,16 @@ class FrontierCache(CacheStatsMixin):
                 self._frontier_count -= 1
                 self.evictions += 1
 
-    # -- the two entry points ------------------------------------------------------
-
-    def evaluator_for(self, pspace) -> CachedStateEvaluator:
-        """The shared caching evaluator for a preference space.
-
-        Every solve against an identical parameter digest receives the
-        *same* evaluator, so per-state doi/cost/size figures carry
-        across constraint values, problems, and algorithms.
-        """
-        if self.fault_hook is not None:
-            self.fault_hook("frontier_cache.evaluator")
-        if self.capacity == 0:
-            return pspace.evaluator(cached=True)
-        digest = space_digest(pspace)
-        with self._lock:
-            evaluator = self._evaluators.get(digest)
-            if evaluator is not None:
-                self._evaluators.move_to_end(digest)
-                return evaluator
-        evaluator = pspace.evaluator(cached=True)
-        with self._lock:
-            existing = self._evaluators.get(digest)
-            if existing is not None:
-                return existing
-            self._evaluators[digest] = evaluator
-            self._evaluator_bytes += _evaluator_nbytes(evaluator)
-            while len(self._evaluators) > self.capacity:
-                _, dropped = self._evaluators.popitem(last=False)
-                self._evaluator_bytes -= _evaluator_nbytes(dropped)
-                self.evictions += 1
-        return evaluator
+    # -- the entry point -----------------------------------------------------------
 
     def memo_for(self, digest: str, vector: Tuple[int, ...], axis: str
                  ) -> Optional[FrontierMemo]:
         """The phase-1 memo for one (space digest, vector, axis); its
-        entries carry their algorithm."""
-        if self.capacity == 0:
+        entries carry their algorithm. ``None`` when the cache is
+        disabled."""
+        if self.fault_hook is not None:
+            self.fault_hook("frontier_cache.memo")
+        if self.byte_budget == 0:
             return None
         key = (digest, vector, axis)
         with self._lock:
@@ -436,20 +393,14 @@ class FrontierCache(CacheStatsMixin):
     # -- persistence -----------------------------------------------------------------
 
     def snapshot(self) -> Dict:
-        """The cache's memos as a picklable state blob.
-
-        Evaluators are deliberately *not* captured: they rebuild from a
-        preference space in microseconds, and their mask caches are
-        process-local state. What is expensive to recompute — the
-        phase-1 results per (digest, vector, axis), each as
-        ``(algorithm, low, high, result)`` — is exactly what travels
+        """The cache's memos as a picklable state blob: the phase-1
+        results per (digest, vector, axis), each as
+        ``(algorithm, low, high, result)``
         (:func:`~repro.core.preference_space.space_digest` is
-        process-independent).
-        """
+        process-independent)."""
         with self._lock:
             return {
                 "kind": "frontier_cache",
-                "capacity": self.capacity,
                 "memos": [
                     (key, [span + (result,) for span, result in memo._entries.items()])
                     for key, memo in self._memos.items()
@@ -475,7 +426,7 @@ class FrontierCache(CacheStatsMixin):
             digest, vector, axis = key
             memo = self.memo_for(digest, tuple(vector), axis)
             if memo is None:
-                break  # capacity 0: a disabled cache restores nothing
+                break  # a disabled cache restores nothing
             for algorithm, low, high, result in entries:
                 memo.store(low, high, result, algorithm)
                 installed += 1
@@ -487,42 +438,23 @@ class FrontierCache(CacheStatsMixin):
         return self._frontier_count
 
     def _stats_bytes(self) -> int:
-        masks = sum(e.cached_entries() for e in self._evaluators.values())
-        return (
-            self._memo_bytes_locked() + self._evaluator_bytes + MASK_ENTRY_BYTES * masks
-        )
+        return self._memo_bytes_locked()
 
     def _stats_extra(self) -> Dict[str, int]:
-        return {
-            "warm_starts": self.warm_starts,
-            "evaluators": len(self._evaluators),
-            "frontiers": self._stats_entries(),
-        }
+        return {"warm_starts": self.warm_starts, "frontiers": self._stats_entries()}
 
     def counters(self) -> Dict[str, int]:
         """Memo hit/warm-start/miss/invalidation tallies plus entry
         counts.
 
         The shared telemetry shape (see
-        :class:`~repro.cache_stats.CacheStatsMixin`) plus this cache's
-        two resident populations (``evaluators``/``frontiers`` —
-        ``entries`` aliases the latter). A lookup ends as exactly one of
-        a ``hit`` (a stored span served it), a ``warm_start`` (a looser
+        :class:`~repro.cache_stats.CacheStatsMixin`) plus ``frontiers``
+        (which ``entries`` aliases). A lookup ends as exactly one of a
+        ``hit`` (a stored span served it), a ``warm_start`` (a looser
         frontier seeded the sweep) or a ``miss``, and ``lookups`` counts
-        all three. ``bytes_estimate`` covers the memos, the evaluators'
-        parameter arrays and their mask caches.
+        all three. ``bytes_estimate`` is the memos' accounted bytes.
         """
         with self._lock:
             counters = super().counters()
         counters["lookups"] += counters["warm_starts"]
         return counters
-
-
-def _evaluator_nbytes(evaluator: CachedStateEvaluator) -> int:
-    """A coarse estimate of one shared evaluator's fixed footprint.
-
-    Counts the per-preference parameter arrays it was built from and
-    its conflict masks; the demand-grown mask caches are summed
-    separately on every telemetry read (:data:`MASK_ENTRY_BYTES` each).
-    """
-    return 256 + 24 * 3 * len(evaluator.doi_values) + 40 * len(evaluator.conflict_masks)

@@ -92,9 +92,11 @@ class Personalizer:
         """``param_cache`` memoizes per-path pricing across requests; one
         is created per Personalizer when not given (pass a shared
         instance to pool across personalizers, or a 0-capacity cache to
-        disable). ``frontier_cache`` does the same one layer up: shared
-        per-state parameter evaluations plus warm-started boundary
-        sweeps across constraint values (same defaulting convention).
+        disable). ``frontier_cache`` does the same one layer up: served
+        and warm-started phase-1 sweeps across constraint values (same
+        defaulting convention; a 0-byte cache disables it), and, while
+        it is enabled, one shared evaluator per extracted space, so the
+        solves of one ``personalize_many`` batch share pricing.
         Queries always execute on the columnar engine; the row
         :class:`~repro.sql.executor.Executor` stays the reference that
         tests and the differential lattice compare it against."""

@@ -78,9 +78,13 @@ class PreferenceSpace:
     vector_s: List[int]
     selection_times: Dict[str, float] = field(default_factory=dict)
     conflicts: List[Tuple[int, int]] = field(default_factory=list)
-    # space_digest's memo. Not an __init__ field, so neither
-    # dataclasses.replace nor truncated() carries it to a new space.
+    # space_digest's and shared_evaluator's memos. Not __init__ fields,
+    # so neither dataclasses.replace nor subset() carries them to a new
+    # space.
     _digest: Optional[str] = field(default=None, init=False, repr=False, compare=False)
+    _evaluator: Optional[CachedStateEvaluator] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def k(self) -> int:
@@ -101,6 +105,15 @@ class PreferenceSpace:
             algebra=self.algebra,
             conflicts=self.conflicts,
         )
+
+    def shared_evaluator(self) -> CachedStateEvaluator:
+        """The caching evaluator this space object keeps for every solve
+        that shares pricing (those under an enabled frontier cache):
+        built on first use, dropped with the space."""
+        evaluator = self._evaluator
+        if evaluator is None:
+            evaluator = self._evaluator = self.evaluator(cached=True)
+        return evaluator
 
     def supreme_cost(self) -> float:
         """Cost of the personalized query using all K preferences."""

@@ -167,15 +167,15 @@ class PersonalizationService:
             # entries during boot and silently serve a half-warm
             # service. The pricing cache grows its entry capacity, the
             # frontier cache its memo byte budget; bounds only ever
-            # grow, and a deliberately disabled cache (capacity 0)
-            # stays disabled.
+            # grow, and a deliberately disabled cache (capacity or byte
+            # budget 0) stays disabled.
             param = self.personalizer.param_cache
             if param is not None and param.capacity > 0:
                 param.capacity = max(
                     param.capacity, 2 * len(snapshot.param_state.get("entries", ()))
                 )
             frontier = self.personalizer.frontier_cache
-            if frontier is not None and frontier.capacity > 0:
+            if frontier is not None and frontier.byte_budget > 0:
                 frontier.byte_budget = max(
                     frontier.byte_budget,
                     2 * state_nbytes(snapshot.frontier_state),

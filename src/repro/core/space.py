@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.core.estimation import StateEvaluator
 from repro.core.preference_space import PreferenceSpace, space_digest
-from repro.core.problem import CQPProblem, Parameter
+from repro.core.problem import CQPProblem
 from repro.core.solution import CQPSolution
 from repro.core.state import Mask, RankWords
 from repro.core.stats import SearchStats
@@ -133,31 +133,32 @@ class SpaceBundle:
     """Couples an extracted preference space with one CQP problem and
     manufactures the concrete search spaces the algorithms run on.
 
-    Parameter evaluation is cached by default, per Section 5.2.1
-    ("Costs that may be re-used are cached. This technique is used in
-    all algorithms proposed").
+    Parameter evaluation is cached, per Section 5.2.1 ("Costs that may
+    be re-used are cached. This technique is used in all algorithms
+    proposed"). With an enabled
+    :class:`~repro.core.frontier_cache.FrontierCache` the bundle prices
+    through the space object's shared evaluator
+    (:meth:`~repro.core.preference_space.PreferenceSpace.shared_evaluator`),
+    so every cache-sharing solve of that object — one batch, one
+    constraint sweep — carries its per-state parameters to the next,
+    and the budget-aligned spaces get their frontier memos. Without one,
+    or with a disabled one, the bundle builds a fresh evaluator: the
+    solve is cold.
     """
 
     def __init__(
         self,
         pspace: PreferenceSpace,
         problem: CQPProblem,
-        cached: bool = True,
         frontier_cache=None,
     ) -> None:
         self.pspace = pspace
         self.problem = problem
-        # A FrontierCache supplies the shared evaluator (per-state
-        # parameters carried across solves) and the frontier memos the
-        # budget-aligned spaces warm-start from. Only meaningful with
-        # caching on — an uncached bundle is a measurement tool.
-        self.frontier_cache = frontier_cache if cached else None
-        if self.frontier_cache is not None:
-            self.evaluator = self.frontier_cache.evaluator_for(pspace)
-        elif cached:
-            self.evaluator = pspace.evaluator(cached=True)
+        self.frontier_cache = frontier_cache
+        if frontier_cache is not None and frontier_cache.byte_budget > 0:
+            self.evaluator = pspace.shared_evaluator()
         else:
-            self.evaluator = pspace.evaluator()
+            self.evaluator = pspace.evaluator(cached=True)
 
     def _frontier_memo(self, space: SearchSpace):
         """The frontier memo for a budget-aligned space, if cached."""
@@ -313,14 +314,3 @@ class SpaceBundle:
         )
         space.frontier = self._frontier_memo(space)
         return space
-
-    def default_space(self) -> SearchSpace:
-        """The natural space for the bundle's problem (doi-max problems)."""
-        if self.problem.objective is not Parameter.DOI:
-            raise SearchError(
-                "default_space covers doi-maximization; use repro.core.adapters "
-                "for the cost-minimization problems (4-6)"
-            )
-        if self.problem.constraints.cmax is not None:
-            return self.cost_space()
-        return self.size_space()

@@ -43,7 +43,7 @@ from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core import adapters
-from repro.core.frontier_cache import FrontierCache
+from repro.core.frontier_cache import FRONTIER_BYTES, FrontierCache
 from repro.core.param_cache import ParameterCache
 from repro.core.problem import CQPProblem, Parameter
 from repro.core.solution import CQPSolution
@@ -325,7 +325,7 @@ def run_solver_lattice(
         report.scenarios += 1
         report.problems_covered |= set(numbers)
         # One shared warm cache per scenario: the "warm" points ride
-        # phase-1 results and evaluators left by this pre-pass.
+        # the phase-1 results this pre-pass left.
         warm_cache = FrontierCache()
         for number in numbers:
             pre_pass = dict.fromkeys(_algorithm_for(problems[number], a) for a in SPAN_SERVED)
@@ -545,7 +545,7 @@ def run_service_lattice(
         service = PersonalizationService(
             database,
             param_cache=ParameterCache(0 if point.cache == "off" else 65536),
-            frontier_cache=FrontierCache(0 if point.cache == "off" else 256),
+            frontier_cache=FrontierCache(0 if point.cache == "off" else FRONTIER_BYTES),
             snapshot=snapshot,
         )
         service.register("lattice-user", profile)

@@ -37,13 +37,14 @@ from typing import Dict, List, Optional, Tuple
 
 __all__ = ["FaultInjector", "FaultPlan", "SITES"]
 
-# Every site the core modules pulse. A plan may name any subset.
+# Every site the core modules pulse, in the order seeded plans draw
+# them. A plan may name any subset.
 SITES = (
     "param_cache.price",
     "param_cache.walk",
     "frontier_cache.lookup",
-    "frontier_cache.evaluator",
     "sweep.step",
+    "frontier_cache.memo",
 )
 
 

@@ -169,9 +169,7 @@ def check_stats_token_soundness(cache, database) -> None:
     database.analyze()  # token changes even though the data did not
     cache.validate(database.stats_token)
     counters = cache.counters()
-    live = counters.get("entries", 0) + counters.get("frontiers", 0) + counters.get(
-        "evaluators", 0
-    )
+    live = counters.get("entries", 0) + counters.get("frontiers", 0)
     if live:
         raise InvariantViolation(
             "cache served %d live entr(ies) across a stats_token change: %r"

@@ -150,7 +150,7 @@ def compile_workload(
         every extraction cluster.
 
         Runs the service's own pipeline against *unit-local* caches, so
-        each unit's evaluators are dropped with it; the returned blobs
+        nothing a unit priced outlives it but the returned blobs, which
         are exactly the caches' persistence format.
         """
         profile, query = unit

@@ -229,5 +229,3 @@ class TestCachedEvaluator:
         pspace = extract_preference_space(movie_db, movie_query, movie_profile, k_limit=5)
         bundle = SpaceBundle(pspace, CQPProblem.problem2(cmax=100.0))
         assert isinstance(bundle.evaluator, CachedStateEvaluator)
-        plain_bundle = SpaceBundle(pspace, CQPProblem.problem2(cmax=100.0), cached=False)
-        assert not isinstance(plain_bundle.evaluator, CachedStateEvaluator)

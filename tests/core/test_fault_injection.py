@@ -219,7 +219,7 @@ class TestServiceDegradation:
             periods={
                 "param_cache.price": 3,
                 "frontier_cache.lookup": 2,
-                "frontier_cache.evaluator": 2,
+                "frontier_cache.memo": 2,
             },
             phases={"param_cache.price": 1},
         )
@@ -251,7 +251,7 @@ class TestErrorsInsideASolve:
 
     @pytest.mark.parametrize(
         "site",
-        ["param_cache.price", "frontier_cache.lookup", "frontier_cache.evaluator"],
+        ["param_cache.price", "frontier_cache.lookup", "frontier_cache.memo"],
     )
     def test_error_reaches_the_caller_and_the_service_recovers(
         self, movie_db, movie_profile, movie_query, site

@@ -337,17 +337,22 @@ class TestSpanMechanics:
         )
         assert counters["lookups"] == 4
 
-    def test_bytes_estimate_counts_evaluator_mask_caches(self):
-        from repro.core.frontier_cache import MASK_ENTRY_BYTES
+    def test_bytes_estimate_counts_the_memos(self):
+        # The cache holds memos only: no evaluator population, and its
+        # bytes are the memos' accounted bytes.
+        from repro.core.frontier_cache import MEMO_OVERHEAD_BYTES, _entry_nbytes
 
         pspace = self.PSPACE()
         cache = FrontierCache()
         self._solve(pspace, 185.0, cache, "c_boundaries")
-        evaluator = cache.evaluator_for(pspace)
-        assert evaluator.cached_entries() > 0
-        memo_bytes = cache._memo_bytes_locked()
-        assert cache.counters()["bytes_estimate"] >= (
-            memo_bytes + MASK_ENTRY_BYTES * evaluator.cached_entries()
+        self._solve(pspace, 185.0, cache, "c_maxbounds")
+        counters = cache.counters()
+        assert "evaluators" not in counters
+        memos = list(cache._memos.values())
+        entries = [result for memo in memos for result in memo._entries.values()]
+        assert len(entries) == 2
+        assert counters["bytes_estimate"] == MEMO_OVERHEAD_BYTES * len(memos) + sum(
+            _entry_nbytes(result) for result in entries
         )
 
 
@@ -422,24 +427,60 @@ class TestCacheMechanics:
         assert solution.stats.neighbor_batches > 0
 
     def test_shared_evaluator_across_solves(self):
+        # Under an enabled cache, every bundle on one space object
+        # prices through that object's one evaluator.
         pspace = self.PSPACE()
         cache = FrontierCache()
+        bundles = [
+            SpaceBundle(pspace, problem, frontier_cache=cache)
+            for problem in (CQPProblem.problem2(185.0), CQPProblem.problem4(dmin=0.3))
+        ]
+        assert bundles[0].evaluator is bundles[1].evaluator
+        assert bundles[0].evaluator is pspace.shared_evaluator()
         first = self._solve(pspace, 185.0, cache)
         tighter = self._solve(pspace, 140.0, cache)
-        # The second solve re-used the first's evaluator: it evaluated
-        # strictly fewer parameters than a cold solve at the same limit.
+        # The second solve re-used the first's evaluator and frontier:
+        # it evaluated strictly fewer parameters than a cold solve at
+        # the same limit.
         cold = adapters.solve(pspace, CQPProblem.problem2(140.0), "c_boundaries")
-        assert tighter.stats.parameter_evaluations <= cold.stats.parameter_evaluations
+        assert tighter.stats.parameter_evaluations < cold.stats.parameter_evaluations
         assert first is not tighter
+        # A solve no memo serves (the Problem 4 minimal-state search)
+        # prices fewer masks than the same solve on a fresh copy of the
+        # space, whose evaluator starts empty.
+        evaluator = pspace.shared_evaluator()
+        before = evaluator.cache_misses
+        adapters.solve(pspace, CQPProblem.problem4(dmin=0.4), frontier_cache=cache)
+        fresh = replace(pspace)
+        adapters.solve(fresh, CQPProblem.problem4(dmin=0.4), frontier_cache=cache)
+        assert fresh.shared_evaluator() is not evaluator
+        assert evaluator.cache_misses - before < fresh.shared_evaluator().cache_misses
+
+    @pytest.mark.parametrize("cache", [None, 0], ids=["no-cache", "zero-budget"])
+    def test_cold_bundles_get_their_own_evaluator(self, cache):
+        pspace = self.PSPACE()
+        frontier_cache = None if cache is None else FrontierCache(cache)
+        problem = CQPProblem.problem2(185.0)
+        first, second = (
+            SpaceBundle(pspace, problem, frontier_cache=frontier_cache)
+            for _ in range(2)
+        )
+        assert first.evaluator is not second.evaluator
+        assert pspace._evaluator is None
 
     def test_zero_capacity_disables(self):
         pspace = self.PSPACE()
-        cache = FrontierCache(capacity=0)
+        cache = FrontierCache(0)
         space = SpaceBundle(
             pspace, CQPProblem.problem2(185.0), frontier_cache=cache
         ).cost_space()
         assert space.frontier is None
-        assert cache.counters()["evaluators"] == 0
+        assert cache.memo_for(space_digest(pspace), space.vector, "cost") is None
+        assert cache.restore(FrontierCache().snapshot(), stats_token=None) == 0
+        counters = cache.counters()
+        assert counters["frontiers"] == counters["bytes_estimate"] == 0
+        with pytest.raises(ValueError):
+            FrontierCache(-1)
 
     def test_validate_flushes_on_token_change(self):
         pspace = self.PSPACE()
@@ -452,7 +493,7 @@ class TestCacheMechanics:
         cache.validate(("db", 2))
         counters = cache.counters()
         assert counters["frontiers"] == 0
-        assert counters["evaluators"] == 0
+        assert counters["bytes_estimate"] == 0
         assert counters["invalidations"] == 1
 
     def test_explicit_invalidate(self):
@@ -491,8 +532,8 @@ def test_frontier_count_tracks_the_memos(operations, budget_memos):
         _entry_nbytes,
     )
 
-    cache = FrontierCache(capacity=3)
-    cache.byte_budget = budget_memos * (MEMO_OVERHEAD_BYTES + 600)
+    # One byte over whole memos, so a budget of no memo stays enabled.
+    cache = FrontierCache(budget_memos * (MEMO_OVERHEAD_BYTES + 600) + 1)
     held = []  # memos an in-flight solve would still hold
     snapshot = cache.snapshot()
 
@@ -532,16 +573,15 @@ def test_frontier_count_tracks_the_memos(operations, budget_memos):
 
 
 class TestByteBoundedMemos:
-    def test_memos_outlive_the_evaluator_capacity(self):
+    def test_memos_evict_least_recently_used_by_bytes(self):
         from repro.core.frontier_cache import MEMO_OVERHEAD_BYTES, _entry_nbytes
 
-        cache = FrontierCache(capacity=1)
+        cache = FrontierCache()
         frontier = ((0, 1), (2,))
         for index in range(5):
             cache.memo_for("space%d" % index, (0, 1, 2), "cost").store(
                 1.0, 2.0, frontier
             )
-        # The evaluator bound does not bound the memos.
         assert len(cache._memos) == 5
         assert cache.counters()["frontiers"] == 5
         # Shrinking the byte budget evicts least recently used memos
@@ -555,19 +595,19 @@ class TestByteBoundedMemos:
         assert cache.counters()["bytes_estimate"] <= cache.byte_budget
 
     def test_round_robin_beyond_capacity_still_warm_starts(self):
-        """More distinct spaces than the evaluator capacity, solved
-        round-robin with a tighter limit on every pass: each later pass
-        warm-starts from the pass before, with cold answers."""
-        capacity = 4
+        """A working set of distinct spaces, solved round-robin with a
+        tighter limit on every pass: each later pass warm-starts from
+        the pass before, with cold answers, and every space keeps its
+        memo."""
         spaces = [
             make_synthetic_pspace(
                 (0.9, 0.8, 0.7, 0.6, 0.5),
                 tuple(cost * (1.0 + index / 50.0)
                       for cost in (110.0, 80.0, 60.0, 45.0, 35.0)),
             )
-            for index in range(capacity + 3)
+            for index in range(7)
         ]
-        cache = FrontierCache(capacity=capacity)
+        cache = FrontierCache()
         for cmax_base, expect_warm in ((185.0, False), (170.0, True), (160.0, True)):
             for index, pspace in enumerate(spaces):
                 cmax = cmax_base * (1.0 + index / 50.0)
@@ -581,7 +621,8 @@ class TestByteBoundedMemos:
                 assert warm.cost == cold.cost
                 if expect_warm:
                     assert warm.stats.states_warm_started > 0, index
-        assert cache.counters()["evaluators"] == capacity
+        assert len(cache._memos) == len(spaces)
+        assert cache.counters()["frontiers"] == 3 * len(spaces)
 
 
 class TestCanonicalFrontier:
@@ -659,6 +700,7 @@ def test_personalizer_invalidates_frontier_cache(movie_db, movie_profile, movie_
     personalizer.personalize(
         movie_query, movie_profile, problem, algorithm="c_boundaries", k_limit=10
     )
-    assert personalizer.frontier_cache.counters()["evaluators"] > 0
+    assert personalizer.frontier_cache.counters()["frontiers"] > 0
     personalizer.invalidate_caches()
-    assert personalizer.frontier_cache.counters()["evaluators"] == 0
+    counters = personalizer.frontier_cache.counters()
+    assert counters["frontiers"] == counters["bytes_estimate"] == 0

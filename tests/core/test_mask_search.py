@@ -313,14 +313,16 @@ def test_min_cost_descent_matches_reference(pspace, number, cached, dmin, window
     else:
         problem = CQPProblem.problem6(smin=smin, smax=smax)
 
-    # observe() reads the evaluator off the bundle as off a space.
-    expected = observe(
-        reference.minimal_feasible_min_cost, SpaceBundle(pspace, problem, cached=cached)
-    )
-    got = observe(
-        indices_of(adapters.minimal_feasible_min_cost),
-        SpaceBundle(pspace, problem, cached=cached),
-    )
+    def bundle():
+        # observe() reads the evaluator off the bundle as off a space;
+        # the uncached case prices through a plain evaluator.
+        made = SpaceBundle(pspace, problem)
+        if not cached:
+            made.evaluator = pspace.evaluator()
+        return made
+
+    expected = observe(reference.minimal_feasible_min_cost, bundle())
+    got = observe(indices_of(adapters.minimal_feasible_min_cost), bundle())
     assert got == expected
 
 

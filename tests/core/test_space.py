@@ -119,8 +119,3 @@ class TestSpaceBundle:
         space = bundle.doi_space()
         assert space.limit == -2.0
         assert not space.budget_aligned
-
-    def test_default_space_rejects_min_problems(self, pspace):
-        bundle = SpaceBundle(pspace, CQPProblem.problem4(dmin=0.5))
-        with pytest.raises(SearchError):
-            bundle.default_space()

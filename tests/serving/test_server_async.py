@@ -245,7 +245,7 @@ class TestFaultDrillThroughAsyncPath:
         periods={
             "param_cache.price": 3,
             "frontier_cache.lookup": 2,
-            "frontier_cache.evaluator": 2,
+            "frontier_cache.memo": 2,
         },
         phases={"param_cache.price": 1},
     )

@@ -124,15 +124,14 @@ class TestRoundTrip:
             assert telemetry[cache]["misses"] == 0, cache
 
     def test_boot_grows_the_frontier_byte_budget(self):
-        # A cache whose budget holds no memo at all still boots with
-        # every compiled frontier: the boot grows the budget, never the
-        # evaluator capacity.
+        # A cache whose budget holds no memo at all (one byte; a memo
+        # is accounted at least a kilobyte) still boots with every
+        # compiled frontier: the boot grows the budget.
         from repro.core.frontier_cache import FrontierCache, state_nbytes
 
         database = _build()
         compiled, _, _, _ = _compile(database)
-        frontier = FrontierCache(capacity=2)
-        frontier.byte_budget = 0
+        frontier = FrontierCache(byte_budget=1)
         warm = PersonalizationService(
             database, frontier_cache=frontier, snapshot=compiled
         )
@@ -140,7 +139,6 @@ class TestRoundTrip:
         assert installed > 0
         assert frontier.counters()["frontiers"] == installed
         assert frontier.evictions == 0
-        assert frontier.capacity == 2
         assert frontier.byte_budget == 2 * state_nbytes(compiled.frontier_state)
 
     def test_older_frame_sections_are_ignored(self, tmp_path):
